@@ -179,7 +179,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         match ck.load_latest() {
-            Err(CkptError::ChecksumMismatch { .. }) => {}
+            Err(CkptError::Frame(crate::FrameError::ChecksumMismatch { .. })) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
         fs::remove_dir_all(ck.dir()).ok();

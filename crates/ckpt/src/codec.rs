@@ -1,24 +1,17 @@
 //! The checkpoint container: a named, typed state dictionary with a
 //! versioned, checksummed binary encoding.
 //!
-//! Layout (all little-endian):
-//!
-//! ```text
-//! magic "MHGC" | version u16 | entry count u32
-//! entries: name_len u16, name bytes, tag u8, payload
-//! trailer: FNV-1a 64 checksum of everything before it, u64
-//! ```
-//!
-//! Entries are stored in name order (the dictionary is a `BTreeMap`), so
-//! encoding is byte-deterministic: the same state always produces the same
-//! file. Decoding bounds every allocation by the bytes actually remaining,
-//! so corrupt length fields can never trigger huge allocations.
+//! The file is an MHGC v1 [`crate::frame`]; its body layout is in the
+//! "Persisted formats" table of DESIGN.md §2.11. Entries are stored in name
+//! order (the dictionary is a `BTreeMap`), so encoding is
+//! byte-deterministic: the same state always produces the same file.
 
 use std::collections::BTreeMap;
 
 use mhg_tensor::Tensor;
 
 use crate::error::CkptError;
+use crate::frame::{FrameError, Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"MHGC";
 const VERSION: u16 = 1;
@@ -161,177 +154,77 @@ impl StateDict {
     }
 }
 
-/// FNV-1a 64 over a byte stream (the same hash the golden tests use).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Checked narrowing of a size to a `u32` wire field: a count that does not
-/// fit would silently wrap and corrupt the archive, so fail loudly instead.
-fn size_u32(n: usize, what: &str) -> u32 {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u32 wire format"
-    );
-    n as u32
-}
-
-/// Checked narrowing of a size to a `u16` wire field.
-fn size_u16(n: usize, what: &str) -> u16 {
-    assert!(
-        u16::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u16 wire format"
-    );
-    n as u16
-}
-
 /// Serialises a dictionary to its versioned, checksummed binary form.
 pub fn encode(dict: &StateDict) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + 16 * dict.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&size_u32(dict.len(), "entry count").to_le_bytes());
+    let mut w = Writer::new(MAGIC, VERSION, dict.len().saturating_mul(16));
+    w.len_u32(dict.len(), "entry count");
     for (name, value) in dict.iter() {
-        out.extend_from_slice(&size_u16(name.len(), "name length").to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
+        w.len_u16(name.len(), "name length");
+        w.bytes(name.as_bytes());
         match value {
             Value::Tensor(t) => {
-                out.push(TAG_TENSOR);
-                out.extend_from_slice(&size_u32(t.rows(), "tensor rows").to_le_bytes());
-                out.extend_from_slice(&size_u32(t.cols(), "tensor cols").to_le_bytes());
-                for v in t.as_slice() {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+                w.u8(TAG_TENSOR);
+                w.len_u32(t.rows(), "tensor rows");
+                w.len_u32(t.cols(), "tensor cols");
+                w.u32s(t.as_slice().iter().map(|v| v.to_bits()));
             }
             Value::U64(v) => {
-                out.push(TAG_U64);
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u8(TAG_U64);
+                w.u64(*v);
             }
             Value::F64(v) => {
-                out.push(TAG_F64);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u8(TAG_F64);
+                w.u64(v.to_bits());
             }
             Value::U64s(vs) => {
-                out.push(TAG_U64S);
-                out.extend_from_slice(&size_u32(vs.len(), "u64 array length").to_le_bytes());
-                for v in vs {
-                    out.extend_from_slice(&v.to_le_bytes());
+                w.u8(TAG_U64S);
+                w.len_u32(vs.len(), "u64 array length");
+                for &v in vs {
+                    w.u64(v);
                 }
             }
             Value::Bytes(bs) => {
-                out.push(TAG_BYTES);
-                out.extend_from_slice(&size_u32(bs.len(), "byte payload length").to_le_bytes());
-                out.extend_from_slice(bs);
+                w.u8(TAG_BYTES);
+                w.len_u32(bs.len(), "byte payload length");
+                w.bytes(bs);
             }
         }
     }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    w.finish()
 }
 
 /// Deserialises a dictionary, verifying magic, version and checksum.
 pub fn decode(buf: &[u8]) -> Result<StateDict, CkptError> {
-    // Trailer first: the checksum covers everything before it.
-    if buf.len() < MAGIC.len() + 2 + 4 + 8 {
-        return Err(CkptError::Truncated);
-    }
-    let (payload, trailer) = buf.split_at(buf.len() - 8);
-    if &payload[..4] != MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let version = u16::from_le_bytes([payload[4], payload[5]]);
-    if version != VERSION {
-        return Err(CkptError::UnsupportedVersion(version));
-    }
-    let stored = u64::from_le_bytes(trailer.try_into().map_err(|_| CkptError::Truncated)?);
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(CkptError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut cur = &payload[6..];
-    let count = read_u32(&mut cur)? as usize;
+    let mut r = Reader::open(buf, MAGIC, VERSION)?;
+    let count = r.u32()?;
     let mut dict = StateDict::new();
     for _ in 0..count {
-        let name_len = read_u16(&mut cur)? as usize;
-        let name_bytes = take(&mut cur, name_len)?;
-        let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| CkptError::BadUtf8)?;
-        let tag = read_u8(&mut cur)?;
-        let value = match tag {
+        let name_len = r.u16()?;
+        let name = r.str(name_len.into())?;
+        let value = match r.u8()? {
             TAG_TENSOR => {
-                let rows = read_u32(&mut cur)? as usize;
-                let cols = read_u32(&mut cur)? as usize;
-                let n = rows.checked_mul(cols).ok_or(CkptError::Truncated)?;
-                let raw = take(&mut cur, n.checked_mul(4).ok_or(CkptError::Truncated)?)?;
-                let data: Vec<f32> = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
+                let rows = r.u32()? as usize;
+                let cols = r.u32()? as usize;
+                let n = rows.checked_mul(cols).ok_or(FrameError::Truncated)?;
+                let data = r.u32s(n)?.map(f32::from_bits).collect();
                 Value::Tensor(Tensor::from_vec(rows, cols, data))
             }
-            TAG_U64 => Value::U64(u64::from_le_bytes(
-                take(&mut cur, 8)?
-                    .try_into()
-                    .map_err(|_| CkptError::Truncated)?,
-            )),
-            TAG_F64 => Value::F64(f64::from_bits(u64::from_le_bytes(
-                take(&mut cur, 8)?
-                    .try_into()
-                    .map_err(|_| CkptError::Truncated)?,
-            ))),
+            TAG_U64 => Value::U64(r.u64()?),
+            TAG_F64 => Value::F64(f64::from_bits(r.u64()?)),
             TAG_U64S => {
-                let n = read_u32(&mut cur)? as usize;
-                let raw = take(&mut cur, n.checked_mul(8).ok_or(CkptError::Truncated)?)?;
-                let vs: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                    .collect();
-                Value::U64s(vs)
+                let n = r.u32()? as usize;
+                Value::U64s(r.u64s(n)?.collect())
             }
             TAG_BYTES => {
-                let n = read_u32(&mut cur)? as usize;
-                Value::Bytes(take(&mut cur, n)?.to_vec())
+                let n = r.u32()? as usize;
+                Value::Bytes(r.bytes(n)?.to_vec())
             }
             other => return Err(CkptError::BadTag(other)),
         };
         dict.put(name, value);
     }
-    if !cur.is_empty() {
-        return Err(CkptError::Truncated);
-    }
+    r.finish()?;
     Ok(dict)
-}
-
-/// Splits off the next `n` bytes, erroring instead of panicking when the
-/// buffer is short — this is what bounds every allocation above: a hostile
-/// length field can never request more than the bytes actually present.
-fn take<'a>(cur: &mut &'a [u8], n: usize) -> Result<&'a [u8], CkptError> {
-    if cur.len() < n {
-        return Err(CkptError::Truncated);
-    }
-    let (head, tail) = cur.split_at(n);
-    *cur = tail;
-    Ok(head)
-}
-
-fn read_u8(cur: &mut &[u8]) -> Result<u8, CkptError> {
-    Ok(take(cur, 1)?[0])
-}
-
-fn read_u16(cur: &mut &[u8]) -> Result<u16, CkptError> {
-    let b = take(cur, 2)?;
-    Ok(u16::from_le_bytes([b[0], b[1]]))
-}
-
-fn read_u32(cur: &mut &[u8]) -> Result<u32, CkptError> {
-    let b = take(cur, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 #[cfg(test)]
@@ -378,63 +271,27 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_magic_and_version() {
+    fn rejects_bad_magic_version_and_tag() {
         let mut bytes = encode(&sample_dict());
         bytes[0] = b'X';
-        assert!(matches!(decode(&bytes), Err(CkptError::BadMagic)));
-
-        let mut bytes = encode(&sample_dict());
-        bytes[4] = 0x63;
-        // Re-stamp the checksum so the version check is what fires.
-        let n = bytes.len();
-        let sum = fnv1a64(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             decode(&bytes),
-            Err(CkptError::UnsupportedVersion(0x63))
+            Err(CkptError::Frame(FrameError::BadMagic))
         ));
-    }
 
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let bytes = encode(&sample_dict());
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[byte] ^= 1 << bit;
-                assert!(
-                    decode(&corrupt).is_err(),
-                    "flip at byte {byte} bit {bit} must not decode"
-                );
-            }
-        }
-    }
+        // The version is checked before the trailer, so no re-signing.
+        let mut bytes = encode(&sample_dict());
+        bytes[4] = 0x63;
+        assert!(matches!(
+            decode(&bytes),
+            Err(CkptError::Frame(FrameError::UnsupportedVersion(0x63)))
+        ));
 
-    #[test]
-    fn every_truncation_is_detected() {
-        let bytes = encode(&sample_dict());
-        for cut in 0..bytes.len() {
-            assert!(
-                decode(&bytes[..cut]).is_err(),
-                "truncation to {cut} bytes must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_length_fields_do_not_allocate() {
-        // A tensor claiming u32::MAX × u32::MAX elements in a tiny buffer
-        // must fail on the remaining-byte check, not attempt the allocation.
-        let mut d = StateDict::new();
-        d.put_tensor("t", Tensor::from_vec(1, 1, vec![1.0]));
-        let mut bytes = encode(&d);
-        // Entry layout after header(10): name_len(2) "t"(1) tag(1) rows(4) cols(4).
-        let rows_at = 10 + 2 + 1 + 1;
-        bytes[rows_at..rows_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        bytes[rows_at + 4..rows_at + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let n = bytes.len();
-        let sum = fnv1a64(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(CkptError::Truncated)));
+        let mut w = Writer::new(MAGIC, VERSION, 0);
+        w.u32(1);
+        w.len_u16(1, "name length");
+        w.bytes(b"x");
+        w.u8(0xee);
+        assert!(matches!(decode(&w.finish()), Err(CkptError::BadTag(0xee))));
     }
 }

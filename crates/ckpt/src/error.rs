@@ -2,27 +2,17 @@
 
 use std::io;
 
+use crate::frame::FrameError;
+
 /// Everything that can go wrong while saving or loading a checkpoint.
 ///
 /// Decoding never panics and never trusts length fields: corrupt, truncated
 /// or version-mismatched inputs all land in one of these variants.
 #[derive(Debug)]
 pub enum CkptError {
-    /// The buffer does not start with the checkpoint magic bytes.
-    BadMagic,
-    /// The checkpoint was written by an unsupported format version.
-    UnsupportedVersion(u16),
-    /// The buffer ended prematurely or a length field is inconsistent.
-    Truncated,
-    /// The payload does not match its checksum (bit rot / partial write).
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        stored: u64,
-        /// Checksum recomputed over the payload.
-        computed: u64,
-    },
-    /// An entry name was not valid UTF-8.
-    BadUtf8,
+    /// The checkpoint bytes are not a valid MHGC frame (bad magic, version
+    /// skew, truncation, checksum mismatch, bad UTF-8).
+    Frame(FrameError),
     /// An entry carried an unknown value-type tag.
     BadTag(u8),
     /// A field the loader requires is absent from the dictionary.
@@ -38,16 +28,7 @@ pub enum CkptError {
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CkptError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
-            CkptError::Truncated => write!(f, "checkpoint truncated or inconsistent"),
-            CkptError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checkpoint checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            ),
-            CkptError::BadUtf8 => write!(f, "invalid UTF-8 in checkpoint entry name"),
+            CkptError::Frame(e) => write!(f, "corrupt checkpoint: {e}"),
             CkptError::BadTag(t) => write!(f, "unknown checkpoint value tag {t}"),
             CkptError::MissingField(name) => write!(f, "checkpoint field `{name}` is missing"),
             CkptError::WrongType(name) => {
@@ -62,6 +43,7 @@ impl std::fmt::Display for CkptError {
 impl std::error::Error for CkptError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            CkptError::Frame(e) => Some(e),
             CkptError::Io(e) => Some(e),
             _ => None,
         }
@@ -71,5 +53,11 @@ impl std::error::Error for CkptError {
 impl From<io::Error> for CkptError {
     fn from(e: io::Error) -> Self {
         CkptError::Io(e)
+    }
+}
+
+impl From<FrameError> for CkptError {
+    fn from(e: FrameError) -> Self {
+        CkptError::Frame(e)
     }
 }

@@ -1,12 +1,15 @@
 //! Crash-safe checkpointing for the training pipeline.
 //!
-//! Three layers, each usable on its own:
+//! Four layers, each usable on its own:
 //!
+//! * [`frame`] — the one framed codec (magic, version, length-guarded
+//!   reads, checked narrowing, FNV-1a trailer, typed [`FrameError`]) that
+//!   every persisted format in the workspace is written with.
 //! * [`StateDict`] + [`encode`] / [`decode`] — a named, typed state
-//!   dictionary with a versioned, checksummed, byte-deterministic binary
-//!   codec. Corrupt input (bit flips, truncation, hostile length fields,
-//!   version skew) always yields a typed [`CkptError`], never a panic or an
-//!   unbounded allocation.
+//!   dictionary with a byte-deterministic frame encoding. Corrupt input
+//!   (bit flips, truncation, hostile length fields, version skew) always
+//!   yields a typed [`CkptError`], never a panic or an unbounded
+//!   allocation.
 //! * [`atomic_write`] / [`atomic_write_retry`] / [`read_file`] — durable
 //!   file IO: write-tmp + fsync + rename, with a bounded retry whose
 //!   decisions depend only on the attempt count (deterministic under fault
@@ -22,13 +25,15 @@ mod atomic;
 mod checkpoint;
 mod codec;
 mod error;
+pub mod frame;
 
 pub use atomic::{
     atomic_write, atomic_write_retry, read_file, write_retries, DEFAULT_WRITE_ATTEMPTS,
 };
 pub use checkpoint::Checkpointer;
-pub use codec::{decode, encode, fnv1a64, StateDict, Value};
+pub use codec::{decode, encode, StateDict, Value};
 pub use error::CkptError;
+pub use frame::{fnv1a64, FrameError};
 
 #[cfg(test)]
 pub(crate) mod test_support {

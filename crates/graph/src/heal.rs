@@ -302,9 +302,12 @@ impl ShardedCsr {
         if inject {
             mhg_faults::io_error_if_scheduled(mhg_faults::FaultSite::ShardRead, "shard read")?;
         }
-        let bytes = mhg_ckpt::read_file(shard_file(&self.dir, relation, shard))?;
+        let mut bytes = mhg_ckpt::read_file(shard_file(&self.dir, relation, shard))?;
         if inject && mhg_faults::should_inject(mhg_faults::FaultSite::ShardDecode) {
-            return Err(ShardError::ChecksumMismatch);
+            // Bit rot in the page just read: the decode below rejects it.
+            if let Some(b) = bytes.last_mut() {
+                *b ^= 1;
+            }
         }
         shard_codec::decode_shard(&bytes, relation, shard, meta, self.node_types.len())
     }
@@ -412,7 +415,10 @@ impl ShardedCsr {
             }
         };
         if verified != targets {
-            return Err(fail(&self.heal, ShardError::ChecksumMismatch));
+            return Err(fail(
+                &self.heal,
+                ShardError::Inconsistent("rebuilt shard reads back different targets"),
+            ));
         }
         lock_heal(&self.heal.stats).repairs += 1;
         self.heal.obs.counter_add("graph/shard_repairs", 1);

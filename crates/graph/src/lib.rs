@@ -59,7 +59,7 @@ pub use metapath::MetapathScheme;
 pub use schema::Schema;
 pub use shard_codec::ShardError;
 pub use sharded::{
-    EdgeSource, PageStats, ShardedCsr, ShardedCsrOptions, MANIFEST_FILE, STORE_FAILURE_PREFIX,
+    EdgeSource, PageStats, ShardedCsr, ShardedCsrOptions, StoreFailure, MANIFEST_FILE,
 };
 pub use stats::GraphStats;
 pub use store::GraphStore;

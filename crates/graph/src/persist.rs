@@ -1,200 +1,115 @@
 //! Binary snapshot persistence for [`MultiplexGraph`].
 //!
-//! A small hand-rolled codec over [`bytes`]: length-prefixed strings and
-//! little-endian arrays, with a magic header and version byte. Used by the
-//! benchmark harness to cache generated datasets between runs.
+//! A snapshot is an MHG1 v2 [`mhg_ckpt::frame`] (body layout in the
+//! "Persisted formats" table of DESIGN.md §2.11): the schema, the node
+//! types and one CSR per relation. `hybridgnn-cli generate` writes one, and
+//! every other CLI command reads its graph from one.
 //!
-//! Decoding is hardened against hostile input: every length prefix is
-//! validated against the bytes actually remaining before any allocation, so
-//! corrupt or truncated snapshots produce a typed [`DecodeError`] — never a
-//! panic or an attempted multi-gigabyte allocation. Writes go through
-//! [`mhg_ckpt::atomic_write`], so a crash mid-save leaves the previous
-//! snapshot intact.
+//! The frame checksums every byte and guards every length prefix against
+//! the bytes actually remaining before any allocation, so corrupt or
+//! truncated snapshots produce a typed [`FrameError`] — never a panic, an
+//! attempted multi-gigabyte allocation, or a silently different graph.
+//! Content that is well framed but inconsistent (an id out of range,
+//! non-monotone offsets) also reports [`FrameError::Truncated`]. Version 1
+//! snapshots (a one-byte version, no checksum) are rejected with
+//! [`FrameError::UnsupportedVersion`]; a snapshot is a cache, so regenerate
+//! it. Writes go through [`mhg_ckpt::atomic_write`], so a crash mid-save
+//! leaves the previous snapshot intact; reads through
+//! [`mhg_ckpt::read_file`], the `IoRead` fault-injection site.
 
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mhg_ckpt::frame::{FrameError, Reader, Writer};
 
 use crate::csr::Csr;
 use crate::store::GraphStore;
 use crate::{MultiplexGraph, NodeId, NodeTypeId, Schema};
 
 const MAGIC: &[u8; 4] = b"MHG1";
-const VERSION: u8 = 1;
-
-/// Errors produced when decoding a snapshot.
-#[derive(Debug)]
-pub enum DecodeError {
-    /// The buffer did not start with the expected magic bytes.
-    BadMagic,
-    /// Snapshot version not supported by this build.
-    UnsupportedVersion(u8),
-    /// The buffer ended prematurely or contained inconsistent lengths.
-    Truncated,
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not an MHG snapshot (bad magic)"),
-            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            DecodeError::Truncated => write!(f, "snapshot truncated or inconsistent"),
-            DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in snapshot string"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Checked narrowing of a count to a `u32` wire field: a graph too large
-/// for the format must fail loudly instead of wrapping into a corrupt
-/// snapshot.
-fn size_u32(n: usize, what: &str) -> u32 {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u32 snapshot format"
-    );
-    n as u32
-}
-
-/// Checked narrowing of a count to a `u16` wire field.
-fn size_u16(n: usize, what: &str) -> u16 {
-    assert!(
-        u16::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u16 snapshot format"
-    );
-    n as u16
-}
+const VERSION: u16 = 2;
 
 /// Serialises any graph store to bytes.
 ///
 /// The CSR sections are reconstructed from the [`GraphStore`] contract
 /// (degrees and sorted neighbor lists), so a [`crate::ShardedCsr`] snapshots
 /// to bytes identical to the in-RAM graph built from the same edges.
-pub fn encode<G: GraphStore>(graph: &G) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + graph.num_nodes() * 6 + graph.num_edges() * 10);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+pub fn encode<G: GraphStore>(graph: &G) -> Vec<u8> {
+    let n = graph.num_nodes();
+    let body = n
+        .saturating_mul(6)
+        .saturating_add(graph.num_edges().saturating_mul(10));
+    let mut w = Writer::new(MAGIC, VERSION, body);
 
     let schema = graph.schema();
-    put_str_list(&mut buf, schema.node_type_names());
-    put_str_list(&mut buf, schema.relation_names());
+    w.str_list(schema.node_type_names());
+    w.str_list(schema.relation_names());
 
-    buf.put_u32_le(size_u32(graph.num_nodes(), "node count"));
+    w.len_u32(n, "node count");
     for v in graph.node_id_range().map(NodeId) {
-        buf.put_u16_le(graph.node_type(v).0);
+        w.u16(graph.node_type(v).0);
     }
 
     for r in schema.relations() {
-        buf.put_u32_le(size_u32(graph.num_nodes() + 1, "CSR offset count"));
-        let mut off = 0u32;
-        buf.put_u32_le(off);
+        w.len_u32(n.saturating_add(1), "CSR offset count");
+        let mut off = 0usize;
+        w.u32(0);
         for v in graph.node_id_range().map(NodeId) {
-            let d = size_u32(graph.degree(v, r), "node degree");
-            off = off
-                .checked_add(d)
-                .unwrap_or_else(|| size_u32(usize::MAX, "CSR offset"));
-            buf.put_u32_le(off);
+            off = off.saturating_add(graph.degree(v, r));
+            w.len_u32(off, "CSR offset");
         }
-        buf.put_u32_le(size_u32(graph.num_directed_edges_in(r), "CSR target count"));
+        w.len_u32(graph.num_directed_edges_in(r), "CSR target count");
         for v in graph.node_id_range().map(NodeId) {
-            graph.with_neighbors(v, r, |ns| {
-                for &t in ns {
-                    buf.put_u32_le(t.0);
-                }
-            });
+            graph.with_neighbors(v, r, |ns| w.u32s(ns.iter().map(|t| t.0)));
         }
     }
-
-    buf.freeze()
+    w.finish()
 }
 
 /// Deserialises a graph from bytes.
-pub fn decode(mut buf: &[u8]) -> Result<MultiplexGraph, DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-
-    let node_type_names = get_str_list(&mut buf)?;
-    let relation_names = get_str_list(&mut buf)?;
+pub fn decode(buf: &[u8]) -> Result<MultiplexGraph, FrameError> {
+    let mut r = Reader::open(buf, MAGIC, VERSION)?;
+    let node_type_names = r.str_list()?;
+    let relation_names = r.str_list()?;
     let mut schema = Schema::new();
     for n in &node_type_names {
         schema.add_node_type(n);
     }
-    for r in &relation_names {
-        schema.add_relation(r);
+    for rel in &relation_names {
+        schema.add_relation(rel);
     }
 
-    let num_nodes = get_u32(&mut buf)? as usize;
-    // Each node type costs 2 bytes; a length prefix promising more nodes
-    // than the buffer can hold is corrupt. Checking before the allocation
-    // keeps hostile prefixes from reserving gigabytes.
-    if num_nodes
-        .checked_mul(2)
-        .is_none_or(|need| need > buf.remaining())
-    {
-        return Err(DecodeError::Truncated);
-    }
-    let mut node_types = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let t = buf.get_u16_le();
+    let num_nodes = r.u32()? as usize;
+    let raw_types = r.u16s(num_nodes)?;
+    let mut node_types = Vec::with_capacity(raw_types.len());
+    for t in raw_types {
         if t as usize >= schema.num_node_types() {
-            return Err(DecodeError::Truncated);
+            return Err(FrameError::Truncated);
         }
         node_types.push(NodeTypeId(t));
     }
 
     let mut adjacency = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
-        let n_off = get_u32(&mut buf)? as usize;
-        if n_off != num_nodes + 1 {
-            return Err(DecodeError::Truncated);
+        if r.u32()? as usize != num_nodes + 1 {
+            return Err(FrameError::Truncated);
         }
-        if n_off
-            .checked_mul(4)
-            .is_none_or(|need| need > buf.remaining())
-        {
-            return Err(DecodeError::Truncated);
+        let offsets: Vec<u32> = r.u32s(num_nodes + 1)?.collect();
+        let n_tgt = r.u32()?;
+        if offsets.last() != Some(&n_tgt) || !offsets.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(FrameError::Truncated);
         }
-        let mut offsets = Vec::with_capacity(n_off);
-        for _ in 0..n_off {
-            offsets.push(get_u32(&mut buf)?);
-        }
-        let n_tgt = get_u32(&mut buf)? as usize;
-        if offsets.last().is_none_or(|&last| last as usize != n_tgt) {
-            return Err(DecodeError::Truncated);
-        }
-        if n_tgt
-            .checked_mul(4)
-            .is_none_or(|need| need > buf.remaining())
-        {
-            return Err(DecodeError::Truncated);
-        }
-        let mut targets = Vec::with_capacity(n_tgt);
-        for _ in 0..n_tgt {
-            let t = get_u32(&mut buf)?;
+        let raw = r.u32s(n_tgt as usize)?;
+        let mut targets = Vec::with_capacity(raw.len());
+        for t in raw {
             if t as usize >= num_nodes {
-                return Err(DecodeError::Truncated);
+                return Err(FrameError::Truncated);
             }
             targets.push(NodeId(t));
         }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(DecodeError::Truncated);
-        }
         adjacency.push(Csr::from_parts(offsets, targets));
     }
+    r.finish()?;
 
     Ok(MultiplexGraph::from_parts(schema, node_types, adjacency))
 }
@@ -207,54 +122,14 @@ pub fn save(graph: &MultiplexGraph, path: impl AsRef<Path>) -> io::Result<()> {
 
 /// Reads a snapshot from a file.
 pub fn load(path: impl AsRef<Path>) -> io::Result<MultiplexGraph> {
-    let data = std::fs::read(path)?;
+    let data = mhg_ckpt::read_file(path)?;
     decode(&data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-fn put_str_list(buf: &mut BytesMut, items: &[String]) {
-    buf.put_u16_le(size_u16(items.len(), "string-list length"));
-    for s in items {
-        buf.put_u16_le(size_u16(s.len(), "string length"));
-        buf.put_slice(s.as_bytes());
-    }
-}
-
-fn get_str_list(buf: &mut &[u8]) -> Result<Vec<String>, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u16_le() as usize;
-    // Every entry needs at least its 2-byte length prefix.
-    if n.checked_mul(2).is_none_or(|need| need > buf.remaining()) {
-        return Err(DecodeError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 2 {
-            return Err(DecodeError::Truncated);
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(DecodeError::Truncated);
-        }
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        out.push(String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?);
-    }
-    Ok(out)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u32_le())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GraphBuilder, RelationId};
+    use crate::GraphBuilder;
 
     fn sample_graph() -> MultiplexGraph {
         let mut schema = Schema::new();
@@ -304,71 +179,36 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(matches!(decode(b"nope"), Err(DecodeError::Truncated)));
-        assert!(matches!(
-            decode(b"XXXX\x01rest"),
-            Err(DecodeError::BadMagic)
-        ));
-        assert!(matches!(
-            decode(b"MHG1\x63rest"),
-            Err(DecodeError::UnsupportedVersion(0x63))
-        ));
+    fn rejects_garbage_and_v1_snapshots() {
+        assert_eq!(decode(b"nope").unwrap_err(), FrameError::Truncated);
+        let mut bytes = encode(&sample_graph());
+        bytes[0] = b'X';
+        assert_eq!(decode(&bytes).unwrap_err(), FrameError::BadMagic);
+        // A v1 snapshot starts `MHG1 01` followed by the u16 node-type
+        // count, so its version field reads `01 nn` — never 2.
+        let mut v1 = b"MHG1\x01\x02\x00".to_vec();
+        v1.resize(64, 0);
+        assert_eq!(
+            decode(&v1).unwrap_err(),
+            FrameError::UnsupportedVersion(0x0201)
+        );
     }
 
     #[test]
-    fn rejects_truncation_at_every_cut() {
-        let g = sample_graph();
-        let bytes = encode(&g);
-        // Chop the buffer at EVERY point; decode must error, not panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                decode(&bytes[..cut]).is_err(),
-                "cut at {cut} should fail cleanly"
-            );
-        }
-        let _ = RelationId(0); // silence unused import in cfg(test)
-    }
-
-    #[test]
-    fn survives_every_single_bit_flip() {
-        let g = sample_graph();
-        let bytes = encode(&g).to_vec();
-        // A flipped bit may still decode to a *different valid* graph
-        // (e.g. a changed node id that stays in range) — that's fine. What
-        // must never happen is a panic or a runaway allocation.
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[byte] ^= 1 << bit;
-                let _ = decode(&corrupt);
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_length_prefixes_fail_fast_without_allocating() {
-        // A header promising u32::MAX nodes with almost no payload must be
-        // rejected before any proportional allocation happens.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u16_le(1); // 1 node type
-        buf.put_u16_le(1);
-        buf.put_slice(b"t");
-        buf.put_u16_le(1); // 1 relation
-        buf.put_u16_le(1);
-        buf.put_slice(b"r");
-        buf.put_u32_le(u32::MAX); // hostile node count
-        buf.put_u16_le(0);
-        assert!(matches!(decode(&buf), Err(DecodeError::Truncated)));
-
-        // Same for a hostile string-list count.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u16_le(u16::MAX); // hostile name count, no payload
-        assert!(matches!(decode(&buf), Err(DecodeError::Truncated)));
+    fn load_surfaces_an_injected_read_fault() {
+        use mhg_faults::FaultSite;
+        let _guard = mhg_faults::test_guard();
+        let dir = std::env::temp_dir().join("mhg_persist_read_fault_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.mhg");
+        save(&sample_graph(), &path).unwrap();
+        mhg_faults::install(mhg_faults::FaultPlan::new().inject(FaultSite::IoRead, 1));
+        let res = load(&path);
+        mhg_faults::clear();
+        let err = res.expect_err("injected read fault must surface");
+        assert!(err.to_string().contains("injected fault"), "got {err}");
+        assert!(load(&path).is_ok(), "the fault is transient");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

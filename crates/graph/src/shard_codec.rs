@@ -1,40 +1,18 @@
 //! On-disk wire format for the sharded CSR store.
 //!
-//! Two file kinds, both following the hardened `mhg-ckpt` codec discipline:
-//! a magic header, a version field, length-guarded reads, checked size
-//! narrowing on encode ([`size_u32`]/[`size_u16`]), and an FNV-1a 64
-//! checksum trailer over everything that precedes it. Writes go through
-//! `mhg_ckpt::atomic_write`; reads through `mhg_ckpt::read_file` (which
-//! carries the `mhg-faults` io_read injection site).
+//! Two [`mhg_ckpt::frame`] formats, laid out in the "Persisted formats"
+//! table of DESIGN.md §2.11: the manifest (`manifest.mhgs`, magic `MHGS`)
+//! and one file per shard (`r{R}-s{S}.shard`, magic `MHSH`). Writes go
+//! through `mhg_ckpt::atomic_write`; reads through `mhg_ckpt::read_file`
+//! (which carries the `mhg-faults` io_read injection site).
 //!
-//! ## Manifest (`manifest.mhgs`, magic `MHGS`)
-//!
-//! ```text
-//! "MHGS" | u16 version
-//! u16 #node-type names | (u16 len | bytes)*
-//! u16 #relation names  | (u16 len | bytes)*
-//! u32 num_nodes | u16 node_type * num_nodes
-//! per relation:
-//!     u32 shard_count | (u32 start | u32 end | u32 num_targets)*
-//!     u32 (num_nodes+1) global CSR offsets
-//! u64 fnv1a64 of all preceding bytes
-//! ```
-//!
-//! ## Shard (`r{R}-s{S}.shard`, magic `MHSH`)
-//!
-//! ```text
-//! "MHSH" | u16 version | u16 relation | u32 shard index
-//! u32 start | u32 end | u32 num_targets | u32 target * num_targets
-//! u64 fnv1a64 of all preceding bytes
-//! ```
-//!
-//! Decoding validates every length prefix against the bytes actually
-//! remaining *before* allocating, verifies the checksum trailer, and
-//! cross-checks shard payloads against the manifest metadata the caller
-//! already holds — corrupt, truncated or hostile input always yields a
-//! typed [`ShardError`], never a panic or a runaway allocation.
+//! The frame owns the byte mechanics. This module owns the semantic
+//! cross-checks: manifest table validation, and shard identity, node range
+//! and target bounds against the manifest metadata the caller already
+//! holds. Corrupt, truncated or hostile input always yields a typed
+//! [`ShardError`], never a panic or a runaway allocation.
 
-use bytes::{Buf, BufMut, BytesMut};
+use mhg_ckpt::frame::{FrameError, Reader, Writer};
 
 use crate::{NodeId, NodeTypeId, Schema};
 
@@ -50,16 +28,8 @@ pub const VERSION: u16 = 1;
 pub enum ShardError {
     /// An underlying filesystem read or write failed.
     Io(std::io::Error),
-    /// The buffer did not start with the expected magic bytes.
-    BadMagic,
-    /// Format version not supported by this build.
-    UnsupportedVersion(u16),
-    /// The buffer ended prematurely or a length prefix exceeded it.
-    Truncated,
-    /// The checksum trailer did not match the payload.
-    ChecksumMismatch,
-    /// A string field was not valid UTF-8.
-    BadUtf8,
+    /// The bytes of a manifest or shard file are not a valid frame.
+    Frame(FrameError),
     /// Structurally valid bytes that contradict themselves or the manifest.
     Inconsistent(&'static str),
     /// The shard exhausted its read retries and could not be rebuilt from
@@ -77,11 +47,7 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::Io(e) => write!(f, "shard store I/O error: {e}"),
-            ShardError::BadMagic => write!(f, "not a sharded-graph file (bad magic)"),
-            ShardError::UnsupportedVersion(v) => write!(f, "unsupported shard format version {v}"),
-            ShardError::Truncated => write!(f, "shard data truncated or inconsistent length"),
-            ShardError::ChecksumMismatch => write!(f, "shard checksum mismatch"),
-            ShardError::BadUtf8 => write!(f, "invalid UTF-8 in shard manifest string"),
+            ShardError::Frame(e) => write!(f, "corrupt shard store file: {e}"),
             ShardError::Inconsistent(what) => write!(f, "inconsistent shard data: {what}"),
             ShardError::Quarantined { relation, shard } => write!(
                 f,
@@ -95,6 +61,7 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Io(e) => Some(e),
+            ShardError::Frame(e) => Some(e),
             _ => None,
         }
     }
@@ -106,24 +73,10 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-/// Checked narrowing of a count to a `u32` wire field: a graph too large
-/// for the format must fail loudly instead of wrapping into a corrupt
-/// shard.
-pub(crate) fn size_u32(n: usize, what: &str) -> u32 {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u32 shard format"
-    );
-    n as u32
-}
-
-/// Checked narrowing of a count to a `u16` wire field.
-pub(crate) fn size_u16(n: usize, what: &str) -> u16 {
-    assert!(
-        u16::try_from(n).is_ok(),
-        "encode: {what} {n} exceeds the u16 shard format"
-    );
-    n as u16
+impl From<FrameError> for ShardError {
+    fn from(e: FrameError) -> Self {
+        ShardError::Frame(e)
+    }
 }
 
 /// Metadata of one shard: the contiguous node range `[start, end)` whose
@@ -153,55 +106,38 @@ pub struct Manifest {
 
 /// Serialises a manifest.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + m.node_types.len().saturating_mul(6));
-    buf.put_slice(MANIFEST_MAGIC);
-    buf.put_u16_le(VERSION);
-    put_str_list(&mut buf, m.schema.node_type_names());
-    put_str_list(&mut buf, m.schema.relation_names());
-    buf.put_u32_le(size_u32(m.node_types.len(), "node count"));
+    let mut w = Writer::new(
+        MANIFEST_MAGIC,
+        VERSION,
+        64 + m.node_types.len().saturating_mul(6),
+    );
+    w.str_list(m.schema.node_type_names());
+    w.str_list(m.schema.relation_names());
+    w.len_u32(m.node_types.len(), "node count");
     for &t in &m.node_types {
-        buf.put_u16_le(t.0);
+        w.u16(t.0);
     }
     for (shards, offsets) in m.shards.iter().zip(&m.offsets) {
-        buf.put_u32_le(size_u32(shards.len(), "shard count"));
+        w.len_u32(shards.len(), "shard count");
         for s in shards {
-            buf.put_u32_le(s.start);
-            buf.put_u32_le(s.end);
-            buf.put_u32_le(s.num_targets);
+            w.u32s([s.start, s.end, s.num_targets]);
         }
-        for &o in offsets {
-            buf.put_u32_le(o);
-        }
+        w.u32s(offsets.iter().copied());
     }
-    let sum = mhg_ckpt::fnv1a64(&buf);
-    buf.put_u64_le(sum);
-    buf.to_vec()
+    w.finish()
 }
 
 /// Deserialises and validates a manifest.
 pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
-    let mut buf = check_trailer(data)?;
-    if buf.remaining() < 6 {
-        return Err(ShardError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MANIFEST_MAGIC {
-        return Err(ShardError::BadMagic);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(ShardError::UnsupportedVersion(version));
-    }
-
-    let node_type_names = get_str_list(&mut buf)?;
-    let relation_names = get_str_list(&mut buf)?;
+    let mut r = Reader::open(data, MANIFEST_MAGIC, VERSION)?;
+    let node_type_names = r.str_list()?;
+    let relation_names = r.str_list()?;
     let mut schema = Schema::new();
     for n in &node_type_names {
         schema.add_node_type(n);
     }
-    for r in &relation_names {
-        schema.add_relation(r);
+    for rel in &relation_names {
+        schema.add_relation(rel);
     }
     if schema.num_node_types() != node_type_names.len()
         || schema.num_relations() != relation_names.len()
@@ -210,16 +146,10 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
         return Err(ShardError::Inconsistent("duplicate schema names"));
     }
 
-    let num_nodes = get_u32(&mut buf)? as usize;
-    if num_nodes
-        .checked_mul(2)
-        .is_none_or(|need| need > buf.remaining())
-    {
-        return Err(ShardError::Truncated);
-    }
-    let mut node_types = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        let t = buf.get_u16_le();
+    let num_nodes = r.u32()? as usize;
+    let raw_types = r.u16s(num_nodes)?;
+    let mut node_types = Vec::with_capacity(raw_types.len());
+    for t in raw_types {
         if t as usize >= schema.num_node_types() {
             return Err(ShardError::Inconsistent("node type out of range"));
         }
@@ -229,39 +159,21 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
     let mut shards = Vec::with_capacity(schema.num_relations());
     let mut offsets = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
-        let n_shards = get_u32(&mut buf)? as usize;
-        if n_shards
-            .checked_mul(12)
-            .is_none_or(|need| need > buf.remaining())
-        {
-            return Err(ShardError::Truncated);
-        }
-        let mut table = Vec::with_capacity(n_shards);
+        let n_shards = r.u32()?;
+        let mut table = Vec::with_capacity(r.count(n_shards.into(), 12)?);
         for _ in 0..n_shards {
             table.push(ShardMeta {
-                start: get_u32(&mut buf)?,
-                end: get_u32(&mut buf)?,
-                num_targets: get_u32(&mut buf)?,
+                start: r.u32()?,
+                end: r.u32()?,
+                num_targets: r.u32()?,
             });
         }
-        let n_off = num_nodes + 1;
-        if n_off
-            .checked_mul(4)
-            .is_none_or(|need| need > buf.remaining())
-        {
-            return Err(ShardError::Truncated);
-        }
-        let mut off = Vec::with_capacity(n_off);
-        for _ in 0..n_off {
-            off.push(buf.get_u32_le());
-        }
+        let off: Vec<u32> = r.u32s(num_nodes + 1)?.collect();
         validate_relation(num_nodes, &table, &off)?;
         shards.push(table);
         offsets.push(off);
     }
-    if buf.remaining() > 0 {
-        return Err(ShardError::Inconsistent("trailing bytes after manifest"));
-    }
+    r.finish()?;
 
     Ok(Manifest {
         schema,
@@ -306,20 +218,12 @@ pub fn encode_shard(relation: u16, shard: u32, meta: &ShardMeta, targets: &[Node
         targets.len() == meta.num_targets as usize,
         "encode: shard target slice must match its metadata"
     );
-    let mut buf = BytesMut::with_capacity(32 + targets.len().saturating_mul(4));
-    buf.put_slice(SHARD_MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(relation);
-    buf.put_u32_le(shard);
-    buf.put_u32_le(meta.start);
-    buf.put_u32_le(meta.end);
-    buf.put_u32_le(size_u32(targets.len(), "shard target count"));
-    for &t in targets {
-        buf.put_u32_le(t.0);
-    }
-    let sum = mhg_ckpt::fnv1a64(&buf);
-    buf.put_u64_le(sum);
-    buf.to_vec()
+    let mut w = Writer::new(SHARD_MAGIC, VERSION, 14 + targets.len().saturating_mul(4));
+    w.u16(relation);
+    w.u32s([shard, meta.start, meta.end]);
+    w.len_u32(targets.len(), "shard target count");
+    w.u32s(targets.iter().map(|t| t.0));
+    w.finish()
 }
 
 /// Deserialises one shard, cross-checking every header field against the
@@ -331,100 +235,29 @@ pub fn decode_shard(
     meta: &ShardMeta,
     num_nodes: usize,
 ) -> Result<Vec<NodeId>, ShardError> {
-    let mut buf = check_trailer(data)?;
-    if buf.remaining() < 20 {
-        return Err(ShardError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != SHARD_MAGIC {
-        return Err(ShardError::BadMagic);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(ShardError::UnsupportedVersion(version));
-    }
-    if buf.get_u16_le() != relation || buf.get_u32_le() != shard {
+    let mut r = Reader::open(data, SHARD_MAGIC, VERSION)?;
+    if r.u16()? != relation || r.u32()? != shard {
         return Err(ShardError::Inconsistent("shard identity mismatch"));
     }
-    if buf.get_u32_le() != meta.start || buf.get_u32_le() != meta.end {
+    if r.u32()? != meta.start || r.u32()? != meta.end {
         return Err(ShardError::Inconsistent("shard node range mismatch"));
     }
-    let count = get_u32(&mut buf)? as usize;
-    if count != meta.num_targets as usize {
+    // A hostile count is caught twice: against the bytes actually present,
+    // then against the manifest, both before the allocation below.
+    let count = r.u32()?;
+    let raw = r.u32s(count as usize)?;
+    if count != meta.num_targets {
         return Err(ShardError::Inconsistent("shard target count mismatch"));
     }
-    // A hostile count is caught twice: against the manifest above, and
-    // against the bytes actually present before the allocation below.
-    if count
-        .checked_mul(4)
-        .is_none_or(|need| need != buf.remaining())
-    {
-        return Err(ShardError::Truncated);
-    }
-    let mut targets = Vec::with_capacity(count);
-    for _ in 0..count {
-        let t = buf.get_u32_le();
+    let mut targets = Vec::with_capacity(raw.len());
+    for t in raw {
         if t as usize >= num_nodes {
             return Err(ShardError::Inconsistent("target node out of range"));
         }
         targets.push(NodeId(t));
     }
+    r.finish()?;
     Ok(targets)
-}
-
-/// Verifies the 8-byte FNV-1a trailer and returns the payload before it.
-fn check_trailer(data: &[u8]) -> Result<&[u8], ShardError> {
-    if data.len() < 8 {
-        return Err(ShardError::Truncated);
-    }
-    let (payload, tail) = data.split_at(data.len() - 8);
-    let mut tail = tail;
-    let stored = tail.get_u64_le();
-    if mhg_ckpt::fnv1a64(payload) != stored {
-        return Err(ShardError::ChecksumMismatch);
-    }
-    Ok(payload)
-}
-
-fn put_str_list(buf: &mut BytesMut, items: &[String]) {
-    buf.put_u16_le(size_u16(items.len(), "string-list length"));
-    for s in items {
-        buf.put_u16_le(size_u16(s.len(), "string length"));
-        buf.put_slice(s.as_bytes());
-    }
-}
-
-fn get_str_list(buf: &mut &[u8]) -> Result<Vec<String>, ShardError> {
-    if buf.remaining() < 2 {
-        return Err(ShardError::Truncated);
-    }
-    let n = buf.get_u16_le() as usize;
-    // Every entry needs at least its 2-byte length prefix.
-    if n.checked_mul(2).is_none_or(|need| need > buf.remaining()) {
-        return Err(ShardError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 2 {
-            return Err(ShardError::Truncated);
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(ShardError::Truncated);
-        }
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        out.push(String::from_utf8(bytes).map_err(|_| ShardError::BadUtf8)?);
-    }
-    Ok(out)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, ShardError> {
-    if buf.remaining() < 4 {
-        return Err(ShardError::Truncated);
-    }
-    Ok(buf.get_u32_le())
 }
 
 #[cfg(test)]
@@ -489,7 +322,7 @@ mod tests {
         let bytes = encode_shard(0, 0, &meta, &[NodeId(2), NodeId(2)]);
         assert!(matches!(
             decode_shard(&bytes, 1, 0, &meta, 3),
-            Err(ShardError::ChecksumMismatch) | Err(ShardError::Inconsistent(_))
+            Err(ShardError::Inconsistent(_))
         ));
         assert!(matches!(
             decode_shard(&bytes, 0, 7, &meta, 3),

@@ -27,6 +27,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use mhg_ckpt::frame::{size_u16, size_u32};
+
 use crate::heal::HealState;
 use crate::shard_codec::{self, Manifest, ShardError, ShardMeta};
 use crate::store::GraphStore;
@@ -248,8 +250,8 @@ impl ShardedCsr {
             for (v, &c) in counts.iter().enumerate() {
                 if acc + u64::from(c) > cap && v > start {
                     table.push(ShardMeta {
-                        start: shard_codec::size_u32(start, "shard start"),
-                        end: shard_codec::size_u32(v, "shard end"),
+                        start: size_u32(start, "shard start"),
+                        end: size_u32(v, "shard end"),
                         num_targets: 0, // final count filled per wave
                     });
                     start = v;
@@ -260,8 +262,8 @@ impl ShardedCsr {
             }
             if num_nodes > start && any {
                 table.push(ShardMeta {
-                    start: shard_codec::size_u32(start, "shard start"),
-                    end: shard_codec::size_u32(num_nodes, "shard end"),
+                    start: size_u32(start, "shard start"),
+                    end: size_u32(num_nodes, "shard end"),
                     num_targets: 0,
                 });
             }
@@ -313,7 +315,7 @@ impl ShardedCsr {
                     .map_err(|_| ShardError::Inconsistent("wave too large"))?;
                 let mut staging = vec![NodeId(0); total];
                 let mut cursor: Vec<u64> = local_off[..span].to_vec();
-                let rel_id = RelationId(shard_codec::size_u16(rel, "relation id"));
+                let rel_id = RelationId(size_u16(rel, "relation id"));
                 source.for_each_edge(&mut |r, u, v| {
                     if r != rel_id {
                         return;
@@ -367,12 +369,12 @@ impl ShardedCsr {
                     let meta = ShardMeta {
                         start: table[shard_idx].start,
                         end: table[shard_idx].end,
-                        num_targets: shard_codec::size_u32(hi - lo, "shard target count"),
+                        num_targets: size_u32(hi - lo, "shard target count"),
                     };
                     table[shard_idx] = meta;
                     let bytes = shard_codec::encode_shard(
-                        shard_codec::size_u16(rel, "relation id"),
-                        shard_codec::size_u32(shard_idx, "shard index"),
+                        size_u16(rel, "relation id"),
+                        size_u32(shard_idx, "shard index"),
                         &meta,
                         &staging[lo..hi],
                     );
@@ -481,20 +483,11 @@ impl ShardedCsr {
         if s == e {
             return Ok(f(&[]));
         }
-        let table = &self.shards[r.index()];
-        let si = match table.binary_search_by(|m| {
-            if v.0 < m.start {
-                std::cmp::Ordering::Greater
-            } else if v.0 >= m.end {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => i,
-            Err(_) => return Err(ShardError::Inconsistent("node outside every shard")),
+        let si = self.shard_slot(v, r);
+        let meta = match self.shards[r.index()].get(si) {
+            Some(m) if m.start <= v.0 => m,
+            _ => return Err(ShardError::Inconsistent("node outside every shard")),
         };
-        let meta = &table[si];
         let page = self.load_page(r.0, si as u32, meta)?;
         let base = off[meta.start as usize] as usize;
         let (lo, hi) = (s - base, e - base);
@@ -502,6 +495,12 @@ impl ShardedCsr {
             return Err(ShardError::Inconsistent("offsets exceed shard payload"));
         }
         Ok(f(&page[lo..hi]))
+    }
+
+    /// Index of the shard whose node range holds `v` under `r` (the first
+    /// shard ending past `v`; shard ranges are contiguous and sorted).
+    fn shard_slot(&self, v: NodeId, r: RelationId) -> usize {
+        self.shards[r.index()].partition_point(|m| m.end <= v.0)
     }
 
     fn load_page(
@@ -519,19 +518,37 @@ impl ShardedCsr {
     }
 }
 
-/// Panic-message prefix of a paged store failure escaping the infallible
-/// [`GraphStore`] API. The training pipeline's sampler-panic containment
-/// matches on this prefix to classify the panic as a storage failure
-/// (deterministic — not worth an inline replay) rather than a generic
-/// worker crash.
-pub const STORE_FAILURE_PREFIX: &str = "sharded graph store failure";
+/// The panic payload of a paged store failure escaping the infallible
+/// [`GraphStore`] API, raised with [`std::panic::panic_any`]. The training
+/// pipeline's sampler-panic containment downcasts it
+/// (`mhg_sampling::classify_panic`) to classify the panic as a storage
+/// failure (deterministic — not worth an inline replay) rather than a
+/// generic worker crash. Callers wanting typed errors without unwinding use
+/// [`ShardedCsr::try_with_neighbors`] or [`ShardedCsr::verify`] instead.
+#[derive(Debug)]
+pub struct StoreFailure {
+    /// Relation of the failed neighbor access.
+    pub relation: u16,
+    /// Index of the shard holding the accessed node.
+    pub shard: u32,
+    /// What went wrong.
+    pub error: ShardError,
+}
 
-/// A paged store failure inside the infallible [`GraphStore`] API. The
-/// training pipeline's contained-sampler-panic recovery absorbs this;
-/// callers wanting typed errors use [`ShardedCsr::try_with_neighbors`] or
-/// [`ShardedCsr::verify`] instead.
-fn store_failure(e: ShardError) -> ! {
-    panic!("{STORE_FAILURE_PREFIX}: {e}")
+impl std::fmt::Display for StoreFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sharded graph store failure at r{}-s{}: {}",
+            self.relation, self.shard, self.error
+        )
+    }
+}
+
+impl std::error::Error for StoreFailure {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
 }
 
 impl GraphStore for ShardedCsr {
@@ -565,7 +582,11 @@ impl GraphStore for ShardedCsr {
     fn with_neighbors<T>(&self, v: NodeId, r: RelationId, f: impl FnOnce(&[NodeId]) -> T) -> T {
         match self.try_with_neighbors(v, r, f) {
             Ok(t) => t,
-            Err(e) => store_failure(e),
+            Err(error) => std::panic::panic_any(StoreFailure {
+                relation: r.0,
+                shard: size_u32(self.shard_slot(v, r), "shard index"),
+                error,
+            }),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the sharded, chunk-paged graph store: parity with
 //! the in-RAM backend, paging-budget behaviour, and hostile-input handling
-//! (bit flips, truncation, forged lengths, injected IO faults) — mirroring
-//! the `persist.rs` hardening for the MHG1 snapshot format.
+//! (bit flips, truncation, forged lengths, injected IO faults) through the
+//! whole store; `tests/persisted_formats.rs` covers the codecs themselves.
 
 use std::path::PathBuf;
 
@@ -216,7 +216,10 @@ fn forged_target_count_is_rejected_before_allocation() {
 
     let err = open_and_verify(&dir).unwrap_err();
     assert!(
-        !matches!(err, ShardError::ChecksumMismatch),
+        !matches!(
+            err,
+            ShardError::Frame(mhg_ckpt::FrameError::ChecksumMismatch { .. })
+        ),
         "length guard should fire before (re-signed) checksum: {err}"
     );
 }

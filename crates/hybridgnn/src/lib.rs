@@ -46,6 +46,7 @@
 //! ```
 
 mod config;
+pub mod embeddings;
 mod flows;
 mod model;
 

@@ -5,6 +5,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_ckpt::frame::{Reader, Writer};
 use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{GraphStore, MetapathScheme, NodeId, NodeTypeId, RelationId};
@@ -447,60 +448,44 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
     }
 }
 
-/// Byte layout for an [`AttentionProfile`]: all integers are u64 LE —
-/// relation count, then per relation an entry count, then per entry a
-/// label length + UTF-8 bytes + the f64 mass as raw bits.
+/// Byte layout for an [`AttentionProfile`], a plain (unframed) cursor
+/// nested inside the MHGC checkpoint: all integers are u64 LE — relation
+/// count, then per relation an entry count, then per entry a label length +
+/// UTF-8 bytes + the f64 mass as raw bits.
 fn encode_attention(profile: &AttentionProfile) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(profile.len() as u64).to_le_bytes());
+    let mut w = Writer::plain();
+    w.u64(profile.len() as u64);
     for rel in profile {
-        out.extend_from_slice(&(rel.len() as u64).to_le_bytes());
+        w.u64(rel.len() as u64);
         for (label, mass) in rel {
-            out.extend_from_slice(&(label.len() as u64).to_le_bytes());
-            out.extend_from_slice(label.as_bytes());
-            out.extend_from_slice(&mass.to_bits().to_le_bytes());
+            w.u64(label.len() as u64);
+            w.bytes(label.as_bytes());
+            w.u64(mass.to_bits());
         }
     }
-    out
+    w.into_bytes()
 }
 
-/// Inverse of [`encode_attention`]; every read is bounds-checked so
+/// Inverse of [`encode_attention`]; every read is length-guarded, so
 /// corrupted payloads surface as typed errors, never panics or huge
 /// allocations.
 fn decode_attention(buf: &[u8]) -> Result<AttentionProfile, CkptError> {
-    let mut pos = 0usize;
-    let take_u64 = |pos: &mut usize| -> Result<u64, CkptError> {
-        let end = pos.checked_add(8).ok_or(CkptError::Truncated)?;
-        let bytes = buf.get(*pos..end).ok_or(CkptError::Truncated)?;
-        *pos = end;
-        let bytes: [u8; 8] = bytes.try_into().map_err(|_| CkptError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
-    };
-    let num_rel = take_u64(&mut pos)?;
-    if num_rel > buf.len() as u64 {
-        return Err(CkptError::Truncated);
-    }
-    let mut profile = Vec::with_capacity(num_rel as usize);
+    let mut r = Reader::plain(buf);
+    let num_rel = r.u64()?;
+    // Each relation needs at least its entry count; each entry its label
+    // length and mass.
+    let mut profile = Vec::with_capacity(r.count(num_rel, 8)?);
     for _ in 0..num_rel {
-        let num_entries = take_u64(&mut pos)?;
-        if num_entries > buf.len() as u64 {
-            return Err(CkptError::Truncated);
-        }
-        let mut rel = Vec::with_capacity(num_entries as usize);
+        let num_entries = r.u64()?;
+        let mut rel = Vec::with_capacity(r.count(num_entries, 16)?);
         for _ in 0..num_entries {
-            let label_len =
-                usize::try_from(take_u64(&mut pos)?).map_err(|_| CkptError::Truncated)?;
-            let end = pos.checked_add(label_len).ok_or(CkptError::Truncated)?;
-            let raw = buf.get(pos..end).ok_or(CkptError::Truncated)?;
-            pos = end;
-            let label = std::str::from_utf8(raw)
-                .map_err(|_| CkptError::BadUtf8)?
-                .to_string();
-            let mass = f64::from_bits(take_u64(&mut pos)?);
-            rel.push((label, mass));
+            let label_len = r.u64()?;
+            let label = r.str(r.count(label_len, 1)?)?;
+            rel.push((label, f64::from_bits(r.u64()?)));
         }
         profile.push(rel);
     }
+    r.finish()?;
     Ok(profile)
 }
 

@@ -169,8 +169,6 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
         ordered_iteration: true,
         atomic_relaxed_ok: krate == "obs",
         unchecked_arith: krate == "ckpt"
-            || rel_path == "crates/graph/src/persist.rs"
-            || rel_path == "crates/graph/src/shard_codec.rs"
             || rel_path == "crates/graph/src/sharded.rs"
             || rel_path == "crates/graph/src/heal.rs",
         layering: true,
@@ -839,10 +837,15 @@ mod tests {
         assert!(!b.no_panic && b.unseeded_rng && !b.wall_clock);
         let o = classify("crates/obs/src/registry.rs").expect("obs file is scanned");
         assert!(o.atomic_relaxed_ok);
-        let c = classify("crates/ckpt/src/codec.rs").expect("ckpt file is scanned");
+        let c = classify("crates/ckpt/src/frame.rs").expect("ckpt file is scanned");
         assert!(c.unchecked_arith);
+        let s = classify("crates/graph/src/sharded.rs").expect("sharded file is scanned");
+        assert!(s.unchecked_arith);
         let p = classify("crates/graph/src/persist.rs").expect("persist file is scanned");
-        assert!(p.unchecked_arith);
+        assert!(
+            !p.unchecked_arith,
+            "the frame does the snapshot's narrowing"
+        );
         assert!(classify("crates/lint/tests/fixtures/x.rs").is_none());
         assert!(classify("third_party/rand/src/lib.rs").is_none());
     }

@@ -324,12 +324,13 @@ fn unchecked_fixture_fires_on_persistence_paths_only() {
 }
 
 #[test]
-fn shard_len_fixture_fires_on_shard_codec_paths() {
+fn shard_len_fixture_fires_on_shard_store_paths() {
     let src = include_str!("fixtures/bad_shard_len.rs");
-    // In the shard codec: the bare `len() as u32` and `4 * len()`.
+    // In the shard store: the bare `len() as u32` and `4 * len()`.
     for path in [
-        "crates/graph/src/shard_codec.rs",
         "crates/graph/src/sharded.rs",
+        "crates/graph/src/heal.rs",
+        "crates/ckpt/src/frame.rs",
     ] {
         let fired = rules_fired(path, src);
         assert_eq!(
@@ -338,13 +339,19 @@ fn shard_len_fixture_fires_on_shard_codec_paths() {
             "diagnostics for {path}: {fired:?}"
         );
     }
-    // Other graph sources are outside the codec discipline.
-    let in_csr = rules_fired("crates/graph/src/csr.rs", src);
-    assert_eq!(
-        count(&in_csr, Rule::UncheckedArith),
-        0,
-        "diagnostics: {in_csr:?}"
-    );
+    // Other graph sources, the frame's callers included, are outside it.
+    for path in [
+        "crates/graph/src/csr.rs",
+        "crates/graph/src/shard_codec.rs",
+        "crates/graph/src/persist.rs",
+    ] {
+        let fired = rules_fired(path, src);
+        assert_eq!(
+            count(&fired, Rule::UncheckedArith),
+            0,
+            "diagnostics for {path}: {fired:?}"
+        );
+    }
 }
 
 #[test]

@@ -75,17 +75,15 @@ where
     })
 }
 
-/// Classifies a caught producer panic: a sharded-store failure (recognised
-/// by [`mhg_graph::STORE_FAILURE_PREFIX`]) becomes [`SampleError::Storage`]
-/// — the store's quarantine makes it deterministic, so an inline replay
-/// would fail identically — while anything else stays a generic
+/// Classifies a caught producer panic: a sharded-store failure (a
+/// [`mhg_graph::StoreFailure`] payload) becomes [`SampleError::Storage`] —
+/// the store's quarantine makes it deterministic, so an inline replay would
+/// fail identically — while anything else stays a generic
 /// [`SampleError::WorkerPanicked`] that the pipeline retries inline.
 pub fn classify_panic(payload: &(dyn std::any::Any + Send)) -> SampleError {
-    let msg = panic_message(payload);
-    if msg.starts_with(mhg_graph::STORE_FAILURE_PREFIX) {
-        SampleError::Storage(msg)
-    } else {
-        SampleError::WorkerPanicked(msg)
+    match payload.downcast_ref::<mhg_graph::StoreFailure>() {
+        Some(failure) => SampleError::Storage(failure.to_string()),
+        None => SampleError::WorkerPanicked(panic_message(payload)),
     }
 }
 
@@ -150,12 +148,26 @@ mod tests {
         assert_eq!(sum, 63);
     }
 
+    fn quarantined(relation: u16, shard: u32) -> mhg_graph::StoreFailure {
+        mhg_graph::StoreFailure {
+            relation,
+            shard,
+            error: mhg_graph::ShardError::Quarantined { relation, shard },
+        }
+    }
+
     #[test]
     fn storage_panics_classify_as_storage_errors() {
-        let msg = format!("{}: checksum mismatch", mhg_graph::STORE_FAILURE_PREFIX);
-        match classify_panic(&msg.clone() as &(dyn std::any::Any + Send)) {
+        let failure = quarantined(0, 1);
+        let msg = failure.to_string();
+        match classify_panic(&failure as &(dyn std::any::Any + Send)) {
             SampleError::Storage(m) => assert_eq!(m, msg),
             other => panic!("expected Storage, got {other:?}"),
+        }
+        // A string that merely looks like a store failure is not one.
+        match classify_panic(&msg.clone() as &(dyn std::any::Any + Send)) {
+            SampleError::WorkerPanicked(m) => assert_eq!(m, msg),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
         }
         match classify_panic(&"index out of bounds" as &(dyn std::any::Any + Send)) {
             SampleError::WorkerPanicked(m) => assert_eq!(m, "index out of bounds"),
@@ -167,10 +179,7 @@ mod tests {
     fn storage_panic_on_the_worker_is_delivered_typed() {
         let produce = |i: usize| {
             if i == 1 {
-                panic!(
-                    "{}: shard r0-s0 quarantined",
-                    mhg_graph::STORE_FAILURE_PREFIX
-                );
+                std::panic::panic_any(quarantined(0, 0));
             }
             i
         };

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use mhg_ckpt::{Checkpointer, CkptError, StateDict};
+use mhg_ckpt::{Checkpointer, CkptError, FrameError, StateDict};
 use mhg_faults::FaultSite;
 use mhg_obs::{EventValue, Obs};
 use mhg_sampling::{run_prefetched, SampleError};
@@ -170,7 +170,9 @@ fn restore<T: TrainStep>(
 ) -> Result<(), CkptError> {
     let format = dict.u64("loop/format")?;
     if format != SNAPSHOT_FORMAT {
-        return Err(CkptError::UnsupportedVersion(format as u16));
+        return Err(CkptError::Frame(FrameError::UnsupportedVersion(
+            format as u16,
+        )));
     }
     let rng_state = dict.u64s("loop/rng")?;
     if rng_state.len() != 4 {
@@ -991,10 +993,14 @@ mod tests {
                 if epoch == 2 {
                     // What `ShardedCsr::with_neighbors` panics with once a
                     // shard is quarantined and repair failed.
-                    panic!(
-                        "{}: shard r0-s1 quarantined: retries exhausted and repair failed",
-                        mhg_graph::STORE_FAILURE_PREFIX
-                    );
+                    std::panic::panic_any(mhg_graph::StoreFailure {
+                        relation: 0,
+                        shard: 1,
+                        error: mhg_graph::ShardError::Quarantined {
+                            relation: 0,
+                            shard: 1,
+                        },
+                    });
                 }
                 recipe(epoch, rng)
             };
@@ -1062,7 +1068,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                TrainError::Checkpoint(CkptError::ChecksumMismatch { .. })
+                TrainError::Checkpoint(CkptError::Frame(FrameError::ChecksumMismatch { .. }))
             ),
             "got {err}"
         );

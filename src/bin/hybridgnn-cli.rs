@@ -21,19 +21,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
 use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit, SyntheticTier};
 use hybridgnn_repro::eval;
 use hybridgnn_repro::graph::{
-    persist, GraphStats, MultiplexGraph, NodeId, NodeTypeId, RelationId, ShardedCsr,
-    ShardedCsrOptions,
+    persist, GraphStats, MultiplexGraph, NodeId, NodeTypeId, ShardedCsr, ShardedCsrOptions,
 };
-use hybridgnn_repro::model::{HybridConfig, HybridGnn};
+use hybridgnn_repro::model::{embeddings, HybridConfig, HybridGnn};
 use hybridgnn_repro::models::{FitData, LinkPredictor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const EMB_MAGIC: &[u8; 4] = b"MHE1";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -204,7 +200,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         eval::pr_auc(&scores, &labels)
     );
 
-    save_embeddings(&model, &graph, &out)?;
+    embeddings::save(&out, &embeddings::tables(&model, &graph)).map_err(|e| e.to_string())?;
     println!("wrote embeddings to {}", out.display());
     if let Some(path) = obs.finish().map_err(|e| e.to_string())? {
         println!("metrics written to {}", path.display());
@@ -231,7 +227,16 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
         .relation_id(rel_name)
         .ok_or_else(|| format!("unknown relation {rel_name:?}"))?;
 
-    let tables = load_embeddings(&model_path, &graph)?;
+    let tables = embeddings::load(&model_path)
+        .map_err(|e| format!("loading {}: {e}", model_path.display()))?;
+    if tables.len() != graph.schema().num_relations()
+        || tables.iter().any(|t| t.rows() != graph.num_nodes())
+    {
+        return Err(format!(
+            "embedding file {} does not match the graph's relations and nodes",
+            model_path.display()
+        ));
+    }
     let table = &tables[relation.index()];
 
     // Candidate targets: the node types observed opposite `node`'s type
@@ -246,7 +251,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    let source_row = &table[node.index()];
+    let source_row = table.row(node.index());
     let mut scored: Vec<(NodeId, f32)> = graph
         .nodes()
         .filter(|&v| v != node && !graph.has_edge(node, v, relation))
@@ -254,7 +259,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|v| {
             let dot: f32 = source_row
                 .iter()
-                .zip(&table[v.index()])
+                .zip(table.row(v.index()))
                 .map(|(a, b)| a * b)
                 .sum();
             (v, dot)
@@ -385,69 +390,4 @@ fn shapes_to_string(graph: &MultiplexGraph, shapes: &[Vec<NodeTypeId>]) -> Strin
         })
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-// ---------------------------------------------------------------------
-// Embedding persistence: one f32 table per relation.
-// ---------------------------------------------------------------------
-
-fn save_embeddings(
-    model: &HybridGnn,
-    graph: &MultiplexGraph,
-    path: &PathBuf,
-) -> Result<(), String> {
-    let n = graph.num_nodes();
-    let num_rel = graph.schema().num_relations();
-    let dim = model.embedding(NodeId(0), RelationId(0)).len();
-    let mut buf = BytesMut::with_capacity(16 + num_rel * n * dim * 4);
-    buf.put_slice(EMB_MAGIC);
-    buf.put_u32_le(num_rel as u32);
-    buf.put_u32_le(n as u32);
-    buf.put_u32_le(dim as u32);
-    for r in graph.schema().relations() {
-        for v in graph.nodes() {
-            for &x in model.embedding(v, r) {
-                buf.put_f32_le(x);
-            }
-        }
-    }
-    std::fs::write(path, &buf).map_err(|e| e.to_string())
-}
-
-#[allow(clippy::type_complexity)]
-fn load_embeddings(path: &PathBuf, graph: &MultiplexGraph) -> Result<Vec<Vec<Vec<f32>>>, String> {
-    let data = std::fs::read(path).map_err(|e| e.to_string())?;
-    let mut buf = data.as_slice();
-    if buf.remaining() < 16 {
-        return Err("embedding file truncated".into());
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != EMB_MAGIC {
-        return Err("not an embedding file (bad magic)".into());
-    }
-    let num_rel = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    let dim = buf.get_u32_le() as usize;
-    if num_rel != graph.schema().num_relations() || n != graph.num_nodes() {
-        return Err(format!(
-            "embedding file shape ({num_rel} relations × {n} nodes) does not match the graph"
-        ));
-    }
-    if buf.remaining() < num_rel * n * dim * 4 {
-        return Err("embedding file truncated".into());
-    }
-    let mut tables = Vec::with_capacity(num_rel);
-    for _ in 0..num_rel {
-        let mut table = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                row.push(buf.get_f32_le());
-            }
-            table.push(row);
-        }
-        tables.push(table);
-    }
-    Ok(tables)
 }
