@@ -42,6 +42,10 @@ pub enum FrameError {
     },
     /// A string field is not valid UTF-8.
     BadUtf8,
+    /// The frame is intact but its content breaks an invariant of the
+    /// format (an id out of range, non-monotone offsets, …); the payload
+    /// names the invariant.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for FrameError {
@@ -55,6 +59,7 @@ impl fmt::Display for FrameError {
                 "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
             ),
             FrameError::BadUtf8 => write!(f, "invalid UTF-8 in a string field"),
+            FrameError::Inconsistent(what) => write!(f, "inconsistent content: {what}"),
         }
     }
 }

@@ -9,8 +9,9 @@
 //! the bytes actually remaining before any allocation, so corrupt or
 //! truncated snapshots produce a typed [`FrameError`] — never a panic, an
 //! attempted multi-gigabyte allocation, or a silently different graph.
-//! Content that is well framed but inconsistent (an id out of range,
-//! non-monotone offsets) also reports [`FrameError::Truncated`]. Version 1
+//! Content that is well framed but inconsistent (an id out of range, CSR
+//! offsets that are not monotone, do not start at 0 or do not end at the
+//! target count) reports [`FrameError::Inconsistent`]. Version 1
 //! snapshots (a one-byte version, no checksum) are rejected with
 //! [`FrameError::UnsupportedVersion`]; a snapshot is a cache, so regenerate
 //! it. Writes go through [`mhg_ckpt::atomic_write`], so a crash mid-save
@@ -84,7 +85,7 @@ pub fn decode(buf: &[u8]) -> Result<MultiplexGraph, FrameError> {
     let mut node_types = Vec::with_capacity(raw_types.len());
     for t in raw_types {
         if t as usize >= schema.num_node_types() {
-            return Err(FrameError::Truncated);
+            return Err(FrameError::Inconsistent("node type out of range"));
         }
         node_types.push(NodeTypeId(t));
     }
@@ -92,18 +93,25 @@ pub fn decode(buf: &[u8]) -> Result<MultiplexGraph, FrameError> {
     let mut adjacency = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
         if r.u32()? as usize != num_nodes + 1 {
-            return Err(FrameError::Truncated);
+            return Err(FrameError::Inconsistent(
+                "CSR offset count is not node count + 1",
+            ));
         }
         let offsets: Vec<u32> = r.u32s(num_nodes + 1)?.collect();
         let n_tgt = r.u32()?;
+        if offsets.first() != Some(&0) {
+            return Err(FrameError::Inconsistent("CSR offsets must start at zero"));
+        }
         if offsets.last() != Some(&n_tgt) || !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(FrameError::Truncated);
+            return Err(FrameError::Inconsistent(
+                "CSR offsets not monotone up to the target count",
+            ));
         }
         let raw = r.u32s(n_tgt as usize)?;
         let mut targets = Vec::with_capacity(raw.len());
         for t in raw {
             if t as usize >= num_nodes {
-                return Err(FrameError::Truncated);
+                return Err(FrameError::Inconsistent("CSR target out of range"));
             }
             targets.push(NodeId(t));
         }

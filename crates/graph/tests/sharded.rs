@@ -2,6 +2,10 @@
 //! the in-RAM backend, paging-budget behaviour, and hostile-input handling
 //! (bit flips, truncation, forged lengths, injected IO faults) through the
 //! whole store; `tests/persisted_formats.rs` covers the codecs themselves.
+//!
+//! Every test holds `mhg_faults::test_guard()`: store reads and writes pass
+//! through the IO fault sites, so an unguarded test running alongside a
+//! fault test would consume that test's scheduled occurrences.
 
 use std::path::PathBuf;
 
@@ -70,6 +74,7 @@ fn open_and_verify(dir: &PathBuf) -> Result<(), ShardError> {
 
 #[test]
 fn neighbor_lists_and_snapshot_match_in_ram() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("parity");
     let sharded = ShardedCsr::build(&ram, &dir, small_opts()).unwrap();
@@ -96,6 +101,7 @@ fn neighbor_lists_and_snapshot_match_in_ram() {
 
 #[test]
 fn reopen_without_build_is_identical() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("reopen");
     drop(ShardedCsr::build(&ram, &dir, small_opts()).unwrap());
@@ -106,6 +112,7 @@ fn reopen_without_build_is_identical() {
 
 #[test]
 fn paging_stays_inside_budget_and_evicts() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("paging");
     let sharded = ShardedCsr::build(&ram, &dir, small_opts()).unwrap();
@@ -150,6 +157,7 @@ fn paging_stays_inside_budget_and_evicts() {
 
 #[test]
 fn every_bit_flip_is_detected() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("bitflip");
     drop(ShardedCsr::build(&ram, &dir, small_opts()).unwrap());
@@ -174,6 +182,7 @@ fn every_bit_flip_is_detected() {
 
 #[test]
 fn truncation_at_every_cut_is_detected() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("truncate");
     drop(ShardedCsr::build(&ram, &dir, small_opts()).unwrap());
@@ -194,6 +203,7 @@ fn truncation_at_every_cut_is_detected() {
 
 #[test]
 fn forged_target_count_is_rejected_before_allocation() {
+    let _guard = mhg_faults::test_guard();
     let ram = fixture();
     let dir = fresh_dir("hostile");
     drop(ShardedCsr::build(&ram, &dir, small_opts()).unwrap());

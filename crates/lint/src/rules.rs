@@ -741,7 +741,7 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("ckpt", &["tensor", "faults"]),
     ("autograd", &["tensor", "par", "ckpt"]),
     ("graph", &["ckpt", "faults", "obs"]),
-    ("obs", &["ckpt", "par", "faults"]),
+    ("obs", &["ckpt", "faults"]),
     ("sampling", &["graph", "par", "faults", "obs"]),
     ("datasets", &["graph", "sampling"]),
     ("eval", &["graph"]),

@@ -114,8 +114,8 @@ pub(crate) fn render_jsonl(events: &[String], metrics: &[(String, MetricValue)])
 }
 
 /// Prints the human run summary to stderr: recorded metrics plus the
-/// process-global diagnostics (checkpoint write retries, checked-mode
-/// kernel op counts, fired fault injections).
+/// process-global diagnostics (checkpoint write retries, fired fault
+/// injections).
 pub(crate) fn print_summary(obs: &Obs) {
     eprintln!("[mhg-obs] run summary ({} events)", obs.event_count());
     for (name, value) in obs.metrics() {
@@ -138,14 +138,6 @@ pub(crate) fn print_summary(obs: &Obs) {
     let retries = mhg_ckpt::write_retries();
     if retries > 0 {
         eprintln!("[mhg-obs]   ckpt write retries: {retries}");
-    }
-    let ops: Vec<String> = mhg_par::opstats::snapshot()
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(op, n)| format!("{op}={n}"))
-        .collect();
-    if !ops.is_empty() {
-        eprintln!("[mhg-obs]   kernel ops (checked): {}", ops.join(" "));
     }
     let fired = mhg_faults::fired();
     if !fired.is_empty() {

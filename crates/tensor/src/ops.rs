@@ -42,7 +42,6 @@ impl Tensor {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::Matmul);
         assert_eq!(
             self.cols(),
             rhs.rows(),
@@ -80,7 +79,6 @@ impl Tensor {
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_transposed(&self, rhs: &Tensor) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::MatmulTransposed);
         assert_eq!(
             self.cols(),
             rhs.cols(),
@@ -118,7 +116,6 @@ impl Tensor {
     /// destination writes stay within a few cache lines per tile, instead of
     /// striding the whole source column by column.
     pub fn transpose(&self) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::Transpose);
         const TILE: usize = 32;
         let (m, n) = (self.rows(), self.cols());
         let mut out = Tensor::zeros(n, m);
@@ -155,7 +152,6 @@ impl Tensor {
     ///
     /// Panics on shape mismatch.
     pub fn zip_map(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::ZipMap);
         assert_eq!(self.shape(), rhs.shape(), "elementwise shape mismatch");
         let mut out = Tensor::zeros(self.rows(), self.cols());
         let (a, b) = (self.as_slice(), rhs.as_slice());
@@ -169,7 +165,6 @@ impl Tensor {
 
     /// Elementwise unary op into a fresh tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::Map);
         let mut out = Tensor::zeros(self.rows(), self.cols());
         let a = self.as_slice();
         mhg_par::par_chunks_mut(out.as_mut_slice(), 1, 4, |start, chunk| {
@@ -283,7 +278,6 @@ impl Tensor {
 
     /// Numerically-stable row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::SoftmaxRows);
         let mut out = self.clone();
         let cols = out.cols();
         if out.is_empty() {
@@ -334,7 +328,6 @@ impl Tensor {
     ///
     /// Panics if an index is out of bounds.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::GatherRows);
         let (rows, cols) = (self.rows(), self.cols());
         for &idx in indices {
             assert!(
@@ -369,7 +362,6 @@ impl Tensor {
     /// Panics if `indices.len() != src.rows()`, widths differ, or an index
     /// is out of bounds.
     pub fn scatter_add_rows(&mut self, indices: &[u32], src: &Tensor) {
-        mhg_par::opstats::bump(mhg_par::opstats::KernelOp::ScatterAddRows);
         assert_eq!(
             indices.len(),
             src.rows(),

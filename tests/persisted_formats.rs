@@ -6,7 +6,9 @@
 //! rejected, and a length field forged to `u32::MAX` (trailer re-signed, so
 //! the checksum passes) is rejected as `Truncated` without any large
 //! allocation. A second test pins the bytes of the three formats that must
-//! never move (MHGC, MHGS, MHSH).
+//! never move (MHGC, MHGS, MHSH), and a third checks that a re-signed graph
+//! snapshot whose CSR does not start at offset 0 is rejected as
+//! `Inconsistent`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +98,19 @@ fn str_list_len(items: &[String]) -> usize {
     2 + items.iter().map(|s| 2 + s.len()).sum::<usize>()
 }
 
+/// Encoded size of a schema: its node-type and relation name lists.
+fn schema_len(schema: &Schema) -> usize {
+    str_list_len(schema.node_type_names()) + str_list_len(schema.relation_names())
+}
+
+/// Recomputes a frame's checksum trailer after its body was edited, so the
+/// frame passes `Reader::open` and only the decoder's own checks remain.
+fn resign(frame: &mut [u8]) {
+    let body = frame.len() - 8;
+    let sum = ckpt::fnv1a64(&frame[..body]);
+    frame[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
 fn state_dict() -> StateDict {
     let mut d = StateDict::new();
     d.put_u64s("a/rng", vec![1, u64::MAX, 3, 4]);
@@ -158,11 +173,7 @@ fn graph() -> MultiplexGraph {
 
 fn formats() -> Vec<Format> {
     let m = manifest();
-    let names_len =
-        str_list_len(m.schema.node_type_names()) + str_list_len(m.schema.relation_names());
     let g = graph();
-    let g_names_len =
-        str_list_len(g.schema().node_type_names()) + str_list_len(g.schema().relation_names());
     let tables = vec![
         Tensor::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.0, 1e-3, 9.0]),
         Tensor::from_vec(2, 3, vec![1.0; 6]),
@@ -185,7 +196,7 @@ fn formats() -> Vec<Format> {
                     .map_err(shard_frame)
             },
             // The node count after the two name lists.
-            len_at: HEADER + names_len,
+            len_at: HEADER + schema_len(&m.schema),
         },
         Format {
             name: "MHSH",
@@ -202,7 +213,7 @@ fn formats() -> Vec<Format> {
             name: "MHG1",
             bytes: persist::encode(&g),
             decode: |b| persist::decode(b).map(drop).map_err(Some),
-            len_at: HEADER + g_names_len,
+            len_at: HEADER + schema_len(g.schema()),
         },
         Format {
             name: "MHE1",
@@ -255,9 +266,7 @@ fn forged_lengths_are_truncated_before_any_allocation() {
     for f in formats() {
         let mut forged = f.bytes.clone();
         forged[f.len_at..f.len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let body = forged.len() - 8;
-        let sum = ckpt::fnv1a64(&forged[..body]);
-        forged[body..].copy_from_slice(&sum.to_le_bytes());
+        resign(&mut forged);
 
         let (res, largest) = largest_alloc_of(|| (f.decode)(&forged));
         assert_eq!(res, Err(Some(FrameError::Truncated)), "{}", f.name);
@@ -267,6 +276,22 @@ fn forged_lengths_are_truncated_before_any_allocation() {
             f.name
         );
     }
+}
+
+#[test]
+fn snapshot_csr_offsets_must_start_at_zero() {
+    let g = graph();
+    let mut bytes = persist::encode(&g);
+    // The schema, the node count, one u16 type per node, then the first
+    // relation's offset count and its first offset.
+    let first = HEADER + schema_len(g.schema()) + 4 + 2 * g.num_nodes() + 4;
+    assert_eq!(bytes[first..first + 4], 0u32.to_le_bytes());
+    bytes[first..first + 4].copy_from_slice(&1u32.to_le_bytes());
+    resign(&mut bytes);
+    assert_eq!(
+        persist::decode(&bytes).map(drop),
+        Err(FrameError::Inconsistent("CSR offsets must start at zero"))
+    );
 }
 
 /// FNV-1a of the encoding of fixed inputs, computed with the codecs these
