@@ -557,6 +557,7 @@ pub fn link_prediction_experiment(cfg: &ExpConfig, default_sets: &[DatasetKind])
                 let cell_cfg = cfg.for_cell(kind, name, run);
                 let mut zoo = filtered_zoo(&cell_cfg);
                 let model = zoo[mi].as_mut();
+                #[expect(clippy::disallowed_methods, reason = "progress note, not a result")]
                 let started = std::time::Instant::now();
                 let metrics = run_model(model, &dataset, &split, &cell_cfg, run)
                     .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"));

@@ -50,6 +50,7 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     mhg_faults::io_error_if_scheduled(FaultSite::IoWrite, &path.display().to_string())?;
     let tmp = tmp_sibling(path);
     {
+        #[expect(clippy::disallowed_methods, reason = "this is the atomic writer")]
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;

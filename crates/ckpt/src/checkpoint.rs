@@ -132,6 +132,7 @@ impl Checkpointer {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 mod tests {
     use super::*;
     use crate::test_support::faults_guard;

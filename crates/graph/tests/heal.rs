@@ -2,6 +2,7 @@
 //! rebuild-from-source repair under bit flips, truncation and deleted
 //! files, fsck reporting, quarantine of unrepairable shards, and the
 //! deterministic fake-clock backoff.
+#![expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -6,6 +6,7 @@
 //! Every test holds `mhg_faults::test_guard()`: store reads and writes pass
 //! through the IO fault sites, so an unguarded test running alongside a
 //! fault test would consume that test's scheduled occurrences.
+#![expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 
 use std::path::PathBuf;
 

@@ -28,6 +28,7 @@ fn main() {
         metapath_shapes: &dataset.metapath_shapes,
         val: &split.val,
     };
+    #[expect(clippy::disallowed_methods, reason = "a dev driver timing itself")]
     let t0 = std::time::Instant::now();
     let report = model.fit(&data, &mut rng).expect("fit must succeed");
     let m = evaluate(&model, &split.test);

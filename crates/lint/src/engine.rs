@@ -3,8 +3,8 @@
 //! [`FileTokens`] wraps one file's lexed token stream with the structural
 //! facts the rules need: the significant-token view (whitespace and
 //! comments dropped), `#[cfg(test)]` region marking at item granularity,
-//! statement boundaries, doc-comment attachment, and whitespace-insensitive
-//! needle matching over token sequences.
+//! statement boundaries, and whitespace-insensitive needle matching over
+//! token sequences.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -218,76 +218,6 @@ impl<'s> FileTokens<'s> {
         }
         (start, end)
     }
-
-    /// Whether significant token `i` has an attached doc comment: walking
-    /// backward over whitespace and attribute groups, the first thing found
-    /// is a doc comment. A plain comment or anything else breaks the chain
-    /// (matching rustdoc's attachment rules closely enough for the
-    /// missing-docs rule).
-    pub fn has_doc_comment(&self, i: usize) -> bool {
-        let Some(&tok_idx) = self.sig.get(i) else {
-            return false;
-        };
-        let mut j = tok_idx;
-        loop {
-            if j == 0 {
-                return false;
-            }
-            j -= 1;
-            let Some(t) = self.tokens.get(j) else {
-                return false;
-            };
-            match t.kind {
-                TokenKind::Whitespace => continue,
-                TokenKind::DocComment => return true,
-                TokenKind::Punct if t.text(self.src) == "]" => {
-                    // Skip the attribute group `#[ … ]` backwards.
-                    let mut depth = 0i64;
-                    loop {
-                        let Some(t2) = self.tokens.get(j) else {
-                            return false;
-                        };
-                        match t2.text(self.src) {
-                            "]" => depth += 1,
-                            "[" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        if j == 0 {
-                            return false;
-                        }
-                        j -= 1;
-                    }
-                    // Step over the `#` introducing the attribute.
-                    if j > 0 {
-                        let before: Vec<usize> = (0..j).rev().collect();
-                        let mut stepped = false;
-                        for k in before {
-                            let Some(t3) = self.tokens.get(k) else {
-                                break;
-                            };
-                            if t3.kind == TokenKind::Whitespace {
-                                continue;
-                            }
-                            if t3.text(self.src) == "#" {
-                                j = k;
-                                stepped = true;
-                            }
-                            break;
-                        }
-                        if !stepped {
-                            return false;
-                        }
-                    }
-                }
-                _ => return false,
-            }
-        }
-    }
 }
 
 /// A rule needle: a sequence of significant token texts, produced by lexing
@@ -397,17 +327,5 @@ mod tests {
             stmt,
             vec!["let", "b", "=", "f", "(", "x", ",", "y", ")", ";"]
         );
-    }
-
-    #[test]
-    fn doc_attachment_skips_attributes_but_not_plain_comments() {
-        let src = "/// doc\n#[inline]\npub fn a() {}\n// not doc\npub fn b() {}\n";
-        let ft = FileTokens::new(src);
-        let pubs: Vec<usize> = (0..ft.sig_len())
-            .filter(|&i| ft.sig_text(i) == "pub")
-            .collect();
-        assert_eq!(pubs.len(), 2);
-        assert!(ft.has_doc_comment(pubs[0]));
-        assert!(!ft.has_doc_comment(pubs[1]));
     }
 }

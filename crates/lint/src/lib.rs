@@ -1,12 +1,20 @@
 //! Workspace-specific static checks for the HybridGNN reproduction.
 //!
 //! `cargo run -p mhg-lint` (or the `cargo lint` alias) walks every
-//! `crates/*/src/**.rs` file and enforces invariants that rustc and clippy
-//! cannot express for us. The scanner is a real lossless lexer
-//! ([`lexer`]) — every byte of the source lands in exactly one token, so
-//! raw strings, block comments and multi-line expressions can neither hide
-//! nor fabricate findings — with structural analyses ([`engine`]) layered
-//! on the significant-token stream.
+//! `crates/*/src/**.rs` file and `crates/*/Cargo.toml` manifest and enforces
+//! the invariants that rustc and clippy cannot express for us. The scanner
+//! is a real lossless lexer ([`lexer`]) — every byte of the source lands in
+//! exactly one token, so raw strings, block comments and multi-line
+//! expressions can neither hide nor fabricate findings — with structural
+//! analyses ([`engine`]) layered on the significant-token stream.
+//!
+//! The other workspace bans belong to the compiler. `missing_docs = "deny"`
+//! comes from `[workspace.lints]`; the workspace `clippy.toml` bans the wall
+//! clock (`Instant::now`, `SystemTime::now`), raw threads (`thread::spawn`,
+//! `thread::scope`), raw file writes (`File::create`, `fs::write`) and
+//! `eprintln!`, and each sanctioned site carries an
+//! `#[expect(clippy::disallowed_…, reason = "…")]`. The `rand` shim exports
+//! no entropy-seeded constructor, so rustc rejects unseeded randomness.
 //!
 //! Rules ([`rules`]):
 //!
@@ -14,26 +22,11 @@
 //!   code. Experiment binaries (`src/bin/`) and `#[cfg(test)]` items are
 //!   exempt: a driver or test may abort, a library must return errors or
 //!   assert with context.
-//! * **unseeded-rng** — no `thread_rng` / `from_entropy` / `rand::random`
-//!   outside tests. Every random stream in the reproduction must be derived
-//!   from an explicit seed so experiments replay exactly.
-//! * **wall-clock** — no `std::time` in model/forward code (`tensor`,
-//!   `autograd`, `sampling`, `models`, `hybridgnn`). Timing belongs to the
-//!   bench harness; a forward pass that reads the clock cannot be replayed.
-//! * **missing-docs** — every `pub fn` in the `tensor`, `autograd` and
-//!   `graph` substrate crates carries a doc comment.
 //! * **shape-assert** — every tensor-op entry point combining two or more
 //!   tensors (in `crates/tensor/src/{ops,tensor}.rs`) contains a shape
 //!   assertion in its body.
 //! * **epoch-loop** — no `for epoch in` loops outside `crates/train`; the
 //!   epoch loop is owned by `mhg_train::train`.
-//! * **raw-thread** — no `std::thread::spawn` / `thread::scope` outside
-//!   `crates/par` and `crates/train`; all data parallelism goes through the
-//!   fixed-partition `mhg-par` pool.
-//! * **raw-file-write** — no `File::create` / `fs::write` outside
-//!   `crates/ckpt`; persistence goes through `mhg_ckpt::atomic_write`.
-//! * **no-eprintln** — no raw `eprintln!` outside `crates/obs` and binary
-//!   entry points; reporting goes through the `mhg-obs` registry and sinks.
 //! * **ordered-iteration** — no iteration over `HashMap`/`HashSet` whose
 //!   order can leak into serialized, reduced or RNG-consuming state; use
 //!   `BTreeMap`/`BTreeSet` or sort before use. Hash iteration order varies
@@ -44,12 +37,13 @@
 //!   `Acquire`/`Release`/`SeqCst`) needs a justified `lint.allow` entry
 //!   naming the happens-before edge it creates.
 //! * **unchecked-arith** — length/size narrowing and length multiplication
-//!   on persistence paths (`crates/ckpt`, `crates/graph/src/persist.rs`)
+//!   on persistence paths (`crates/ckpt`, `crates/graph/src/{sharded,heal}.rs`)
 //!   must go through checked helpers: a silently wrapped length corrupts
 //!   the archive instead of failing loudly.
-//! * **crate-layering** — source references to sibling workspace crates
+//! * **crate-layering** — every `[dependencies]` edge in a crate manifest
 //!   must follow the substrate DAG; `tensor`/`autograd`/`par` can never
-//!   depend on `train`/`models`/`bench`.
+//!   depend on `train`/`models`/`bench`, and a crate missing from the DAG
+//!   is a finding.
 //! * **dead-allow** / **unjustified-allow** — `lint.allow` entries that
 //!   match no current finding, or carry no justification comment in their
 //!   block, are findings themselves.

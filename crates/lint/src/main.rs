@@ -1,16 +1,18 @@
 //! CLI for the workspace linter: `cargo run -p mhg-lint` (or `cargo lint`).
 //!
-//! Scans `crates/*/src/**.rs` from the workspace root, applies and audits
-//! the `lint.allow` allowlist, prints diagnostics and exits nonzero when
-//! unsuppressed violations remain.
+//! Scans `crates/*/src/**.rs` and `crates/*/Cargo.toml` from the workspace
+//! root, applies and audits the `lint.allow` allowlist, prints diagnostics
+//! and exits nonzero when unsuppressed violations remain.
 //!
 //! Options:
 //!
 //! * `--root <dir>` — workspace root to scan (default: the root the binary
 //!   was built in).
-//! * `--allowlist <file>` — allowlist path (default: `<root>/lint.allow`).
+//! * `--allowlist <file>` — allowlist path (default: `<root>/lint.allow`);
+//!   a missing file is an i/o error (exit 2).
 //! * `--format <text|json>` — report format (default: `text`). JSON goes to
 //!   stdout so CI can capture it without the linter writing files itself.
+#![expect(clippy::disallowed_macros, reason = "a CLI reports errors on stderr")]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

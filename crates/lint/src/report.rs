@@ -12,7 +12,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{classify, scan_file, Diagnostic, Rule};
+use crate::rules::{classify, scan_file, scan_manifest, Diagnostic, Rule};
 
 /// One allowlist entry: `rule path-suffix needle…`.
 #[derive(Debug, Clone)]
@@ -111,24 +111,25 @@ pub fn audit_allowlist(allow: &[AllowEntry], all: &[Diagnostic]) -> Vec<Diagnost
     out
 }
 
-/// Recursively collects `.rs` files under `dir`.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Recursively collects `.rs` and `Cargo.toml` files under `dir`.
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            collect_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") || path.ends_with("Cargo.toml") {
             out.push(path);
         }
     }
     Ok(())
 }
 
-/// Scans every `crates/*/src/**.rs` file under `root` and returns all
-/// findings (before allowlist filtering), sorted by path and line.
+/// Scans every `crates/*/src/**.rs` file and `crates/*/Cargo.toml` manifest
+/// under `root` and returns all findings (before allowlist filtering),
+/// sorted by path and line.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files)?;
+    collect_files(&root.join("crates"), &mut files)?;
     files.sort();
     let mut diags = Vec::new();
     for file in files {
@@ -137,11 +138,11 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        if classify(&rel).is_none() {
-            continue;
+        if rel.ends_with("/Cargo.toml") {
+            diags.extend(scan_manifest(&rel, &fs::read_to_string(&file)?));
+        } else if classify(&rel).is_some() {
+            diags.extend(scan_file(&rel, &fs::read_to_string(&file)?));
         }
-        let source = fs::read_to_string(&file)?;
-        diags.extend(scan_file(&rel, &source));
     }
     Ok(diags)
 }
@@ -212,13 +213,13 @@ pub fn render_json(reported: &[Diagnostic], suppressed: &[Diagnostic]) -> String
 /// report in the requested format to stdout.
 ///
 /// Returns `Ok(true)` when no unsuppressed finding remains (allowlist
-/// policy findings — dead or unjustified entries — count as findings).
+/// policy findings — dead or unjustified entries — count as findings). A
+/// missing allowlist is an error, not an empty list: a mistyped path must
+/// not turn every justified finding into a violation report.
 pub fn run(root: &Path, allowlist_path: &Path, format: OutputFormat) -> io::Result<bool> {
-    let allow = match fs::read_to_string(allowlist_path) {
-        Ok(text) => parse_allowlist(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    let text = fs::read_to_string(allowlist_path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", allowlist_path.display())))?;
+    let allow = parse_allowlist(&text);
     let all = scan_workspace(root)?;
     let (suppressed, mut reported): (Vec<_>, Vec<_>) =
         all.iter().cloned().partition(|d| is_allowed(d, &allow));
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn audit_flags_dead_and_unjustified_entries() {
         let entries = parse_allowlist(
-            "# live and justified\nno-panic crates/x/src/a.rs .unwrap()\nwall-clock crates/x/src/a.rs Instant\n\nno-panic crates/x/src/b.rs .expect(\n",
+            "# live and justified\nno-panic crates/x/src/a.rs .unwrap()\nepoch-loop crates/x/src/a.rs for epoch\n\nno-panic crates/x/src/b.rs .expect(\n",
         );
         let all = vec![Diagnostic {
             file: "crates/x/src/a.rs".to_string(),

@@ -1,8 +1,10 @@
-//! Lint rules and the per-file token-stream analysis passes.
+//! Lint rules: the per-file token-stream analysis passes and the manifest
+//! layering check.
 //!
-//! Each rule is a pass over a [`FileTokens`] view of one source file.
-//! [`classify`] decides which passes apply to which workspace file;
-//! [`scan_file`] runs them and returns [`Diagnostic`]s.
+//! Each source rule is a pass over a [`FileTokens`] view of one source
+//! file. [`classify`] decides which passes apply to which workspace file;
+//! [`scan_file`] runs them and returns [`Diagnostic`]s. [`scan_manifest`]
+//! checks one crate's `Cargo.toml` against the substrate DAG.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -16,29 +18,17 @@ use crate::lexer::TokenKind;
 pub enum Rule {
     /// `.unwrap()` / `.expect(` / `panic!` family in library code.
     NoPanic,
-    /// Unseeded randomness outside tests.
-    UnseededRng,
-    /// `std::time` usage in model/forward code.
-    WallClock,
-    /// Undocumented `pub fn` in a substrate crate.
-    MissingDocs,
     /// Multi-tensor op entry point without a shape assertion.
     ShapeAssert,
     /// Hand-rolled training epoch loop outside `crates/train`.
     EpochLoop,
-    /// Raw `std::thread` usage outside the sanctioned pool crates.
-    RawThread,
-    /// Direct file write bypassing `mhg_ckpt::atomic_write`.
-    RawFileWrite,
-    /// Raw `eprintln!` bypassing the `mhg-obs` sinks.
-    NoEprintln,
     /// Iteration over a `HashMap`/`HashSet` whose order can leak out.
     OrderedIteration,
     /// Atomic memory-ordering use outside the sanctioned pattern.
     AtomicOrdering,
     /// Unchecked length/size arithmetic on a persistence path.
     UncheckedArith,
-    /// Source-level crate dependency violating the substrate DAG.
+    /// Manifest dependency violating the substrate DAG.
     CrateLayering,
     /// `lint.allow` entry that matches no current finding.
     DeadAllow,
@@ -51,14 +41,8 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoPanic => "no-panic",
-            Rule::UnseededRng => "unseeded-rng",
-            Rule::WallClock => "wall-clock",
-            Rule::MissingDocs => "missing-docs",
             Rule::ShapeAssert => "shape-assert",
             Rule::EpochLoop => "epoch-loop",
-            Rule::RawThread => "raw-thread",
-            Rule::RawFileWrite => "raw-file-write",
-            Rule::NoEprintln => "no-eprintln",
             Rule::OrderedIteration => "ordered-iteration",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::UncheckedArith => "unchecked-arith",
@@ -103,43 +87,17 @@ impl fmt::Display for Diagnostic {
 /// Which rules apply to a given file.
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
-    /// Crate directory name (`crates/<krate>/…`).
-    pub krate: String,
-    /// The file is a binary entry point (`src/bin/` or `src/main.rs`).
-    pub is_bin: bool,
-    /// Panic-freedom applies.
+    /// Panic-freedom applies (library code, not `src/bin/` or `src/main.rs`).
     pub no_panic: bool,
-    /// Seeded-randomness rule applies.
-    pub unseeded_rng: bool,
-    /// Wall-clock rule applies.
-    pub wall_clock: bool,
-    /// Doc-coverage rule applies.
-    pub missing_docs: bool,
     /// Shape-assertion rule applies.
     pub shape_assert: bool,
     /// Epoch-loop rule applies.
     pub epoch_loop: bool,
-    /// Raw-thread rule applies.
-    pub raw_thread: bool,
-    /// Raw-file-write rule applies.
-    pub raw_file_write: bool,
-    /// No-eprintln rule applies.
-    pub no_eprintln: bool,
-    /// Ordered-iteration rule applies.
-    pub ordered_iteration: bool,
     /// `Ordering::Relaxed` is permitted without an allowlist entry.
     pub atomic_relaxed_ok: bool,
     /// Unchecked-arithmetic rule applies (persistence paths).
     pub unchecked_arith: bool,
-    /// Crate-layering rule applies.
-    pub layering: bool,
 }
-
-/// Crates whose forward/training path must never read the wall clock.
-const WALL_CLOCK_CRATES: &[&str] = &["tensor", "autograd", "sampling", "models", "hybridgnn"];
-
-/// Substrate crates whose public API must be documented.
-const DOCS_CRATES: &[&str] = &["tensor", "autograd", "graph"];
 
 /// Decides which rules apply to `rel_path` (workspace-relative, `/`
 /// separators). Returns `None` for files the linter does not scan.
@@ -154,36 +112,21 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     }
     let is_bin = tail.starts_with("src/bin/") || tail == "src/main.rs";
     Some(FileClass {
-        krate: krate.to_string(),
-        is_bin,
         no_panic: !is_bin,
-        unseeded_rng: true,
-        wall_clock: WALL_CLOCK_CRATES.contains(&krate),
-        missing_docs: DOCS_CRATES.contains(&krate) && !is_bin,
         shape_assert: rel_path == "crates/tensor/src/ops.rs"
             || rel_path == "crates/tensor/src/tensor.rs",
         epoch_loop: krate != "train",
-        raw_thread: krate != "par" && krate != "train",
-        raw_file_write: krate != "ckpt",
-        no_eprintln: krate != "obs" && !is_bin,
-        ordered_iteration: true,
         atomic_relaxed_ok: krate == "obs",
         unchecked_arith: krate == "ckpt"
             || rel_path == "crates/graph/src/sharded.rs"
             || rel_path == "crates/graph/src/heal.rs",
-        layering: true,
     })
 }
 
 fn rule_enabled(class: &FileClass, rule: Rule) -> bool {
     match rule {
         Rule::NoPanic => class.no_panic,
-        Rule::UnseededRng => class.unseeded_rng,
-        Rule::WallClock => class.wall_clock,
         Rule::EpochLoop => class.epoch_loop,
-        Rule::RawThread => class.raw_thread,
-        Rule::RawFileWrite => class.raw_file_write,
-        Rule::NoEprintln => class.no_eprintln,
         _ => false,
     }
 }
@@ -224,64 +167,9 @@ fn patterns() -> &'static [(Rule, Needle, &'static str)] {
                 "`unimplemented!` must not ship in library code",
             ),
             (
-                Rule::UnseededRng,
-                needle("thread_rng"),
-                "unseeded RNG — derive the stream from an explicit seed",
-            ),
-            (
-                Rule::UnseededRng,
-                needle("from_entropy"),
-                "entropy-seeded RNG — derive the stream from an explicit seed",
-            ),
-            (
-                Rule::UnseededRng,
-                needle("rand::random"),
-                "unseeded RNG — derive the stream from an explicit seed",
-            ),
-            (
-                Rule::WallClock,
-                needle("std::time"),
-                "wall clock in model code — timing belongs to the bench harness",
-            ),
-            (
-                Rule::WallClock,
-                needle("Instant::now"),
-                "wall clock in model code — timing belongs to the bench harness",
-            ),
-            (
-                Rule::WallClock,
-                needle("SystemTime::now"),
-                "wall clock in model code — timing belongs to the bench harness",
-            ),
-            (
                 Rule::EpochLoop,
                 needle("for epoch in"),
                 "hand-rolled epoch loop — drive training through `mhg_train::train`",
-            ),
-            (
-                Rule::RawThread,
-                needle("thread::spawn"),
-                "raw thread spawn — use the deterministic `mhg_par` pool",
-            ),
-            (
-                Rule::RawThread,
-                needle("thread::scope"),
-                "raw scoped threads — use the deterministic `mhg_par` pool",
-            ),
-            (
-                Rule::RawFileWrite,
-                needle("File::create"),
-                "raw file write — route persistence through `mhg_ckpt::atomic_write`",
-            ),
-            (
-                Rule::RawFileWrite,
-                needle("fs::write"),
-                "raw file write — route persistence through `mhg_ckpt::atomic_write`",
-            ),
-            (
-                Rule::NoEprintln,
-                needle("eprintln!"),
-                "raw `eprintln!` — route reporting through the `mhg-obs` registry/sinks",
             ),
         ]
     })
@@ -317,21 +205,13 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
     needle_pass(&ft, &class, rel_path, &mut diags);
-    if class.missing_docs {
-        docs_pass(&ft, rel_path, &mut diags);
-    }
     if class.shape_assert {
         shape_pass(&ft, rel_path, &mut diags);
     }
-    if class.ordered_iteration {
-        ordered_iteration_pass(&ft, rel_path, &mut diags);
-    }
+    ordered_iteration_pass(&ft, rel_path, &mut diags);
     atomic_pass(&ft, &class, rel_path, &mut diags);
     if class.unchecked_arith {
         unchecked_pass(&ft, rel_path, &mut diags);
-    }
-    if class.layering {
-        layering_pass(&ft, &class, rel_path, &mut diags);
     }
 
     diags.sort_by(|a, b| (a.line, a.col, a.rule.name()).cmp(&(b.line, b.col, b.rule.name())));
@@ -350,34 +230,6 @@ fn needle_pass(ft: &FileTokens<'_>, class: &FileClass, rel_path: &str, out: &mut
                 continue;
             }
             out.push(diag_at(ft, rel_path, i, *rule, (*message).to_string()));
-        }
-    }
-}
-
-/// Doc-coverage: every non-test `pub fn` must carry an attached doc comment.
-fn docs_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>) {
-    for i in 0..ft.sig_len() {
-        if ft.sig_text(i) != "pub" || ft.sig_in_test(i) {
-            continue;
-        }
-        let mut j = i + 1;
-        if ft.sig_text(j) == "(" {
-            continue; // `pub(crate)` &c. are not part of the public API
-        }
-        while matches!(ft.sig_text(j), "const" | "unsafe") {
-            j += 1;
-        }
-        if ft.sig_text(j) != "fn" {
-            continue;
-        }
-        if !ft.has_doc_comment(i) {
-            out.push(diag_at(
-                ft,
-                rel_path,
-                i,
-                Rule::MissingDocs,
-                "undocumented `pub fn` in substrate crate".to_string(),
-            ));
         }
     }
 }
@@ -710,29 +562,9 @@ fn unchecked_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>
     }
 }
 
-/// Workspace crate idents and their directory names.
-const CRATE_IDENTS: &[(&str, &str)] = &[
-    ("mhg_tensor", "tensor"),
-    ("mhg_autograd", "autograd"),
-    ("mhg_par", "par"),
-    ("mhg_ckpt", "ckpt"),
-    ("mhg_graph", "graph"),
-    ("mhg_obs", "obs"),
-    ("mhg_sampling", "sampling"),
-    ("mhg_datasets", "datasets"),
-    ("mhg_eval", "eval"),
-    ("mhg_train", "train"),
-    ("mhg_models", "models"),
-    ("mhg_hybridgnn", "hybridgnn"),
-    ("mhg_bench", "bench"),
-    ("mhg_faults", "faults"),
-    ("mhg_lint", "lint"),
-    ("mhg_race", "race"),
-];
-
-/// The substrate DAG: which crates each crate may reference at source level.
-/// Self-references are always allowed; crates absent from the table are not
-/// layer-checked (extend the table when adding a crate).
+/// The substrate DAG: which workspace crates each crate may list under
+/// `[dependencies]`. A crate absent from the table is itself a finding
+/// (extend the table when adding a crate).
 const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("par", &[]),
     ("faults", &[]),
@@ -783,45 +615,71 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("race", &["obs", "par"]),
 ];
 
-/// Crate-layering: source references to sibling workspace crates must follow
-/// the substrate DAG (tensor/autograd/par stay below train/models/bench).
-fn layering_pass(
-    ft: &FileTokens<'_>,
-    class: &FileClass,
-    rel_path: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some((_, allowed)) = ALLOWED_DEPS.iter().find(|(k, _)| *k == class.krate) else {
-        return;
+/// The workspace crate a dependency key names: `mhg-x` → `x`, `hybridgnn`
+/// → `hybridgnn`; `None` for third-party crates.
+fn workspace_crate(dep: &str) -> Option<&str> {
+    dep.strip_prefix("mhg-")
+        .or_else(|| (dep == "hybridgnn").then_some(dep))
+}
+
+/// Crate-layering: checks the `[dependencies]` of one `crates/<x>/Cargo.toml`
+/// (`rel_path`, workspace-relative) against the substrate DAG. Cargo rejects
+/// source references to undeclared crates, so the manifest edges are the
+/// whole dependency graph. Dev-dependencies are not checked: a test may
+/// reach anywhere. Other paths yield no findings.
+pub fn scan_manifest(rel_path: &str, text: &str) -> Vec<Diagnostic> {
+    let Some(krate) = rel_path
+        .strip_prefix("crates/")
+        .and_then(|r| r.strip_suffix("/Cargo.toml"))
+        .filter(|k| !k.contains('/'))
+    else {
+        return Vec::new();
     };
-    for i in 0..ft.sig_len() {
-        if ft.sig_kind(i) != Some(TokenKind::Ident) || ft.sig_in_test(i) {
-            continue;
-        }
-        let t = ft.sig_text(i);
-        if !t.starts_with("mhg_") {
-            continue;
-        }
-        let Some((_, dep)) = CRATE_IDENTS.iter().find(|(ident, _)| *ident == t) else {
-            continue; // not a workspace crate ident
+    let finding = |line: usize, snippet: &str, message: String| Diagnostic {
+        file: rel_path.to_string(),
+        line,
+        col: 1,
+        rule: Rule::CrateLayering,
+        message,
+        snippet: snippet.trim().to_string(),
+    };
+    let Some((_, allowed)) = ALLOWED_DEPS.iter().find(|(k, _)| *k == krate) else {
+        return vec![finding(
+            1,
+            text.lines().next().unwrap_or(""),
+            format!("crate `{krate}` is missing from the substrate DAG — add it to ALLOWED_DEPS"),
+        )];
+    };
+    let mut out = Vec::new();
+    let mut in_deps = false;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        let key = if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            in_deps = header == "dependencies"
+                || (header.starts_with("target.") && header.ends_with(".dependencies"));
+            header.strip_prefix("dependencies.")
+        } else if in_deps {
+            line.split(['=', '.']).next()
+        } else {
+            None
         };
-        if *dep == class.krate || allowed.contains(dep) {
+        let Some(dep) = key.and_then(|k| workspace_crate(k.trim().trim_matches('"'))) else {
             continue;
+        };
+        if !allowed.contains(&dep) {
+            out.push(finding(
+                idx + 1,
+                line,
+                format!(
+                    "layering violation: crate `{krate}` must not depend on `{dep}` — the \
+                     substrate DAG only allows [{}]",
+                    allowed.join(", ")
+                ),
+            ));
         }
-        out.push(diag_at(
-            ft,
-            rel_path,
-            i,
-            Rule::CrateLayering,
-            format!(
-                "layering violation: crate `{}` must not depend on `{}` — the \
-                 substrate DAG only allows [{}]",
-                class.krate,
-                dep,
-                allowed.join(", ")
-            ),
-        ));
     }
+    out
 }
 
 #[cfg(test)]
@@ -831,10 +689,12 @@ mod tests {
     #[test]
     fn classify_selects_rules_by_crate() {
         let t = classify("crates/tensor/src/ops.rs").expect("tensor file is scanned");
-        assert!(t.no_panic && t.wall_clock && t.missing_docs && t.shape_assert);
+        assert!(t.no_panic && t.shape_assert && t.epoch_loop);
         assert!(!t.atomic_relaxed_ok && !t.unchecked_arith);
         let b = classify("crates/bench/src/bin/exp_table4.rs").expect("bin file is scanned");
-        assert!(!b.no_panic && b.unseeded_rng && !b.wall_clock);
+        assert!(!b.no_panic && b.epoch_loop);
+        let p = classify("crates/train/src/pipeline.rs").expect("train file is scanned");
+        assert!(!p.epoch_loop, "the train crate owns the epoch loop");
         let o = classify("crates/obs/src/registry.rs").expect("obs file is scanned");
         assert!(o.atomic_relaxed_ok);
         let c = classify("crates/ckpt/src/frame.rs").expect("ckpt file is scanned");
@@ -903,15 +763,36 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
     }
 
+    fn layering(rel_path: &str, manifest: &str) -> Vec<usize> {
+        scan_manifest(rel_path, manifest)
+            .iter()
+            .map(|d| d.line)
+            .collect()
+    }
+
     #[test]
-    fn layering_pass_enforces_the_dag() {
-        let src = "use mhg_train::train;\nfn f() { train(); }\n";
-        let diags = scan_file("crates/tensor/src/fake.rs", src);
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::CrateLayering),
-            "{diags:?}"
+    fn manifest_layering_flags_edges_outside_the_dag() {
+        let models = "[package]\nname = \"mhg-models\"\n\n[dependencies]\nrand.workspace = true\nmhg-train.workspace = true\nhybridgnn.workspace = true\n";
+        assert_eq!(layering("crates/models/Cargo.toml", models), vec![7]);
+        let tensor = "[dependencies]\n\"mhg-par\" = { path = \"../par\" }\n\n[dependencies.mhg-train]\npath = \"../train\"\n[target.'cfg(unix)'.dependencies]\nmhg-models.workspace = true\n";
+        assert_eq!(layering("crates/tensor/Cargo.toml", tensor), vec![4, 7]);
+        // Only crate manifests are checked.
+        assert!(layering("crates/tensor/tests/Cargo.toml", tensor).is_empty());
+    }
+
+    #[test]
+    fn manifest_layering_ignores_dev_dependencies() {
+        let tensor = "[dependencies]\nmhg-par.workspace = true\n\n[dev-dependencies]\nmhg-train.workspace = true\nhybridgnn.workspace = true\n";
+        assert!(layering("crates/tensor/Cargo.toml", tensor).is_empty());
+    }
+
+    #[test]
+    fn manifest_layering_flags_crates_missing_from_the_dag() {
+        let diags = scan_manifest(
+            "crates/serve/Cargo.toml",
+            "[package]\nname = \"mhg-serve\"\n",
         );
-        let ok = scan_file("crates/models/src/fake.rs", src);
-        assert!(!ok.iter().any(|d| d.rule == Rule::CrateLayering), "{ok:?}");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), (Rule::CrateLayering, 1));
     }
 }

@@ -39,113 +39,6 @@ fn panic_fixture_is_exempt_in_bin_targets() {
 }
 
 #[test]
-fn write_fixture_fires_raw_file_write_outside_ckpt() {
-    let src = include_str!("fixtures/bad_write.rs");
-    // File::create + fs::write outside tests; the #[cfg(test)] write is
-    // exempt.
-    let fired = rules_fired("crates/bench/src/bad_write.rs", src);
-    assert_eq!(
-        count(&fired, Rule::RawFileWrite),
-        2,
-        "diagnostics: {fired:?}"
-    );
-    // The ckpt crate owns the atomic writer and is exempt.
-    let in_ckpt = rules_fired("crates/ckpt/src/bad_write.rs", src);
-    assert_eq!(
-        count(&in_ckpt, Rule::RawFileWrite),
-        0,
-        "diagnostics: {in_ckpt:?}"
-    );
-    // Bin targets are NOT exempt: result writers must also be atomic.
-    let in_bin = rules_fired("crates/bench/src/bin/bad_write.rs", src);
-    assert_eq!(
-        count(&in_bin, Rule::RawFileWrite),
-        2,
-        "diagnostics: {in_bin:?}"
-    );
-}
-
-#[test]
-fn eprintln_fixture_fires_outside_obs_and_bins() {
-    let src = include_str!("fixtures/bad_eprintln.rs");
-    // Two raw eprintln!s outside tests; the #[cfg(test)] one is exempt.
-    let fired = rules_fired("crates/train/src/bad_eprintln.rs", src);
-    assert_eq!(count(&fired, Rule::NoEprintln), 2, "diagnostics: {fired:?}");
-    // The obs crate owns the stderr sink and is exempt.
-    let in_obs = rules_fired("crates/obs/src/bad_eprintln.rs", src);
-    assert_eq!(
-        count(&in_obs, Rule::NoEprintln),
-        0,
-        "diagnostics: {in_obs:?}"
-    );
-    // Binary entry points talk to humans directly and are exempt.
-    let in_bin = rules_fired("crates/bench/src/bin/bad_eprintln.rs", src);
-    assert_eq!(
-        count(&in_bin, Rule::NoEprintln),
-        0,
-        "diagnostics: {in_bin:?}"
-    );
-    let in_main = rules_fired("crates/lint/src/main.rs", src);
-    assert_eq!(
-        count(&in_main, Rule::NoEprintln),
-        0,
-        "diagnostics: {in_main:?}"
-    );
-}
-
-#[test]
-fn rng_fixture_fires_unseeded_rng() {
-    let fired = rules_fired(
-        "crates/sampling/src/bad_rng.rs",
-        include_str!("fixtures/bad_rng.rs"),
-    );
-    // thread_rng, from_entropy, rand::random.
-    assert_eq!(
-        count(&fired, Rule::UnseededRng),
-        3,
-        "diagnostics: {fired:?}"
-    );
-}
-
-#[test]
-fn clock_fixture_fires_wall_clock_in_model_crates_only() {
-    let src = include_str!("fixtures/bad_clock.rs");
-    // std::time (use + return type), Instant::now, SystemTime::now.
-    let in_models = rules_fired("crates/models/src/bad_clock.rs", src);
-    assert_eq!(
-        count(&in_models, Rule::WallClock),
-        4,
-        "diagnostics: {in_models:?}"
-    );
-    // The eval crate is allowed to measure wall-clock time.
-    let in_eval = rules_fired("crates/eval/src/bad_clock.rs", src);
-    assert_eq!(
-        count(&in_eval, Rule::WallClock),
-        0,
-        "diagnostics: {in_eval:?}"
-    );
-}
-
-#[test]
-fn docs_fixture_fires_missing_docs_in_substrate_crates_only() {
-    let src = include_str!("fixtures/bad_docs.rs");
-    let in_tensor = rules_fired("crates/tensor/src/bad_docs.rs", src);
-    // Only `undocumented` — the documented and private fns are fine.
-    assert_eq!(
-        count(&in_tensor, Rule::MissingDocs),
-        1,
-        "diagnostics: {in_tensor:?}"
-    );
-    // Doc coverage is not (yet) enforced outside tensor/autograd/graph.
-    let in_models = rules_fired("crates/models/src/bad_docs.rs", src);
-    assert_eq!(
-        count(&in_models, Rule::MissingDocs),
-        0,
-        "diagnostics: {in_models:?}"
-    );
-}
-
-#[test]
 fn shape_fixture_fires_shape_assert_on_tensor_entry_points() {
     let src = include_str!("fixtures/bad_shape.rs");
     let in_ops = rules_fired("crates/tensor/src/ops.rs", src);
@@ -191,32 +84,6 @@ fn epoch_fixture_fires_everywhere_but_the_train_crate() {
 }
 
 #[test]
-fn thread_fixture_fires_raw_thread_outside_pool_crates() {
-    let src = include_str!("fixtures/bad_thread.rs");
-    // thread::spawn + thread::scope in library code; the `#[cfg(test)]`
-    // spawn is exempt.
-    let in_models = rules_fired("crates/models/src/bad_thread.rs", src);
-    assert_eq!(
-        count(&in_models, Rule::RawThread),
-        2,
-        "diagnostics: {in_models:?}"
-    );
-    // The pool crate and the pipeline crate own their threads.
-    let in_par = rules_fired("crates/par/src/bad_thread.rs", src);
-    assert_eq!(
-        count(&in_par, Rule::RawThread),
-        0,
-        "diagnostics: {in_par:?}"
-    );
-    let in_train = rules_fired("crates/train/src/bad_thread.rs", src);
-    assert_eq!(
-        count(&in_train, Rule::RawThread),
-        0,
-        "diagnostics: {in_train:?}"
-    );
-}
-
-#[test]
 fn clean_fixture_passes_every_rule() {
     // Scan under the strictest scoping: a tensor kernel file gets every rule.
     let fired = rules_fired(
@@ -226,46 +93,20 @@ fn clean_fixture_passes_every_rule() {
     assert!(fired.is_empty(), "diagnostics: {fired:?}");
 }
 
-/// Satellite 1 regression: these needles are split across line breaks, so a
-/// line-oriented scanner cannot see them — prove that, then prove the
-/// token-stream engine does.
+/// These needles are split across line breaks, so a line-oriented scanner
+/// cannot see them — prove that, then prove the token-stream engine does.
 #[test]
 fn multiline_needles_invisible_to_line_scanner_are_caught() {
     let src = include_str!("fixtures/bad_multiline.rs");
-    // The old scanner's view: no single line contains these needles.
+    // A line scanner's view: no single line contains these needles.
     for needle in [".expect(", "for epoch in"] {
         assert!(
             !src.lines().any(|l| l.contains(needle)),
             "fixture drifted: `{needle}` fits on one line again"
         );
     }
-    // The only single-line occurrences of `fs::write` / `rand::random` are
-    // the *false-positive* bait inside `memfs::write` / `my_rand::random` —
-    // a substring scanner would flag those and miss the real split call.
-    for (needle, bait) in [("fs::write", "memfs"), ("rand::random", "my_rand")] {
-        assert!(
-            src.lines()
-                .filter(|l| l.contains(needle))
-                .all(|l| l.contains(bait)),
-            "fixture drifted: `{needle}` appears outside its `{bait}` bait line"
-        );
-    }
     let fired = rules_fired("crates/models/src/bad_multiline.rs", src);
-    assert_eq!(count(&fired, Rule::NoPanic), 1, "diagnostics: {fired:?}");
-    assert_eq!(count(&fired, Rule::EpochLoop), 1, "diagnostics: {fired:?}");
-    // Exactly the split `std::fs::↵write` call — not the `memfs::write` bait.
-    let writes: Vec<usize> = fired
-        .iter()
-        .filter(|(r, _)| *r == Rule::RawFileWrite)
-        .map(|&(_, line)| line)
-        .collect();
-    assert_eq!(writes.len(), 1, "diagnostics: {fired:?}");
-    // Identifier-boundary exactness: `my_rand::random` must NOT fire.
-    assert_eq!(
-        count(&fired, Rule::UnseededRng),
-        0,
-        "diagnostics: {fired:?}"
-    );
+    assert_eq!(fired, vec![(Rule::NoPanic, 10), (Rule::EpochLoop, 16)]);
 }
 
 #[test]
@@ -375,36 +216,16 @@ fn heal_fixture_fires_on_repair_codec_path() {
 }
 
 #[test]
-fn layering_fixture_fires_on_inverted_dependencies() {
-    let src = include_str!("fixtures/bad_layering.rs");
-    // tensor must not reach up into train or bench; par is fine.
-    let in_tensor = rules_fired("crates/tensor/src/bad_layering.rs", src);
-    assert_eq!(
-        count(&in_tensor, Rule::CrateLayering),
-        2,
-        "diagnostics: {in_tensor:?}"
-    );
-    // models may depend on train, but not on bench — and not on par, which
-    // it reaches only indirectly through the train pipeline.
-    let in_models = rules_fired("crates/models/src/bad_layering.rs", src);
-    assert_eq!(
-        count(&in_models, Rule::CrateLayering),
-        2,
-        "diagnostics: {in_models:?}"
-    );
-}
-
-#[test]
 fn dead_and_unjustified_allowlist_entries_are_reported() {
     let allow = mhg_lint::parse_allowlist(
         "# justified but matches nothing\n\
          no-panic crates/models/src/gone.rs .unwrap()\n\
          \n\
-         unseeded-rng crates/models/src/bad_rng.rs thread_rng\n",
+         epoch-loop crates/models/src/bad_epoch.rs for epoch\n",
     );
     let diags = mhg_lint::scan_file(
-        "crates/models/src/bad_rng.rs",
-        include_str!("fixtures/bad_rng.rs"),
+        "crates/models/src/bad_epoch.rs",
+        include_str!("fixtures/bad_epoch.rs"),
     );
     let audit = mhg_lint::audit_allowlist(&allow, &diags);
     let rules: Vec<&str> = audit.iter().map(|d| d.rule.name()).collect();
@@ -412,20 +233,31 @@ fn dead_and_unjustified_allowlist_entries_are_reported() {
     assert!(rules.contains(&"unjustified-allow"), "audit: {audit:?}");
 }
 
-#[test]
-fn workspace_is_clean_under_allowlist() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> std::path::PathBuf {
+    let manifest_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest_dir
         .ancestors()
         .nth(2)
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_default();
-    let diags = mhg_lint::scan_workspace(&root).unwrap_or_default();
-    let allow_text = std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
+        .expect("crates/lint sits two levels below the workspace root")
+        .to_path_buf()
+}
+
+#[test]
+fn workspace_is_clean_under_allowlist() {
+    let root = workspace_root();
+    let diags = mhg_lint::scan_workspace(&root).expect("scan the workspace");
+    let allow_text = std::fs::read_to_string(root.join("lint.allow")).expect("read lint.allow");
     let allow = mhg_lint::parse_allowlist(&allow_text);
-    let open: Vec<_> = diags
-        .iter()
-        .filter(|d| !mhg_lint::is_allowed(d, &allow))
-        .collect();
+    let (allowed, open): (Vec<_>, Vec<_>) =
+        diags.iter().partition(|d| mhg_lint::is_allowed(d, &allow));
+    // The scan must have seen the code the allowlist exists for: a wrong
+    // root or an empty allowlist would otherwise pass with nothing scanned.
+    assert!(
+        !allow.is_empty() && allowed.len() >= allow.len(),
+        "{} allowlist entries but only {} allowlisted findings",
+        allow.len(),
+        allowed.len()
+    );
     assert!(
         open.is_empty(),
         "workspace has unsuppressed lint violations:\n{}",
@@ -446,4 +278,15 @@ fn workspace_is_clean_under_allowlist() {
             .collect::<Vec<_>>()
             .join("\n"),
     );
+}
+
+#[test]
+fn missing_allowlist_is_an_error_not_an_empty_list() {
+    let root = workspace_root();
+    let result = mhg_lint::run(
+        &root,
+        &root.join("no-such-lint.allow"),
+        mhg_lint::OutputFormat::Text,
+    );
+    assert!(result.is_err(), "got {result:?}");
 }

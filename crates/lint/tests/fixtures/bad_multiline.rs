@@ -1,8 +1,8 @@
-//! Fixture: needles split across line breaks — invisible to the old
+//! Fixture: needles split across line breaks — invisible to a
 //! line-oriented scanner, caught by the token-stream engine. Each bad
-//! construct below breaks its needle across a newline; the companion
-//! idents (`memfs::write`, `my_rand::random`) check identifier-boundary
-//! exactness. Never compiled.
+//! construct below breaks its needle across a newline, so no single line
+//! of this file holds either needle. The JSON report golden pins the
+//! positions of both findings. Never compiled.
 
 pub fn load(points: &[u64]) -> u64 {
     let first = points
@@ -18,17 +18,4 @@ pub fn train(epochs: usize) {
     {
         let _ = epoch;
     }
-}
-
-pub fn persist(bytes: &[u8]) {
-    std::fs::
-        write("out.bin", bytes)
-        .ok();
-}
-
-pub fn boundary_cases(bytes: &[u8]) -> u64 {
-    // These must NOT fire: `write` and `random` live inside other idents'
-    // paths (`memfs`, `my_rand` are not `fs` / `rand`).
-    memfs::write("out.bin", bytes);
-    my_rand::random()
 }

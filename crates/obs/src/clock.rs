@@ -27,6 +27,7 @@ pub struct RealClock {
 
 impl RealClock {
     /// A wall clock whose origin is "now".
+    #[expect(clippy::disallowed_methods, reason = "the one sanctioned clock read")]
     pub fn new() -> Self {
         Self {
             origin: Instant::now(),
@@ -109,6 +110,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "needs a second OS thread")]
     fn fake_clock_counters_are_per_thread() {
         let c = FakeClock::new(7);
         assert_eq!(c.now_ns(), 0);

@@ -15,12 +15,13 @@
 //! * sinks: a JSONL event/metric file written atomically through
 //!   `mhg_ckpt::atomic_write` on [`Obs::finish`], plus a human stderr
 //!   summary / notes channel. This crate is the only sanctioned
-//!   `eprintln!` site in the workspace — see the `no-eprintln` lint rule
-//!   in `mhg-lint`.
+//!   `eprintln!` site in the workspace outside binary entry points: the
+//!   workspace `clippy.toml` bans the macro everywhere else.
 //!
 //! Metric names are namespaced `<stage>/<metric>` (`train/sample`,
 //! `sampling/shard_occupancy`, …); the full scheme is documented in
 //! DESIGN.md §2.12 and in the README's "Reading metrics.jsonl" section.
+#![expect(clippy::disallowed_macros, reason = "this crate owns the stderr sink")]
 
 mod clock;
 mod config;

@@ -5,6 +5,7 @@
 //! recording threads must produce exactly the totals of a serial replay.
 //! This is the property that lets the kernel layer and the background
 //! sampler record from worker threads without locks or coordination.
+#![expect(clippy::disallowed_methods, reason = "needs real concurrent threads")]
 
 use mhg_obs::{MetricValue, Obs, Registry, HISTOGRAM_BUCKETS};
 use rand::rngs::StdRng;

@@ -16,6 +16,7 @@
 //! Because results never depend on the worker count, races on the global
 //! thread-count cell are benign: a kernel that observes a stale count only
 //! runs with different parallelism, not to a different answer.
+#![expect(clippy::disallowed_methods, reason = "this crate is the pool")]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

@@ -42,6 +42,7 @@ where
     P: Fn(usize) -> B + Sync,
     C: FnOnce(&mut dyn FnMut() -> Option<Result<B, SampleError>>) -> R,
 {
+    #[expect(clippy::disallowed_methods, reason = "the one producer thread")]
     thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<Result<B, SampleError>>(0);
         scope.spawn(move || {

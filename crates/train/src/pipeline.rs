@@ -1050,6 +1050,7 @@ mod tests {
 
     /// A corrupt latest checkpoint surfaces as a typed error, not a panic.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test damages a checkpoint")]
     fn corrupt_checkpoint_on_resume_is_a_typed_error() {
         let _g = faults_guard();
         mhg_faults::clear();

@@ -15,6 +15,7 @@
 //! HybridGNN on an 85/5/10 split, reports held-out metrics, and saves the
 //! per-relation embedding tables; `recommend` ranks type-compatible
 //! candidates for a node under a relation.
+#![expect(clippy::disallowed_macros, reason = "a CLI reports errors on stderr")]
 
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -20,6 +20,7 @@
 //!
 //! All tests hold [`hybridgnn_repro::faults::test_guard`] because the fault
 //! plan and its occurrence counters are process-global.
+#![expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 
 use std::path::PathBuf;
 use std::sync::Arc;

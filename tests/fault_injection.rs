@@ -5,6 +5,7 @@
 //!
 //! All tests hold [`hybridgnn_repro::faults::test_guard`] because the fault
 //! plan and its occurrence counters are process-global.
+#![expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 
 use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit};
 use hybridgnn_repro::faults::{self, FaultPlan, FaultSite};
