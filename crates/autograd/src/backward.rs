@@ -133,20 +133,20 @@ impl Graph<'_> {
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::ConcatRows(parts) => {
+                    let cols = g.cols();
                     let mut offset = 0;
                     for &p in parts {
                         let rows = self.value(p).rows();
-                        let indices: Vec<usize> = (offset..offset + rows).collect();
-                        accumulate(&mut grads, p, g.gather_rows(&indices));
+                        let block = &g.as_slice()[offset * cols..(offset + rows) * cols];
+                        accumulate(&mut grads, p, Tensor::from_vec(rows, cols, block.to_vec()));
                         offset += rows;
                     }
                 }
                 Op::SliceRows(a, start, end) => {
                     let src = self.value(*a);
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for (out_r, src_r) in (*start..*end).enumerate() {
-                        ga.set_row(src_r, g.row(out_r));
-                    }
+                    let cols = src.cols();
+                    let mut ga = Tensor::zeros(src.rows(), cols);
+                    ga.as_mut_slice()[start * cols..end * cols].copy_from_slice(g.as_slice());
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::RowDot(a, b) => {

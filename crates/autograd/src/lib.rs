@@ -42,4 +42,4 @@ mod validate;
 
 pub use graph::{Graph, Var};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use store::{Grad, GradStore, ParamId, ParamStore};
+pub use store::{Grad, GradStore, ParamId, ParamStore, RowGrad};

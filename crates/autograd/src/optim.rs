@@ -49,7 +49,8 @@ impl Sgd {
         prefix: &str,
         dict: &mhg_ckpt::StateDict,
     ) -> Result<(), mhg_ckpt::CkptError> {
-        self.lr = f32::from_bits(dict.u64(&format!("{prefix}/lr"))? as u32);
+        let key = format!("{prefix}/lr");
+        self.lr = f32::from_bits(narrow(dict.u64(&key)?, &key)?);
         Ok(())
     }
 }
@@ -60,8 +61,8 @@ impl Optimizer for Sgd {
             let value = params.value_mut(id);
             match grad {
                 Grad::Dense(g) => value.axpy(-self.lr, g),
-                Grad::Rows { rows, .. } => {
-                    for (&r, g) in rows {
+                Grad::Rows { rows } => {
+                    for (r, g) in rows.iter() {
                         for (v, gv) in value.row_mut(r).iter_mut().zip(g) {
                             *v -= self.lr * gv;
                         }
@@ -155,22 +156,26 @@ impl Adam {
         prefix: &str,
         dict: &mhg_ckpt::StateDict,
     ) -> Result<(), mhg_ckpt::CkptError> {
-        let ids = dict.u64s(&format!("{prefix}/ids"))?.to_vec();
+        let ids_key = format!("{prefix}/ids");
+        let ids = dict.u64s(&ids_key)?.to_vec();
         let mut states = BTreeMap::new();
         for raw64 in ids {
-            let raw = u32::try_from(raw64).map_err(|_| {
-                mhg_ckpt::CkptError::WrongType(format!("{prefix}/ids entry {raw64}"))
-            })?;
+            let raw = narrow(raw64, &ids_key)?;
             let m = dict.tensor(&format!("{prefix}/{raw}/m"))?.clone();
             let v = dict.tensor(&format!("{prefix}/{raw}/v"))?.clone();
-            let rows = dict.u64s(&format!("{prefix}/{raw}/rows"))?;
+            let rows_key = format!("{prefix}/{raw}/rows");
+            let rows = dict.u64s(&rows_key)?;
             if v.rows() != m.rows() || v.cols() != m.cols() || rows.len() != m.rows() {
                 return Err(mhg_ckpt::CkptError::ShapeMismatch(format!(
                     "adam state for parameter {raw}"
                 )));
             }
-            let row_steps = rows.iter().map(|&s| s as u32).collect();
-            let step = dict.u64(&format!("{prefix}/{raw}/step"))? as u32;
+            let row_steps = rows
+                .iter()
+                .map(|&s| narrow(s, &rows_key))
+                .collect::<Result<_, _>>()?;
+            let step_key = format!("{prefix}/{raw}/step");
+            let step = narrow(dict.u64(&step_key)?, &step_key)?;
             states.insert(
                 ParamId(raw),
                 AdamState {
@@ -184,6 +189,12 @@ impl Adam {
         self.states = states;
         Ok(())
     }
+}
+
+/// Narrows a checkpointed `u64` to the `u32` it was exported from.
+fn narrow(value: u64, key: &str) -> Result<u32, mhg_ckpt::CkptError> {
+    u32::try_from(value)
+        .map_err(|_| mhg_ckpt::CkptError::WrongType(format!("{key}: {value} does not fit in u32")))
 }
 
 impl Optimizer for Adam {
@@ -217,8 +228,8 @@ impl Optimizer for Adam {
                         *p -= lr * m_hat / (v_hat.sqrt() + eps);
                     }
                 }
-                Grad::Rows { rows, .. } => {
-                    for (&r, g) in rows {
+                Grad::Rows { rows } => {
+                    for (r, g) in rows.iter() {
                         state.row_steps[r] += 1;
                         let t = state.row_steps[r] as f32;
                         let bc1 = 1.0 - b1.powf(t);
@@ -313,6 +324,38 @@ mod tests {
         assert!(t.row(1).iter().all(|&v| v == 0.0));
         assert!(t.row(3).iter().all(|&v| v == 0.0));
         assert!(t.row(2).iter().all(|&v| (v - 1.0).abs() < 0.05), "{t:?}");
+    }
+
+    #[test]
+    fn import_rejects_counts_that_overflow_u32() {
+        use mhg_ckpt::{CkptError, StateDict};
+        let too_big = u64::from(u32::MAX) + 1;
+        let mut params = ParamStore::new();
+        let table = params.register("emb", Tensor::zeros(2, 1));
+        let mut grads = GradStore::new();
+        grads.accumulate_row(table, 0, &[1.0]);
+        let mut adam = Adam::new(0.1);
+        adam.step(&mut params, &grads);
+        let mut dict = StateDict::new();
+        adam.export_state("adam", &mut dict);
+        assert!(Adam::new(0.1).import_state("adam", &dict).is_ok());
+        let mut bad_rows = dict.clone();
+        bad_rows.put_u64s("adam/0/rows", vec![too_big, 0]);
+        let mut bad_step = dict;
+        bad_step.put_u64("adam/0/step", too_big);
+        for bad in [bad_rows, bad_step] {
+            assert!(matches!(
+                Adam::new(0.1).import_state("adam", &bad),
+                Err(CkptError::WrongType(_))
+            ));
+        }
+
+        let mut dict = StateDict::new();
+        dict.put_u64("sgd/lr", too_big);
+        assert!(matches!(
+            Sgd::new(0.1).import_state("sgd", &dict),
+            Err(CkptError::WrongType(_))
+        ));
     }
 
     #[test]

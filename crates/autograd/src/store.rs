@@ -144,13 +144,10 @@ impl fmt::Debug for ParamStore {
 pub enum Grad {
     /// Dense gradient with the parameter's full shape.
     Dense(Tensor),
-    /// Sparse per-row gradients (row index → gradient row).
+    /// Sparse per-row gradients.
     Rows {
-        /// Width of every gradient row.
-        cols: usize,
-        /// Accumulated row gradients (ordered, so iteration order —
-        /// and anything serialized or reduced from it — is deterministic).
-        rows: BTreeMap<usize, Vec<f32>>,
+        /// The touched rows and their accumulated gradients.
+        rows: RowGrad,
     },
 }
 
@@ -159,29 +156,152 @@ impl Grad {
     pub fn norm_sq(&self) -> f32 {
         match self {
             Grad::Dense(t) => t.norm_sq(),
-            Grad::Rows { rows, .. } => rows
-                .values()
-                .map(|r| r.iter().map(|v| v * v).sum::<f32>())
+            Grad::Rows { rows } => rows
+                .iter()
+                .map(|(_, r)| r.iter().map(|v| v * v).sum::<f32>())
                 .sum(),
         }
     }
 
     /// Scales the gradient in place.
     pub fn scale_in_place(&mut self, s: f32) {
-        match self {
-            Grad::Dense(t) => {
-                for v in t.as_mut_slice() {
-                    *v *= s;
+        let values = match self {
+            Grad::Dense(t) => t.as_mut_slice(),
+            Grad::Rows { rows } => &mut rows.data,
+        };
+        for v in values {
+            *v *= s;
+        }
+    }
+}
+
+/// Slot-table entry of a row with no gradient.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Sparse gradient of an embedding table, stored as a row-slot table.
+///
+/// `slots[r]` is the slot of row `r` (or [`UNTOUCHED`]); slot `s` holds the
+/// row's gradient in `data[s * cols..(s + 1) * cols]`. Slots are handed out
+/// in first-touch order, while [`RowGrad::iter`] walks the table, so every
+/// reader — and anything reduced from it — sees the rows in ascending row
+/// order.
+#[derive(Debug, Clone)]
+pub struct RowGrad {
+    cols: usize,
+    slots: Vec<u32>,
+    data: Vec<f32>,
+    /// Number of touched rows, which is also the next free slot.
+    touched: usize,
+    /// Call scratch of [`RowGrad::add_gather`], kept to reuse its capacity:
+    /// the call's `(row, input position)` pairs, and one row of partial sums.
+    order: Vec<(u32, usize)>,
+    partial: Vec<f32>,
+}
+
+impl RowGrad {
+    fn new(cols: usize) -> Self {
+        Self {
+            cols,
+            slots: Vec::new(),
+            data: Vec::new(),
+            touched: 0,
+            order: Vec::new(),
+            partial: Vec::new(),
+        }
+    }
+
+    /// Width of every gradient row.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Iterates over `(row, gradient row)` pairs in ascending row order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[f32])> {
+        let cols = self.cols;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != UNTOUCHED)
+            .map(move |(r, &s)| {
+                let at = s as usize * cols;
+                (r, &self.data[at..at + cols])
+            })
+    }
+
+    /// The gradient row of `row`, and whether it was untouched until now:
+    /// an untouched row gets a fresh zero-filled slot.
+    fn row_mut(&mut self, row: usize) -> (&mut [f32], bool) {
+        if row >= self.slots.len() {
+            self.slots.resize(row + 1, UNTOUCHED);
+        }
+        let fresh = self.slots[row] == UNTOUCHED;
+        if fresh {
+            assert!(self.touched < UNTOUCHED as usize, "row-slot table is full");
+            self.slots[row] = self.touched as u32;
+            self.touched += 1;
+            self.data.resize(self.data.len() + self.cols, 0.0);
+        }
+        let at = self.slots[row] as usize * self.cols;
+        (&mut self.data[at..at + self.cols], fresh)
+    }
+
+    /// Grows `data` once for the new rows among `order` (sorted by row).
+    /// Capacity doubles, but never past `slots.len()` rows: the buffer
+    /// stays within the size of the dense gradient.
+    fn reserve_for(&mut self, order: &[(u32, usize)]) {
+        let Some(&(max_row, _)) = order.last() else {
+            return;
+        };
+        if max_row as usize >= self.slots.len() {
+            self.slots.resize(max_row as usize + 1, UNTOUCHED);
+        }
+        let fresh = order
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|group| self.slots[group[0].0 as usize] == UNTOUCHED)
+            .count();
+        let need = (self.touched + fresh) * self.cols;
+        if need > self.data.capacity() {
+            let cap = (2 * self.data.capacity()).clamp(need, self.slots.len() * self.cols);
+            self.data.reserve_exact(cap - self.data.len());
+        }
+    }
+
+    /// Adds `grad.row(r)` into row `indices[r]` for every `r`. Each distinct
+    /// row's contributions first sum into a partial `0.0 + g₁ + g₂ + …` in
+    /// input order; a new row stores the partial, an existing one becomes
+    /// `existing + partial`.
+    fn add_gather(&mut self, indices: &[u32], grad: &Tensor) {
+        let mut order = std::mem::take(&mut self.order);
+        let mut partial = std::mem::take(&mut self.partial);
+        order.clear();
+        order.extend(indices.iter().enumerate().map(|(r, &idx)| (idx, r)));
+        // Unique keys; within one row the positions keep input order.
+        order.sort_unstable();
+        self.reserve_for(&order);
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let (dst, fresh) = self.row_mut(group[0].0 as usize);
+            if fresh {
+                for &(_, r) in group {
+                    add_into(dst, grad.row(r));
                 }
-            }
-            Grad::Rows { rows, .. } => {
-                for r in rows.values_mut() {
-                    for v in r {
-                        *v *= s;
-                    }
+            } else {
+                partial.clear();
+                partial.resize(dst.len(), 0.0);
+                for &(_, r) in group {
+                    add_into(&mut partial, grad.row(r));
                 }
+                add_into(dst, &partial);
             }
         }
+        self.order = order;
+        self.partial = partial;
+    }
+}
+
+/// `dst += src`, element by element.
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -209,14 +329,11 @@ impl GradStore {
                 self.grads.insert(id, Grad::Dense(grad));
             }
             Some(Grad::Dense(existing)) => existing.axpy(1.0, &grad),
-            Some(Grad::Rows { cols, rows }) => {
-                // Promote by folding the dense grad into rows.
-                assert_eq!(*cols, grad.cols(), "gradient width mismatch");
+            Some(Grad::Rows { rows }) => {
+                // Fold the dense grad into rows: every row becomes touched.
+                assert_eq!(rows.cols, grad.cols(), "gradient width mismatch");
                 for r in 0..grad.rows() {
-                    let entry = rows.entry(r).or_insert_with(|| vec![0.0; *cols]);
-                    for (e, g) in entry.iter_mut().zip(grad.row(r)) {
-                        *e += g;
-                    }
+                    add_into(rows.row_mut(r).0, grad.row(r));
                 }
             }
         }
@@ -227,27 +344,16 @@ impl GradStore {
         match self.grads.get_mut(&id) {
             Some(Grad::Dense(existing)) => {
                 assert_eq!(existing.cols(), grad_row.len(), "gradient width mismatch");
-                for (e, g) in existing.row_mut(row).iter_mut().zip(grad_row) {
-                    *e += g;
-                }
+                add_into(existing.row_mut(row), grad_row);
             }
-            Some(Grad::Rows { cols, rows }) => {
-                assert_eq!(*cols, grad_row.len(), "gradient width mismatch");
-                let entry = rows.entry(row).or_insert_with(|| vec![0.0; *cols]);
-                for (e, g) in entry.iter_mut().zip(grad_row) {
-                    *e += g;
-                }
+            Some(Grad::Rows { rows }) => {
+                assert_eq!(rows.cols, grad_row.len(), "gradient width mismatch");
+                add_into(rows.row_mut(row).0, grad_row);
             }
             None => {
-                let mut rows = BTreeMap::new();
-                rows.insert(row, grad_row.to_vec());
-                self.grads.insert(
-                    id,
-                    Grad::Rows {
-                        cols: grad_row.len(),
-                        rows,
-                    },
-                );
+                let mut rows = RowGrad::new(grad_row.len());
+                rows.row_mut(row).0.copy_from_slice(grad_row);
+                self.grads.insert(id, Grad::Rows { rows });
             }
         }
     }
@@ -255,19 +361,14 @@ impl GradStore {
     /// Accumulates the gradient of a whole gathered batch at once:
     /// `grad.row(r)` is added into row `indices[r]` of parameter `id`.
     ///
-    /// Runs on the `mhg-par` pool while keeping the sparse representation:
-    /// workers build partial row maps over fixed destination-index ranges
-    /// (each destination row's contributions are visited in input order, so
-    /// its sum is the same for any partition of the index space), and the
-    /// disjoint partials merge in partition order — bit-identical for any
-    /// worker count.
+    /// Runs serially: a batch is a few hundred rows, far below what a worker
+    /// thread costs to start. See [`RowGrad`] for the layout.
     ///
     /// # Panics
     ///
     /// Panics if `indices.len() != grad.rows()` or the width mismatches an
     /// existing gradient for `id`.
     pub fn accumulate_gather(&mut self, id: ParamId, indices: &[u32], grad: &Tensor) {
-        use std::collections::btree_map::Entry;
         assert_eq!(
             indices.len(),
             grad.rows(),
@@ -278,51 +379,13 @@ impl GradStore {
         if indices.is_empty() {
             return;
         }
-        if let Some(Grad::Dense(existing)) = self.grads.get_mut(&id) {
-            existing.scatter_add_rows(indices, grad);
-            return;
-        }
-        let cols = grad.cols();
-        let span = indices
-            .iter()
-            .map(|&i| i as usize)
-            .max()
-            .map_or(0, |m| m + 1);
-        let partials = mhg_par::par_partitions(span, indices.len() * (cols + 1), |range| {
-            let mut map: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
-            for (r, &idx) in indices.iter().enumerate() {
-                let idx = idx as usize;
-                if range.contains(&idx) {
-                    let entry = map.entry(idx).or_insert_with(|| vec![0.0; cols]);
-                    for (e, g) in entry.iter_mut().zip(grad.row(r)) {
-                        *e += g;
-                    }
-                }
-            }
-            map
-        });
         match self.grads.entry(id).or_insert_with(|| Grad::Rows {
-            cols,
-            rows: BTreeMap::new(),
+            rows: RowGrad::new(grad.cols()),
         }) {
-            // Unreachable in practice (handled above), but kept correct.
             Grad::Dense(existing) => existing.scatter_add_rows(indices, grad),
-            Grad::Rows { cols: width, rows } => {
-                assert_eq!(*width, cols, "gradient width mismatch");
-                for map in partials {
-                    for (row, partial) in map {
-                        match rows.entry(row) {
-                            Entry::Occupied(mut e) => {
-                                for (a, b) in e.get_mut().iter_mut().zip(&partial) {
-                                    *a += b;
-                                }
-                            }
-                            Entry::Vacant(v) => {
-                                v.insert(partial);
-                            }
-                        }
-                    }
-                }
+            Grad::Rows { rows } => {
+                assert_eq!(rows.cols, grad.cols(), "gradient width mismatch");
+                rows.add_gather(indices, grad);
             }
         }
     }
@@ -378,11 +441,9 @@ impl GradStore {
         match self.grads.get(&id) {
             None => {}
             Some(Grad::Dense(t)) => out = t.clone(),
-            Some(Grad::Rows { rows: map, .. }) => {
-                for (&r, g) in map {
-                    for (o, v) in out.row_mut(r).iter_mut().zip(g) {
-                        *o += v;
-                    }
+            Some(Grad::Rows { rows }) => {
+                for (r, g) in rows.iter() {
+                    add_into(out.row_mut(r), g);
                 }
             }
         }
@@ -422,10 +483,10 @@ mod tests {
         gs.accumulate_row(id, 5, &[1.0, 2.0]);
         gs.accumulate_row(id, 0, &[3.0, 0.0]);
         match gs.get(id).unwrap() {
-            Grad::Rows { rows, cols } => {
-                assert_eq!(*cols, 2);
-                assert_eq!(rows.len(), 2);
-                assert_eq!(rows[&5], vec![2.0, 4.0]);
+            Grad::Rows { rows } => {
+                assert_eq!(rows.cols(), 2);
+                let got: Vec<(usize, &[f32])> = rows.iter().collect();
+                assert_eq!(got, [(0, &[3.0, 0.0][..]), (5, &[2.0, 4.0][..])]);
             }
             _ => panic!("expected sparse grad"),
         }

@@ -201,14 +201,15 @@ impl Graph<'_> {
                     );
                     t.assert_finite(&format!("gradient of `{name}`"));
                 }
-                Grad::Rows { cols, rows } => {
+                Grad::Rows { rows } => {
                     assert_eq!(
-                        *cols, pshape.cols,
+                        rows.cols(),
+                        pshape.cols,
                         "sparse gradient width for `{name}` does not match \
                          parameter width {}",
                         pshape.cols,
                     );
-                    for (&r, row) in rows {
+                    for (r, row) in rows.iter() {
                         assert!(
                             r < pshape.rows,
                             "sparse gradient row {r} out of bounds for `{name}` \

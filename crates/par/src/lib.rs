@@ -268,39 +268,6 @@ where
     })
 }
 
-/// Partitions `0..units` into per-worker ranges, runs `part` on each range,
-/// and returns the partial results **in partition order** so callers can
-/// reduce them with a fixed, thread-count-driven-but-result-invariant order.
-///
-/// Used for scatter-add style reductions: each worker builds a partial over
-/// its fixed range, and the caller merges partials in range order.
-pub fn par_partitions<T, F>(units: usize, total_work: usize, part: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let per_unit = total_work / units.max(1);
-    let n_workers = workers(units, per_unit);
-    if n_workers <= 1 {
-        return vec![part(0..units)];
-    }
-    thread::scope(|scope| {
-        let part = &part;
-        let handles: Vec<_> = (1..n_workers)
-            .map(|idx| {
-                let range = split_range(units, n_workers, idx);
-                scope.spawn(move || part(range))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n_workers);
-        out.push(part(split_range(units, n_workers, 0)));
-        for handle in handles {
-            out.push(join(handle));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,21 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn par_partitions_returns_ranges_in_order() {
-        for threads in [1usize, 2, 4] {
-            let parts = with_threads(threads, || {
-                par_partitions(1000, 1000 * 64, |range| range.clone())
-            });
-            let mut next = 0usize;
-            for r in &parts {
-                assert_eq!(r.start, next);
-                next = r.end;
-            }
-            assert_eq!(next, 1000);
-        }
-    }
-
-    #[test]
     fn par_join_returns_both_results() {
         for threads in [1usize, 2] {
             let (a, b) = with_threads(threads, || par_join(|| 2 + 2, || "ok"));
@@ -402,7 +354,5 @@ mod tests {
         let mut empty: [f32; 0] = [];
         par_chunks_mut(&mut empty, 4, 100, |_, _| {});
         assert_eq!(par_map_collect(0, |i| i), Vec::<usize>::new());
-        let parts = par_partitions(0, 0, |r| r.len());
-        assert_eq!(parts, vec![0]);
     }
 }

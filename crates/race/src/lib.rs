@@ -238,9 +238,9 @@ pub mod hist {
 }
 
 pub mod reduce {
-    //! Sub-operation models of the `mhg-par` scatter-add reduction
-    //! (`par_partitions` + caller-side merge), mirroring
-    //! `GradStore::accumulate_gather`.
+    //! Sub-operation models of the destination-partitioned scatter-add
+    //! reduction, mirroring `Tensor::scatter_add_rows` (each `mhg-par`
+    //! worker owns a fixed range of destination rows).
 
     use super::Range;
 
