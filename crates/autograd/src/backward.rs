@@ -56,7 +56,7 @@ impl Graph<'_> {
                 Op::MatMul(a, b) => {
                     // C = A·B ⇒ dA = dC·Bᵀ, dB = Aᵀ·dC
                     let ga = g.matmul_transposed(self.value(*b));
-                    let gb = self.value(*a).transpose().matmul(&g);
+                    let gb = self.value(*a).transposed_matmul(&g);
                     accumulate(&mut grads, *a, ga);
                     accumulate(&mut grads, *b, gb);
                 }

@@ -264,8 +264,7 @@ impl<'s> Graph<'s> {
 
     /// Column-wise sum producing a `1 × d` row vector.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let src = self.value(a);
-        let value = src.mean_rows().scale(src.rows() as f32);
+        let value = self.value(a).sum_rows();
         self.push(value, Op::SumRows(a))
     }
 

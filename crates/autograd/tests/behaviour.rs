@@ -168,3 +168,24 @@ fn backward_rejects_non_scalar() {
     let wv = g.param(w);
     let _ = g.backward(wv);
 }
+
+#[test]
+fn sum_rows_is_the_zero_seeded_column_sum() {
+    // `mean · n` rounds twice and lands one ulp away: 0.53899026.
+    let xs = [
+        0.904_934_76_f32,
+        0.155_589_61,
+        -0.081_736_53,
+        -0.461_441_04,
+        0.095_992_62,
+        0.914_232_55,
+        -0.988_581_7,
+    ];
+    let params = ParamStore::new();
+    let mut g = Graph::new(&params);
+    let x = g.constant(Tensor::from_vec(xs.len(), 1, xs.to_vec()));
+    let s = g.sum_rows(x);
+    let direct = xs.iter().fold(0.0f32, |acc, v| acc + v);
+    assert_eq!(g.scalar(s).to_bits(), direct.to_bits());
+    assert_eq!(g.scalar(s), 0.538_990_2);
+}

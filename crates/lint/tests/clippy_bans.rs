@@ -51,6 +51,18 @@ fn fs_write_is_banned() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "exercises the ban")]
+fn f32_mul_add_is_banned() {
+    assert_eq!(2.0f32.mul_add(3.0, 1.0), 7.0);
+}
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "exercises the ban")]
+fn f64_mul_add_is_banned() {
+    assert_eq!(2.0f64.mul_add(3.0, 1.0), 7.0);
+}
+
+#[test]
 #[expect(clippy::disallowed_macros, reason = "exercises the ban")]
 fn eprintln_is_banned() {
     eprintln!();

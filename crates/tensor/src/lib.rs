@@ -26,7 +26,7 @@ mod shape;
 mod tensor;
 
 pub use init::{xavier_uniform, InitKind};
-pub use ops::{log_sigmoid, sigmoid_scalar};
+pub use ops::{log_sigmoid, sigmoid_scalar, GEMM_MR, GEMM_NR};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -1,10 +1,12 @@
 //! Dense kernels: matmul, elementwise arithmetic, reductions, softmax.
 //!
 //! These are the only numeric kernels the whole reproduction needs. They are
-//! deliberately BLAS-free: matrix sizes in the paper's model are small
-//! (hidden dims 2–512, batch 2048), so a cache-friendly `ikj` loop with the
-//! inner loop auto-vectorised by LLVM is more than adequate and keeps the
-//! build hermetic.
+//! deliberately BLAS-free, which keeps the build hermetic and every bit
+//! under this crate's control. All three dense products (`A·B`, `A·Bᵀ`,
+//! `Aᵀ·B`) run through one GEMM core that reads `A` through a strided view
+//! and keeps a `GEMM_MR × GEMM_NR` block of outputs in registers; small
+//! shapes take a scalar loop instead. Both sum every output in ascending
+//! `k` from `0.0`, so the path never changes a bit.
 //!
 //! The hot kernels (matmul, transpose, elementwise, softmax, gather/scatter)
 //! run on the `mhg-par` worker pool. Each kernel partitions its *output* into
@@ -32,11 +34,163 @@ fn guard_scalar(v: f32, _op: &str) -> f32 {
     v
 }
 
+/// Output rows of the GEMM register tile.
+pub const GEMM_MR: usize = 4;
+/// Output columns of the GEMM register tile: the width of one packed
+/// column panel of `B`.
+pub const GEMM_NR: usize = 8;
+/// Smallest `k` that runs the tiled path: a tile's fixed cost (zeroing,
+/// storing, packing its rows of `A`) is repaid over its `k` steps.
+const TILED_MIN_K: usize = 16;
+/// Smallest multiply-add count that runs the tiled path: below it, the
+/// two packing buffers cost more than the scalar loops lose.
+const TILED_MIN_MACS: usize = 4096;
+
+/// Gathered elements counted as one scalar op of `mhg-par` work.
+const GATHER_ELEMS_PER_OP: usize = 32;
+
+/// A read-only matrix operand: element `(r, c)` is `data[r * rs + c * cs]`.
+/// A row-major tensor is read with strides `(cols, 1)`, its transpose
+/// with `(1, cols)`, so one of the two strides is always 1.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> View<'a> {
+    fn of(t: &'a Tensor) -> Self {
+        Self {
+            data: t.as_slice(),
+            rs: t.cols(),
+            cs: 1,
+        }
+    }
+
+    fn transposed(t: &'a Tensor) -> Self {
+        Self {
+            data: t.as_slice(),
+            rs: 1,
+            cs: t.cols(),
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self, r: usize, c: usize) -> f32 {
+        self.data[r * self.rs + c * self.cs]
+    }
+}
+
+/// The one GEMM core: `A · B` for an `m × k` view `a` and a `k × n` view
+/// `b`.
+///
+/// Every output is `0.0 + a₀b₀ + a₁b₁ + …`, each product rounded before
+/// its add and the sum taken in ascending `k`, on every path, tile edge and
+/// worker count. Only independent outputs are computed side by side; no
+/// sum is ever split or reordered.
+///
+/// Large shapes pack `b` once into zero-padded `k × GEMM_NR` column panels
+/// and each block of `GEMM_MR` rows of `a` into a `k × GEMM_MR` strip,
+/// then keep the `GEMM_MR × GEMM_NR` outputs of each (strip, panel) pair
+/// in registers across the whole `k` loop ([`gemm_tile`]). Padding rows
+/// and columns compute outputs that are never stored. Shapes below one
+/// tile, `TILED_MIN_K` or `TILED_MIN_MACS` run a scalar loop with no
+/// allocation that walks `b` along its contiguous axis. It is inlined
+/// into each product, so the strides that product fixes fold away.
+#[inline(always)]
+fn gemm(a: View<'_>, b: View<'_>, m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = Tensor::zeros(m, n);
+    if out.is_empty() || k == 0 {
+        return out;
+    }
+    let tiled = m >= GEMM_MR && n >= GEMM_NR && k >= TILED_MIN_K && m * k * n >= TILED_MIN_MACS;
+    if !tiled {
+        mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
+            for (ii, c_row) in chunk.chunks_exact_mut(n).enumerate() {
+                let i = i0 + ii;
+                if b.cs == 1 {
+                    // Rows of `b` are contiguous: add `a[i,p] · b[p,:]` to
+                    // the whole output row, one `k` step at a time.
+                    let a_row = a.data[i * a.rs..].iter().step_by(a.cs);
+                    for (p, &a_ip) in a_row.take(k).enumerate() {
+                        let b_row = &b.data[p * b.rs..p * b.rs + n];
+                        for (c, &b_pj) in c_row.iter_mut().zip(b_row) {
+                            *c += a_ip * b_pj;
+                        }
+                    }
+                } else {
+                    // Columns of `b` are contiguous: only `self · rhsᵀ`
+                    // reads `b` this way, and its `a` is row-major.
+                    debug_assert_eq!(a.cs, 1, "a column-contiguous `b` needs a row-major `a`");
+                    let a_row = &a.data[i * a.rs..i * a.rs + k];
+                    for (j, c) in c_row.iter_mut().enumerate() {
+                        let b_col = &b.data[j * b.cs..j * b.cs + k];
+                        let mut acc = 0.0;
+                        for (&a_ip, &b_pj) in a_row.iter().zip(b_col) {
+                            acc += a_ip * b_pj;
+                        }
+                        *c = acc;
+                    }
+                }
+            }
+        });
+        return out;
+    }
+    let mut panels = vec![0.0; n.div_ceil(GEMM_NR) * k * GEMM_NR];
+    for (jp, panel) in panels.chunks_exact_mut(k * GEMM_NR).enumerate() {
+        let j0 = jp * GEMM_NR;
+        let w = GEMM_NR.min(n - j0);
+        for (p, row) in panel.chunks_exact_mut(GEMM_NR).enumerate() {
+            for (jj, v) in row[..w].iter_mut().enumerate() {
+                *v = b.at(p, j0 + jj);
+            }
+        }
+    }
+    mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
+        let mut strip = vec![0.0; k * GEMM_MR];
+        for (blk, c_blk) in chunk.chunks_mut(GEMM_MR * n).enumerate() {
+            let r0 = i0 + blk * GEMM_MR;
+            let h = c_blk.len() / n;
+            for (p, col) in strip.chunks_exact_mut(GEMM_MR).enumerate() {
+                for (ii, v) in col.iter_mut().enumerate() {
+                    *v = if ii < h { a.at(r0 + ii, p) } else { 0.0 };
+                }
+            }
+            for (jp, panel) in panels.chunks_exact(k * GEMM_NR).enumerate() {
+                let tile = gemm_tile(&strip, panel);
+                let j0 = jp * GEMM_NR;
+                let w = GEMM_NR.min(n - j0);
+                for (c_row, t_row) in c_blk.chunks_exact_mut(n).zip(&tile) {
+                    c_row[j0..j0 + w].copy_from_slice(&t_row[..w]);
+                }
+            }
+        }
+    });
+    out
+}
+
+/// The register tile: `strip` holds `GEMM_MR` values of `A` per `k` step,
+/// `panel` holds `GEMM_NR` values of `B` per `k` step. Each of the
+/// `GEMM_MR × GEMM_NR` outputs is its own ascending-`k` sum, so the loop
+/// vectorizes across outputs without reassociating any of them.
+#[inline(always)]
+fn gemm_tile(strip: &[f32], panel: &[f32]) -> [[f32; GEMM_NR]; GEMM_MR] {
+    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+    let (a_steps, _) = strip.as_chunks::<GEMM_MR>();
+    let (b_steps, _) = panel.as_chunks::<GEMM_NR>();
+    for (a_p, b_p) in a_steps.iter().zip(b_steps) {
+        for (acc_row, &a_ip) in acc.iter_mut().zip(a_p) {
+            for (c, &b_pj) in acc_row.iter_mut().zip(b_p) {
+                *c += a_ip * b_pj;
+            }
+        }
+    }
+    acc
+}
+
 impl Tensor {
     /// Matrix product `self · rhs`.
-    ///
-    /// Uses `ikj` loop order so the innermost loop walks both the output row
-    /// and the `rhs` row contiguously (auto-vectorises well).
     ///
     /// # Panics
     ///
@@ -49,31 +203,17 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() || k == 0 {
-            return guard(out, "matmul");
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        // Branch-free inner loop: a zero-skip test here would block LLVM
-        // from vectorising the fused multiply-add over the output row.
-        mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
-            for (ii, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = i0 + ii;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (kk, &a_ik) in a_row.iter().enumerate() {
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (c_v, b_v) in c_row.iter_mut().zip(b_row) {
-                        *c_v += a_ik * b_v;
-                    }
-                }
-            }
-        });
+        let out = gemm(
+            View::of(self),
+            View::of(rhs),
+            self.rows(),
+            self.cols(),
+            rhs.cols(),
+        );
         guard(out, "matmul")
     }
 
-    /// Matrix product `self · rhsᵀ` without materialising the transpose.
+    /// Matrix product `self · rhsᵀ`.
     ///
     /// # Panics
     ///
@@ -86,28 +226,37 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let (m, k, n) = (self.rows(), self.cols(), rhs.rows());
-        let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return guard(out, "matmul_transposed");
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
-            for (ii, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = i0 + ii;
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, out_v) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (a_v, b_v) in a_row.iter().zip(b_row) {
-                        acc += a_v * b_v;
-                    }
-                    *out_v = acc;
-                }
-            }
-        });
+        let out = gemm(
+            View::of(self),
+            View::transposed(rhs),
+            self.rows(),
+            self.cols(),
+            rhs.rows(),
+        );
         guard(out, "matmul_transposed")
+    }
+
+    /// Matrix product `selfᵀ · rhs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn transposed_matmul(&self, rhs: &Tensor) -> Tensor {
+        assert_eq!(
+            self.rows(),
+            rhs.rows(),
+            "transposed_matmul shape mismatch: {}ᵀ · {}",
+            self.shape(),
+            rhs.shape()
+        );
+        let out = gemm(
+            View::transposed(self),
+            View::of(rhs),
+            self.cols(),
+            self.rows(),
+            rhs.cols(),
+        );
+        guard(out, "transposed_matmul")
     }
 
     /// Returns the transposed tensor.
@@ -240,17 +389,24 @@ impl Tensor {
         }
     }
 
-    /// Column-wise mean: returns a `1 × cols` tensor.
-    pub fn mean_rows(&self) -> Tensor {
+    /// Column-wise sum: returns a `1 × cols` tensor whose column `c` is
+    /// `0.0 + x₀c + x₁c + …` in row order.
+    pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols());
-        if self.rows() == 0 {
-            return out;
-        }
         for row in self.rows_iter() {
             for (o, v) in out.row_mut(0).iter_mut().zip(row) {
                 *o += v;
             }
         }
+        guard(out, "sum_rows")
+    }
+
+    /// Column-wise mean: returns a `1 × cols` tensor.
+    pub fn mean_rows(&self) -> Tensor {
+        if self.rows() == 0 {
+            return Tensor::zeros(1, self.cols());
+        }
+        let mut out = self.sum_rows();
         let inv = 1.0 / self.rows() as f32;
         for o in out.as_mut_slice() {
             *o *= inv;
@@ -340,7 +496,13 @@ impl Tensor {
             return guard(out, "gather_rows");
         }
         let src = self.as_slice();
-        mhg_par::par_chunks_mut(out.as_mut_slice(), cols, cols, |r0, chunk| {
+        // A row copy is a memcpy, far cheaper per element than the scalar
+        // op `mhg-par`'s fan-out floor assumes. Counting one op per
+        // `GATHER_ELEMS_PER_OP` elements puts the two-worker threshold at
+        // 2^20 gathered elements, where two threads start to win (DESIGN
+        // §2.10).
+        let work_per_row = cols.div_ceil(GATHER_ELEMS_PER_OP);
+        mhg_par::par_chunks_mut(out.as_mut_slice(), cols, work_per_row, |r0, chunk| {
             for (i, dst) in chunk.chunks_exact_mut(cols).enumerate() {
                 let idx = indices[r0 + i];
                 dst.copy_from_slice(&src[idx * cols..(idx + 1) * cols]);
@@ -460,9 +622,11 @@ mod tests {
     fn matmul_transposed_agrees_with_explicit_transpose() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Tensor::from_rows(&[&[7.0, 8.0, 9.0], &[1.0, 0.5, -1.0]]);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let via_t = a.matmul(&b.transpose());
-        let direct = a.matmul_transposed(&b);
-        assert!(via_t.max_abs_diff(&direct) < 1e-6);
+        assert_eq!(bits(&a.matmul_transposed(&b)), bits(&via_t));
+        let at_b = a.transpose().transposed_matmul(&b.transpose());
+        assert_eq!(bits(&at_b), bits(&via_t));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit};
 use hybridgnn_repro::graph::MultiplexGraph;
 use hybridgnn_repro::model::{HybridConfig, HybridGnn};
-use hybridgnn_repro::models::{CommonConfig, DeepWalk, EmbeddingScores, FitData, LinkPredictor};
+use hybridgnn_repro::models::{
+    CommonConfig, DeepWalk, EmbeddingScores, FitData, LinkPredictor, RGcn,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,6 +102,34 @@ fn hybridgnn_hash(background: bool) -> u64 {
 /// fixed shards with per-shard derived RNGs for the `mhg-par` pool.)
 const DEEPWALK_GOLDEN: u64 = 0x3efb_bf03_adea_3a51;
 const HYBRIDGNN_GOLDEN: u64 = 0x5ba1_2d5b_9c5c_91de;
+
+/// R-GCN on a small Amazon graph: every step multiplies batch sides of
+/// hundreds of rows by `dim × dim` relation weights, so unlike the two
+/// recipes above it runs the register-tiled GEMM path (and its tile
+/// edges: `dim` 20 is not a multiple of the tile width). Hashes the score
+/// of every validation and test edge.
+fn rgcn_hash() -> u64 {
+    let dataset = DatasetKind::Amazon.generate(0.01, 11);
+    let mut rng = StdRng::seed_from_u64(11);
+    let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
+    let mut cfg = CommonConfig::fast();
+    cfg.epochs = 2;
+    cfg.dim = 20;
+    let mut model = RGcn::new(cfg);
+    let data = FitData {
+        graph: &split.train_graph,
+        metapath_shapes: &dataset.metapath_shapes,
+        val: &split.val,
+    };
+    let report = model.fit(&data, &mut rng).expect("fit must succeed");
+    assert!(report.epochs_run > 0, "R-GCN ran zero epochs");
+    let edges = split.val.iter().chain(&split.test);
+    fnv1a(edges.map(|e| model.score(e.u, e.v, e.relation).to_bits()))
+}
+
+/// Pinned before the GEMM kernels were rewritten; a kernel change that
+/// reassociates any dot product fails here.
+const RGCN_GOLDEN: u64 = 0xf7b7_0acc_5496_768f;
 
 /// FNV-1a over raw bytes (for hashing a rendered `metrics.jsonl`).
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -387,5 +417,19 @@ fn hybridgnn_is_bit_identical_across_thread_counts() {
     assert_eq!(
         one, HYBRIDGNN_GOLDEN,
         "HybridGNN embeddings drifted from the golden hash under the thread matrix: got {one:#018x}"
+    );
+}
+
+#[test]
+fn rgcn_is_bit_identical_across_thread_counts() {
+    let one = hybridgnn_repro::par::with_threads(1, rgcn_hash);
+    let four = hybridgnn_repro::par::with_threads(4, rgcn_hash);
+    assert_eq!(
+        one, four,
+        "thread count changed R-GCN's result: 1 thread {one:#018x} vs 4 threads {four:#018x}"
+    );
+    assert_eq!(
+        one, RGCN_GOLDEN,
+        "R-GCN scores drifted from the golden hash: got {one:#018x}"
     );
 }
