@@ -612,7 +612,7 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "hybridgnn",
         ],
     ),
-    ("race", &["obs", "par"]),
+    ("race", &["obs"]),
 ];
 
 /// The workspace crate a dependency key names: `mhg-x` → `x`, `hybridgnn`

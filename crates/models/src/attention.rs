@@ -1,6 +1,11 @@
 //! Attention building blocks shared by HAN, MAGNN and GATNE.
 
-use mhg_autograd::{Graph, ParamId, Var};
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
+use mhg_graph::{MetapathScheme, NodeId};
+use mhg_tensor::{InitKind, Tensor};
+use rand::rngs::StdRng;
+
+use crate::common::FitData;
 
 /// Scaled dot-product attention pooling: scores `keys` (n × d) against a
 /// single `query` (1 × d), softmax-normalises and returns the weighted sum
@@ -36,6 +41,102 @@ pub(crate) fn semantic_attention(
     let attn = g.softmax_rows(row); // 1×S
     let pooled = g.matmul(attn, z); // 1×d
     (pooled, attn)
+}
+
+/// The parameter block and encoder tail HAN and MAGNN share: one
+/// projection per metapath scheme, a self projection, and the semantic
+/// attention that pools the per-scheme summaries of a node.
+pub(crate) struct SchemeAttention {
+    /// Node embeddings (`N × d`).
+    pub(crate) emb: ParamId,
+    /// Table II shapes instantiated under every relation (both models
+    /// flatten multiplexity, so all instantiations feed one embedding).
+    schemes: Vec<MetapathScheme>,
+    /// One projection per scheme.
+    w_scheme: Vec<ParamId>,
+    /// Projection of the node's own row, registered after the scheme
+    /// projections under the next `w_p{i}` name.
+    w_self: ParamId,
+    w_sem: ParamId,
+    b_sem: ParamId,
+    q_sem: ParamId,
+}
+
+impl SchemeAttention {
+    /// Registers the block in `params` for the schemes of `data`.
+    pub(crate) fn register(
+        params: &mut ParamStore,
+        data: &FitData<'_>,
+        dim: usize,
+        rng: &mut StdRng,
+    ) -> Self {
+        let schemes: Vec<MetapathScheme> = data
+            .metapath_shapes
+            .iter()
+            .flat_map(|shape| {
+                data.graph
+                    .schema()
+                    .relations()
+                    .map(|r| MetapathScheme::intra(shape.clone(), r))
+            })
+            .collect();
+        let ds = (dim / 2).max(8);
+        let emb = params.register(
+            "emb",
+            InitKind::Uniform {
+                limit: 0.5 / dim as f32,
+            }
+            .init(data.graph.num_nodes(), dim, rng),
+        );
+        let mut projection = |i: usize, rng: &mut StdRng| {
+            params.register(
+                format!("w_p{i}"),
+                InitKind::XavierUniform.init(dim, dim, rng),
+            )
+        };
+        Self {
+            emb,
+            w_scheme: (0..schemes.len()).map(|i| projection(i, rng)).collect(),
+            w_self: projection(schemes.len(), rng),
+            w_sem: params.register("w_sem", InitKind::XavierUniform.init(dim, ds, rng)),
+            b_sem: params.register("b_sem", Tensor::zeros(1, ds)),
+            q_sem: params.register("q_sem", InitKind::XavierUniform.init(ds, 1, rng)),
+            schemes,
+        }
+    }
+
+    /// Encodes `nodes`, one row each. A node's rows to pool are
+    /// `summary(g, w, scheme, v, rng)` for every scheme it yields one for
+    /// (`w` is that scheme's projection), then its projected self row, so
+    /// every node has at least one.
+    pub(crate) fn encode<'s>(
+        &self,
+        g: &mut Graph<'s>,
+        nodes: &[NodeId],
+        rng: &mut StdRng,
+        mut summary: impl FnMut(
+            &mut Graph<'s>,
+            ParamId,
+            &MetapathScheme,
+            NodeId,
+            &mut StdRng,
+        ) -> Option<Var>,
+    ) -> Var {
+        let mut rows = Vec::with_capacity(nodes.len());
+        for &v in nodes {
+            let mut z_rows: Vec<Var> = Vec::with_capacity(self.schemes.len() + 1);
+            for (scheme, &w) in self.schemes.iter().zip(&self.w_scheme) {
+                z_rows.extend(summary(g, w, scheme, v, rng));
+            }
+            let w = g.param(self.w_self);
+            let self_emb = g.gather(self.emb, &[v.0]);
+            z_rows.push(g.matmul(self_emb, w));
+            let z = g.concat_rows(&z_rows);
+            let (pooled, _) = semantic_attention(g, z, self.w_sem, self.b_sem, self.q_sem);
+            rows.push(pooled);
+        }
+        g.concat_rows(&rows)
+    }
 }
 
 #[cfg(test)]

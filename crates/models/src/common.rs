@@ -163,13 +163,26 @@ pub trait LinkPredictor {
 /// Skip-gram-trained models can additionally register their context table;
 /// scoring then uses the symmetrised train-consistent decoder
 /// `½(e_u·c_v + c_u·e_v)` instead of `e_u·e_v`, which matches the objective
-/// those models actually optimised.
+/// those models actually optimised. R-GCN registers its relation diagonals
+/// instead, for the DistMult decoder `Σ_d e_u[d]·e_v[d]·R_r[d]`.
 #[derive(Clone, Debug, Default)]
 pub struct EmbeddingScores {
     /// One `num_nodes × dim` table per relation, or a single shared table.
     tables: Vec<Tensor>,
-    /// Optional skip-gram context table (shared across relations).
-    context: Option<Tensor>,
+    decoder: Decoder,
+}
+
+/// How [`EmbeddingScores::score`] combines two embedding rows.
+#[derive(Clone, Debug, Default)]
+enum Decoder {
+    /// `e_u·e_v`.
+    #[default]
+    Dot,
+    /// `½(e_u·c_v + c_u·e_v)` over a skip-gram context table shared across
+    /// relations.
+    Context(Tensor),
+    /// DistMult over a relation-diagonal table (`L × d`).
+    DistMult(Tensor),
 }
 
 impl EmbeddingScores {
@@ -177,7 +190,7 @@ impl EmbeddingScores {
     pub fn shared(table: Tensor) -> Self {
         Self {
             tables: vec![table],
-            context: None,
+            decoder: Decoder::Dot,
         }
     }
 
@@ -186,14 +199,21 @@ impl EmbeddingScores {
         assert!(!tables.is_empty(), "need at least one table");
         Self {
             tables,
-            context: None,
+            decoder: Decoder::Dot,
         }
     }
 
     /// Attaches the skip-gram context table, switching scoring to the
     /// symmetrised `½(e_u·c_v + c_u·e_v)` decoder.
     pub fn with_context(mut self, context: Tensor) -> Self {
-        self.context = Some(context);
+        self.decoder = Decoder::Context(context);
+        self
+    }
+
+    /// Attaches one diagonal row per relation (`L × d`), switching scoring
+    /// to the DistMult decoder `Σ_d e_u[d]·e_v[d]·R_r[d]`.
+    pub fn with_distmult(mut self, diag: Tensor) -> Self {
+        self.decoder = Decoder::DistMult(diag);
         self
     }
 
@@ -219,8 +239,10 @@ impl EmbeddingScores {
         for (i, t) in self.tables.iter().enumerate() {
             dict.put_tensor(format!("{prefix}/table/{i}"), t.clone());
         }
-        if let Some(c) = &self.context {
-            dict.put_tensor(format!("{prefix}/context"), c.clone());
+        match &self.decoder {
+            Decoder::Dot => {}
+            Decoder::Context(c) => dict.put_tensor(format!("{prefix}/context"), c.clone()),
+            Decoder::DistMult(d) => dict.put_tensor(format!("{prefix}/diag"), d.clone()),
         }
     }
 
@@ -231,26 +253,38 @@ impl EmbeddingScores {
         for i in 0..n {
             tables.push(dict.tensor(&format!("{prefix}/table/{i}"))?.clone());
         }
-        let context_key = format!("{prefix}/context");
-        let context = if dict.contains(&context_key) {
-            Some(dict.tensor(&context_key)?.clone())
+        let (context_key, diag_key) = (format!("{prefix}/context"), format!("{prefix}/diag"));
+        let decoder = if dict.contains(&context_key) {
+            Decoder::Context(dict.tensor(&context_key)?.clone())
+        } else if dict.contains(&diag_key) {
+            Decoder::DistMult(dict.tensor(&diag_key)?.clone())
         } else {
-            None
+            Decoder::Dot
         };
         self.tables = tables;
-        self.context = context;
+        self.decoder = decoder;
         Ok(())
     }
 
-    /// Dot-product score (train-consistent when a context table is set).
+    /// Scores `(u, v)` under `r` with the attached decoder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artefact is uninitialised (the model was never fitted).
     pub fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
-        debug_assert!(self.is_ready(), "score() before fit()");
-        match &self.context {
-            None => dot(self.embedding(u, r), self.embedding(v, r)),
-            Some(ctx) => {
-                0.5 * (dot(self.embedding(u, r), ctx.row(v.index()))
-                    + dot(ctx.row(u.index()), self.embedding(v, r)))
+        assert!(self.is_ready(), "score() before fit()");
+        let (eu, ev) = (self.embedding(u, r), self.embedding(v, r));
+        match &self.decoder {
+            Decoder::Dot => dot(eu, ev),
+            Decoder::Context(ctx) => {
+                0.5 * (dot(eu, ctx.row(v.index())) + dot(ctx.row(u.index()), ev))
             }
+            Decoder::DistMult(diag) => eu
+                .iter()
+                .zip(ev)
+                .zip(diag.row(r.index()))
+                .map(|((a, b), d)| a * b * d)
+                .sum(),
         }
     }
 }
@@ -315,6 +349,12 @@ mod tests {
         let es = EmbeddingScores::per_relation(vec![t0, t1]);
         assert_eq!(es.score(NodeId(0), NodeId(1), RelationId(0)), 1.0);
         assert_eq!(es.score(NodeId(0), NodeId(1), RelationId(1)), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "score() before fit()")]
+    fn scoring_before_fit_panics_with_a_message() {
+        EmbeddingScores::default().score(NodeId(0), NodeId(1), RelationId(0));
     }
 
     #[test]

@@ -1,24 +1,22 @@
 //! GCN baseline (Kipf & Welling, ICLR 2017).
 //!
 //! A single graph-convolution layer over the flattened graph (heterogeneity
-//! ignored, as the paper specifies): `h_v = relu(mean(x_{N(v) ∪ {v}}) · W)`,
+//! ignored, as the paper specifies): `h_v = tanh(mean(x_{N(v) ∪ {v}}) · W)`,
 //! trained end-to-end on the link logistic loss with sampled negatives.
 //! Full-batch spectral propagation is replaced by sampled mean aggregation
 //! with self-inclusion — the spatial approximation of the renormalised
 //! adjacency the paper's own mini-batch setting implies.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore};
-use mhg_datasets::LabeledEdge;
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
-use mhg_sampling::NegativeSampler;
-use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_tensor::InitKind;
 use rand::rngs::StdRng;
 
 use crate::agg::mean_self_neighbors;
 use crate::common::{
-    val_auc, CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
+    CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
 };
+use crate::encoder::{fit_encoder, Encoder};
 
 const FAN_OUT: usize = 10;
 const BATCH: usize = 256;
@@ -37,91 +35,26 @@ impl Gcn {
             scores: EmbeddingScores::default(),
         }
     }
+}
 
-    /// Computes representations for `nodes` on a fresh tape.
-    fn represent(
-        params: &ParamStore,
-        emb: ParamId,
-        w1: ParamId,
-        graph: &mhg_graph::MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let mut g = Graph::new(params);
-        let agg = mean_self_neighbors(&mut g, emb, graph, nodes, FAN_OUT, rng);
-        let w = g.param(w1);
+struct GcnEncoder<'a> {
+    graph: &'a MultiplexGraph,
+    emb: ParamId,
+    w1: ParamId,
+}
+
+impl Encoder for GcnEncoder<'_> {
+    const BATCH: usize = BATCH;
+    /// Uncapped: GCN takes the configured negatives as they are.
+    const MAX_NEGATIVES: usize = usize::MAX;
+
+    fn encode(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
+        let agg = mean_self_neighbors(g, self.emb, self.graph, nodes, FAN_OUT, rng);
+        let w = g.param(self.w1);
         let lin = g.matmul(agg, w);
         // tanh, not relu: a non-negative final layer could never score
         // negative pairs below zero under a dot-product decoder.
-        let h = g.tanh(lin);
-        g.value(h).clone()
-    }
-}
-
-/// The `TrainStep` for GCN: one tape per [`EdgeBatch`], full-graph
-/// representation snapshot on improvement.
-struct GcnStep<'a> {
-    params: ParamStore,
-    emb: ParamId,
-    w1: ParamId,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
-}
-
-impl TrainStep for GcnStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let w = g.param(self.w1);
-        let left_agg =
-            mean_self_neighbors(&mut g, self.emb, self.graph, &batch.lefts, FAN_OUT, rng);
-        let right_agg =
-            mean_self_neighbors(&mut g, self.emb, self.graph, &batch.rights, FAN_OUT, rng);
-        let hl = {
-            let lin = g.matmul(left_agg, w);
-            g.tanh(lin)
-        };
-        let hr = {
-            let lin = g.matmul(right_agg, w);
-            g.tanh(lin)
-        };
-        let scores = g.row_dot(hl, hr);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let all: Vec<NodeId> = self.graph.nodes().collect();
-        let table = Gcn::represent(&self.params, self.emb, self.w1, self.graph, &all, rng);
-        self.staged = EmbeddingScores::shared(table);
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        g.tanh(lin)
     }
 }
 
@@ -131,49 +64,20 @@ impl LinkPredictor for Gcn {
     }
 
     fn fit(&mut self, data: &FitData<'_>, rng: &mut StdRng) -> Result<TrainReport, TrainError> {
-        let graph = data.graph;
-        let cfg = &self.config;
-        let dim = cfg.dim;
-
+        let dim = self.config.dim;
         let mut params = ParamStore::new();
-        let emb = params.register(
-            "emb",
-            InitKind::Uniform {
-                limit: 0.5 / dim as f32,
-            }
-            .init(graph.num_nodes(), dim, rng),
-        );
-        let w1 = params.register("w1", InitKind::XavierUniform.init(dim, dim, rng));
-
-        let negatives = NegativeSampler::new(graph);
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
-        let sample = |_epoch: usize, rng: &mut StdRng| {
-            Ok(edge_batches(
-                graph,
-                &negatives,
-                &edges,
-                cfg.negatives,
-                BATCH,
-                rng,
-            ))
+        let encoder = GcnEncoder {
+            graph: data.graph,
+            emb: params.register(
+                "emb",
+                InitKind::Uniform {
+                    limit: 0.5 / dim as f32,
+                }
+                .init(data.graph.num_nodes(), dim, rng),
+            ),
+            w1: params.register("w1", InitKind::XavierUniform.init(dim, dim, rng)),
         };
-
-        let mut step = GcnStep {
-            params,
-            emb,
-            w1,
-            graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
-            val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
-        };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

@@ -17,6 +17,7 @@ mod agg;
 mod attention;
 mod common;
 mod deepwalk;
+mod encoder;
 mod evaluate;
 mod gatne;
 mod gcn;

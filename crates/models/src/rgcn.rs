@@ -8,16 +8,17 @@
 //! negatives, exactly the encoder/decoder split the original paper uses for
 //! link prediction.
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
-use mhg_datasets::LabeledEdge;
+use mhg_autograd::{Graph, ParamId, ParamStore, Var};
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
-use mhg_sampling::NegativeSampler;
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{edge_batches, BatchLoss, EdgeBatch, TrainStep};
+use mhg_train::EdgeBatch;
 use rand::rngs::StdRng;
 
 use crate::agg::{gather_nodes, mean_relation_neighbors};
-use crate::common::{CommonConfig, FitData, LinkPredictor, TrainError, TrainReport};
+use crate::common::{
+    CommonConfig, EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport,
+};
+use crate::encoder::{fit_encoder, Encoder};
 
 const FAN_OUT: usize = 8;
 const BATCH: usize = 256;
@@ -25,17 +26,8 @@ const BATCH: usize = 256;
 /// The R-GCN baseline.
 pub struct RGcn {
     config: CommonConfig,
-    /// Final node representations (`N × d`).
-    node_reps: Option<Tensor>,
-    /// DistMult relation diagonals (`L × d`).
-    relation_diag: Option<Tensor>,
-}
-
-struct RgcnParams {
-    emb: ParamId,
-    w_self: ParamId,
-    w_rel: Vec<ParamId>,
-    rel_diag: ParamId,
+    /// Final node representations with the DistMult relation diagonals.
+    scores: EmbeddingScores,
 }
 
 impl RGcn {
@@ -43,25 +35,30 @@ impl RGcn {
     pub fn new(config: CommonConfig) -> Self {
         Self {
             config,
-            node_reps: None,
-            relation_diag: None,
+            scores: EmbeddingScores::default(),
         }
     }
+}
 
-    /// Encoder representation of `nodes` on the tape.
-    fn represent_on(
-        g: &mut Graph<'_>,
-        p: &RgcnParams,
-        graph: &MultiplexGraph,
-        nodes: &[NodeId],
-        rng: &mut StdRng,
-    ) -> Var {
-        let self_emb = gather_nodes(g, p.emb, nodes);
-        let w0 = g.param(p.w_self);
+struct RgcnEncoder<'a> {
+    graph: &'a MultiplexGraph,
+    emb: ParamId,
+    w_self: ParamId,
+    w_rel: Vec<ParamId>,
+    rel_diag: ParamId,
+}
+
+impl Encoder for RgcnEncoder<'_> {
+    const BATCH: usize = BATCH;
+    const MAX_NEGATIVES: usize = 3;
+
+    fn encode(&self, g: &mut Graph<'_>, nodes: &[NodeId], rng: &mut StdRng) -> Var {
+        let self_emb = gather_nodes(g, self.emb, nodes);
+        let w0 = g.param(self.w_self);
         let mut acc = g.matmul(self_emb, w0);
-        for r in graph.schema().relations() {
-            let neigh = mean_relation_neighbors(g, p.emb, graph, nodes, r, FAN_OUT, rng);
-            let wr = g.param(p.w_rel[r.index()]);
+        for r in self.graph.schema().relations() {
+            let neigh = mean_relation_neighbors(g, self.emb, self.graph, nodes, r, FAN_OUT, rng);
+            let wr = g.param(self.w_rel[r.index()]);
             let proj = g.matmul(neigh, wr);
             acc = g.add(acc, proj);
         }
@@ -70,134 +67,16 @@ impl RGcn {
     }
 
     /// DistMult scores for aligned `(hl, hr)` rows under per-row relations.
-    fn distmult_on(
-        g: &mut Graph<'_>,
-        p: &RgcnParams,
-        hl: Var,
-        hr: Var,
-        relations: &[RelationId],
-    ) -> Var {
-        let rel_ids: Vec<u32> = relations.iter().map(|r| r.0 as u32).collect();
-        let diag = g.gather(p.rel_diag, &rel_ids);
+    fn logits(&self, g: &mut Graph<'_>, hl: Var, hr: Var, batch: &EdgeBatch) -> Var {
+        let rel_ids: Vec<u32> = batch.relations.iter().map(|r| r.0 as u32).collect();
+        let diag = g.gather(self.rel_diag, &rel_ids);
         let weighted = g.mul(hl, diag);
         g.row_dot(weighted, hr)
     }
 
-    fn full_inference(
-        params: &ParamStore,
-        p: &RgcnParams,
-        graph: &MultiplexGraph,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let dim = params.value(p.w_self).cols();
-        let mut out = Tensor::zeros(nodes.len(), dim);
-        for (chunk_idx, chunk) in nodes.chunks(BATCH).enumerate() {
-            let mut g = Graph::new(params);
-            let rep = Self::represent_on(&mut g, p, graph, chunk, rng);
-            for (i, row) in g.value(rep).rows_iter().enumerate() {
-                out.set_row(chunk_idx * BATCH + i, row);
-            }
-        }
-        out
+    fn scores(&self, params: &ParamStore, table: Tensor) -> EmbeddingScores {
+        EmbeddingScores::shared(table).with_distmult(params.value(self.rel_diag).clone())
     }
-}
-
-/// Validation ROC-AUC of a (representations, DistMult diagonal) snapshot.
-fn snapshot_auc(reps: &Tensor, diag: &Tensor, val: &[LabeledEdge]) -> f64 {
-    if val.is_empty() {
-        return 0.5;
-    }
-    let scores: Vec<f32> = val
-        .iter()
-        .map(|e| distmult_score(reps, diag, e.u, e.v, e.relation))
-        .collect();
-    let labels: Vec<bool> = val.iter().map(|e| e.label).collect();
-    mhg_eval::roc_auc(&scores, &labels)
-}
-
-/// The `TrainStep` for R-GCN: relational convolution + DistMult decoding per
-/// [`EdgeBatch`], (representations, diagonal) snapshot on improvement.
-struct RgcnStep<'a> {
-    params: ParamStore,
-    p: RgcnParams,
-    graph: &'a MultiplexGraph,
-    opt: Adam,
-    val: &'a [LabeledEdge],
-    node_reps: &'a mut Option<Tensor>,
-    relation_diag: &'a mut Option<Tensor>,
-    staged: Option<(Tensor, Tensor)>,
-}
-
-impl TrainStep for RgcnStep<'_> {
-    type Batch = EdgeBatch;
-
-    fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
-        let mut g = Graph::new(&self.params);
-        let hl = RGcn::represent_on(&mut g, &self.p, self.graph, &batch.lefts, rng);
-        let hr = RGcn::represent_on(&mut g, &self.p, self.graph, &batch.rights, rng);
-        let scores = RGcn::distmult_on(&mut g, &self.p, hl, hr, &batch.relations);
-        let loss = g.logistic_loss(scores, &batch.labels);
-        let loss_sum = g.scalar(loss) as f64;
-        let grads = g.backward(loss);
-        self.opt.step(&mut self.params, &grads);
-        BatchLoss { loss_sum, denom: 1 }
-    }
-
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
-        let reps = RGcn::full_inference(&self.params, &self.p, self.graph, rng);
-        let diag = self.params.value(self.p.rel_diag).clone();
-        let auc = snapshot_auc(&reps, &diag, self.val);
-        self.staged = Some((reps, diag));
-        auc
-    }
-
-    fn promote(&mut self) {
-        if let Some((reps, diag)) = self.staged.take() {
-            *self.node_reps = Some(reps);
-            *self.relation_diag = Some(diag);
-        }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.node_reps.is_some()
-    }
-
-    fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
-        self.params.export_state("model/params", dict);
-        self.opt.export_state("model/opt", dict);
-        if let Some(reps) = self.node_reps.as_ref() {
-            dict.put_tensor("model/node_reps", reps.clone());
-        }
-        if let Some(diag) = self.relation_diag.as_ref() {
-            dict.put_tensor("model/diag_snap", diag.clone());
-        }
-    }
-
-    fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        *self.node_reps = if dict.contains("model/node_reps") {
-            Some(dict.tensor("model/node_reps")?.clone())
-        } else {
-            None
-        };
-        *self.relation_diag = if dict.contains("model/diag_snap") {
-            Some(dict.tensor("model/diag_snap")?.clone())
-        } else {
-            None
-        };
-        Ok(())
-    }
-}
-
-fn distmult_score(reps: &Tensor, diag: &Tensor, u: NodeId, v: NodeId, r: RelationId) -> f32 {
-    reps.row(u.index())
-        .iter()
-        .zip(reps.row(v.index()))
-        .zip(diag.row(r.index()))
-        .map(|((a, b), d)| a * b * d)
-        .sum()
 }
 
 impl LinkPredictor for RGcn {
@@ -206,19 +85,17 @@ impl LinkPredictor for RGcn {
     }
 
     fn fit(&mut self, data: &FitData<'_>, rng: &mut StdRng) -> Result<TrainReport, TrainError> {
-        let graph = data.graph;
-        let cfg = &self.config;
-        let dim = cfg.dim;
-        let num_rel = graph.schema().num_relations();
-
+        let dim = self.config.dim;
+        let num_rel = data.graph.schema().num_relations();
         let mut params = ParamStore::new();
-        let p = RgcnParams {
+        let encoder = RgcnEncoder {
+            graph: data.graph,
             emb: params.register(
                 "emb",
                 InitKind::Uniform {
                     limit: 0.5 / dim as f32,
                 }
-                .init(graph.num_nodes(), dim, rng),
+                .init(data.graph.num_nodes(), dim, rng),
             ),
             w_self: params.register("w_self", InitKind::XavierUniform.init(dim, dim, rng)),
             w_rel: (0..num_rel)
@@ -234,42 +111,11 @@ impl LinkPredictor for RGcn {
                 InitKind::Uniform { limit: 1.0 }.init(num_rel, dim, rng),
             ),
         };
-        let negatives = NegativeSampler::new(graph);
-
-        let edges: Vec<(NodeId, NodeId, RelationId)> = graph
-            .schema()
-            .relations()
-            .flat_map(|r| graph.edges_in(r).map(move |(u, v)| (u, v, r)))
-            .collect();
-
-        let sample = |_epoch: usize, rng: &mut StdRng| {
-            Ok(edge_batches(
-                graph,
-                &negatives,
-                &edges,
-                cfg.negatives.min(3),
-                BATCH,
-                rng,
-            ))
-        };
-
-        let mut step = RgcnStep {
-            params,
-            p,
-            graph,
-            opt: Adam::new(cfg.lr.min(0.01)),
-            val: data.val,
-            node_reps: &mut self.node_reps,
-            relation_diag: &mut self.relation_diag,
-            staged: None,
-        };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
-        let reps = self.node_reps.as_ref().expect("score() before fit()");
-        let diag = self.relation_diag.as_ref().expect("score() before fit()");
-        distmult_score(reps, diag, u, v, r)
+        self.scores.score(u, v, r)
     }
 }
 
@@ -306,8 +152,9 @@ mod tests {
     fn distmult_is_relation_sensitive() {
         let reps = Tensor::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]);
         let diag = Tensor::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]]);
-        let s0 = distmult_score(&reps, &diag, NodeId(0), NodeId(1), RelationId(0));
-        let s1 = distmult_score(&reps, &diag, NodeId(0), NodeId(1), RelationId(1));
+        let scores = EmbeddingScores::shared(reps).with_distmult(diag);
+        let s0 = scores.score(NodeId(0), NodeId(1), RelationId(0));
+        let s1 = scores.score(NodeId(0), NodeId(1), RelationId(1));
         assert!((s0 - 1.0).abs() < 1e-6);
         assert!(s1.abs() < 1e-6);
     }

@@ -1,12 +1,11 @@
 //! Deterministic schedule-exploring race harness (a poor-man's loom).
 //!
-//! The workspace's concurrency claims — `mhg-obs` registry updates converge
-//! under any interleaving of their Relaxed atomic steps, and the `mhg-par`
-//! partition-order reduction is bit-identical for any worker completion
-//! order — are *linearizability-by-commutativity* arguments. This crate
-//! checks them by brute force: it enumerates **every** interleaving of the
-//! threads' atomic sub-operations for small thread counts (≤3) and asserts
-//! each schedule's outcome equals the serial replay.
+//! The workspace's concurrency claim — `mhg-obs` registry updates converge
+//! under any interleaving of their Relaxed atomic steps — is a
+//! *linearizability-by-commutativity* argument. This crate checks it by
+//! brute force: it enumerates **every** interleaving of the threads' atomic
+//! sub-operations for small thread counts (≤3) and asserts each schedule's
+//! outcome equals the serial replay.
 //!
 //! Schedules are executed on a single OS thread: a schedule is a sequence
 //! of thread indices, and "running" it steps the named thread's next
@@ -17,18 +16,10 @@
 //! threads are spawned, so every run explores the full schedule space and
 //! the suite is deterministic.
 //!
-//! Two model families live here:
-//!
-//! * [`hist`] — the four-step `mhg_obs::Histogram::record` decomposition
-//!   (bucket, count, sum, max), verified against the real histogram's
-//!   serial snapshot; plus a deliberately broken load-then-store counter
-//!   the harness must catch.
-//! * [`reduce`] — the `mhg_par` scatter-add reduction: destination-
-//!   partitioned workers merged in partition order (the shipped contract)
-//!   versus input-partitioned workers merged in completion order (the bug
-//!   the contract exists to prevent).
-
-use std::ops::Range;
+//! The models live in [`hist`]: the four-step `mhg_obs::Histogram::record`
+//! decomposition (bucket, count, sum, max), verified against the real
+//! histogram's serial snapshot; plus a deliberately broken load-then-store
+//! counter the harness must catch.
 
 /// Enumerates every interleaving of `counts[t]` steps per thread `t`,
 /// calling `f` with each complete schedule (a sequence of thread indices).
@@ -234,89 +225,6 @@ pub mod hist {
                 TornOp::Store => self.cell = self.loaded[t] + 1,
             }
         }
-    }
-}
-
-pub mod reduce {
-    //! Sub-operation models of the destination-partitioned scatter-add
-    //! reduction, mirroring `Tensor::scatter_add_rows` (each `mhg-par`
-    //! worker owns a fixed range of destination rows).
-
-    use super::Range;
-
-    /// A scatter-add instance: `grad[r]` accumulates into `dense[indices[r]]`.
-    #[derive(Debug, Clone)]
-    pub struct Scatter {
-        /// Destination row per input row.
-        pub indices: Vec<usize>,
-        /// One value per input row (single-column gradients keep the model
-        /// small without losing the float-associativity structure).
-        pub grad: Vec<f32>,
-        /// Number of destination rows.
-        pub span: usize,
-    }
-
-    impl Scatter {
-        /// The serial replay: inputs folded in input order.
-        pub fn serial(&self) -> Vec<f32> {
-            let mut dense = vec![0.0f32; self.span];
-            for (r, &idx) in self.indices.iter().enumerate() {
-                dense[idx] += self.grad[r];
-            }
-            dense
-        }
-
-        /// Worker `w` of `workers`' partial under the **shipped contract**:
-        /// workers own fixed *destination* ranges (`mhg_par::split_range`
-        /// over the destination span) and scan all inputs in input order.
-        pub fn dest_partial(&self, workers: usize, w: usize) -> Vec<(usize, f32)> {
-            let range: Range<usize> = mhg_par::split_range(self.span, workers, w);
-            let mut out: Vec<(usize, f32)> = Vec::new();
-            for (r, &idx) in self.indices.iter().enumerate() {
-                if range.contains(&idx) {
-                    match out.iter_mut().find(|(d, _)| *d == idx) {
-                        Some((_, v)) => *v += self.grad[r],
-                        None => out.push((idx, self.grad[r])),
-                    }
-                }
-            }
-            out
-        }
-
-        /// Worker `w` of `workers`' partial under the **broken scheme** the
-        /// contract exists to prevent: workers split the *input* rows, so
-        /// one destination's sum is spread across partials and the merge
-        /// order decides the float association.
-        pub fn input_partial(&self, workers: usize, w: usize) -> Vec<(usize, f32)> {
-            let range: Range<usize> = mhg_par::split_range(self.indices.len(), workers, w);
-            let mut out: Vec<(usize, f32)> = Vec::new();
-            for r in range {
-                let idx = self.indices[r];
-                match out.iter_mut().find(|(d, _)| *d == idx) {
-                    Some((_, v)) => *v += self.grad[r],
-                    None => out.push((idx, self.grad[r])),
-                }
-            }
-            out
-        }
-    }
-
-    /// Merges partials into a dense vector in the order given (each partial
-    /// added entry by entry).
-    pub fn merge(span: usize, partials: &[Vec<(usize, f32)>], order: &[usize]) -> Vec<f32> {
-        let mut dense = vec![0.0f32; span];
-        for &p in order {
-            for &(idx, v) in &partials[p] {
-                dense[idx] += v;
-            }
-        }
-        dense
-    }
-
-    /// Exact bitwise equality of two float vectors (the workspace's
-    /// determinism contract is byte-identical, not approximately equal).
-    pub fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 }
 

@@ -1,15 +1,14 @@
 //! Exhaustive-interleaving verification of the workspace's concurrency
-//! contracts (ISSUE 6 tentpole).
+//! contracts.
 //!
 //! Every test enumerates **all** schedules of its thread programs'
 //! atomic sub-operations — no sampling, no real threads — and compares
-//! each outcome against a serial replay on the real `mhg-obs` /
-//! `mhg-par` code paths. Negative tests run deliberately broken variants
+//! each outcome against a serial replay on the real `mhg-obs` code
+//! paths. Negative tests run deliberately broken variants
 //! and assert the harness finds a diverging schedule, proving the
 //! enumeration has teeth.
 
 use mhg_race::hist::{record_steps, serial_snapshot, HistModel, TornCounter, TornOp};
-use mhg_race::reduce::{bits_eq, merge, Scatter};
 use mhg_race::{for_each_schedule, num_schedules, run_schedule};
 
 /// Counter merge: each thread is a sequence of indivisible `fetch_add`
@@ -96,71 +95,6 @@ fn torn_counter_race_is_detected() {
     assert!(
         lost_updates > 0,
         "harness failed to find the lost-update schedules of a torn counter"
-    );
-}
-
-/// The shipped reduction contract: workers own disjoint *destination*
-/// ranges (`mhg_par::split_range` over the destination span), so every
-/// destination's sum is built by exactly one worker in input order.
-/// Merging the partials in any completion order is bit-identical to the
-/// serial replay, for 1–3 workers.
-#[test]
-fn dest_partitioned_reduction_is_completion_order_invariant() {
-    // Values chosen so float addition is *non-associative* across them:
-    // (1e8 + 1.0) + -1e8 = 0.0 but 1e8 + (1.0 + -1e8) = 1.0.
-    let scatter = Scatter {
-        indices: vec![0, 1, 0, 2, 0, 1, 2, 0],
-        grad: vec![1.0e8, 3.0, 1.0, 0.5, -1.0e8, -3.0, 0.25, 2.5],
-        span: 3,
-    };
-    let serial = scatter.serial();
-
-    for workers in 1..=3 {
-        let partials: Vec<_> = (0..workers)
-            .map(|w| scatter.dest_partial(workers, w))
-            .collect();
-        // Every completion order = every permutation of the partials.
-        let one_each: Vec<usize> = vec![1; workers];
-        for_each_schedule(&one_each, |order| {
-            let merged = merge(scatter.span, &partials, order);
-            assert!(
-                bits_eq(&merged, &serial),
-                "dest-partitioned merge diverged: workers={workers} order={order:?} \
-                 got {merged:?} want {serial:?}"
-            );
-        });
-    }
-}
-
-/// The broken scheme the contract forbids: workers split the *input*
-/// rows, spreading one destination's sum across partials, so the merge
-/// (completion) order changes the float association. The harness must
-/// find an order whose result differs bitwise from the serial replay.
-#[test]
-fn input_partitioned_reduction_depends_on_completion_order() {
-    let scatter = Scatter {
-        indices: vec![0, 0, 0],
-        grad: vec![1.0e8, 1.0, -1.0e8],
-        span: 1,
-    };
-    let serial = scatter.serial();
-    assert_eq!(serial[0].to_bits(), 0.0f32.to_bits()); // (1e8 + 1) - 1e8 == 0.0
-
-    let workers = 3;
-    let partials: Vec<_> = (0..workers)
-        .map(|w| scatter.input_partial(workers, w))
-        .collect();
-    let mut diverging = 0u32;
-    let one_each: Vec<usize> = vec![1; workers];
-    for_each_schedule(&one_each, |order| {
-        let merged = merge(scatter.span, &partials, order);
-        if !bits_eq(&merged, &serial) {
-            diverging += 1;
-        }
-    });
-    assert!(
-        diverging > 0,
-        "input-partitioned completion-order merge unexpectedly deterministic"
     );
 }
 

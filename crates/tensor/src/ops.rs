@@ -514,10 +514,10 @@ impl Tensor {
     /// Scatter-add: `self[indices[r], :] += src[r, :]` for every source row
     /// `r`, the adjoint of [`Tensor::gather_rows`].
     ///
-    /// Deterministic for any worker count: workers own disjoint *destination*
-    /// row ranges and each scans the contributions in input order, so every
-    /// destination row accumulates in exactly the serial order no matter how
-    /// the ranges are split.
+    /// Serial: every destination row receives its adds in index order. A
+    /// split over destination rows made every worker scan every index, and
+    /// two threads ran at less than half the one-thread bandwidth (DESIGN
+    /// §2.10).
     ///
     /// # Panics
     ///
@@ -545,23 +545,14 @@ impl Tensor {
                 "scatter_add_rows index {idx} out of bounds for {rows} rows"
             );
         }
-        if self.is_empty() || indices.is_empty() {
-            return;
-        }
-        let s = src.as_slice();
-        let per_row = (indices.len() / rows + 1) * cols;
-        mhg_par::par_chunks_mut(self.as_mut_slice(), cols, per_row, |first, chunk| {
-            let range = first..first + chunk.len() / cols;
-            for (r, &idx) in indices.iter().enumerate() {
-                let idx = idx as usize;
-                if range.contains(&idx) {
-                    let dst = &mut chunk[(idx - first) * cols..(idx - first + 1) * cols];
-                    for (d, v) in dst.iter_mut().zip(&s[r * cols..(r + 1) * cols]) {
-                        *d += v;
-                    }
-                }
+        let (dst, s) = (self.as_mut_slice(), src.as_slice());
+        for (r, &idx) in indices.iter().enumerate() {
+            let idx = idx as usize;
+            let row = &s[r * cols..(r + 1) * cols];
+            for (d, v) in dst[idx * cols..(idx + 1) * cols].iter_mut().zip(row) {
+                *d += v;
             }
-        });
+        }
         #[cfg(feature = "checked")]
         self.assert_finite("scatter_add_rows");
     }

@@ -21,7 +21,8 @@ use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit};
 use hybridgnn_repro::graph::MultiplexGraph;
 use hybridgnn_repro::model::{HybridConfig, HybridGnn};
 use hybridgnn_repro::models::{
-    CommonConfig, DeepWalk, EmbeddingScores, FitData, LinkPredictor, RGcn,
+    CommonConfig, DeepWalk, EmbeddingScores, FitData, Gcn, GraphSage, Han, LinkPredictor, Magnn,
+    RGcn,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,33 +104,95 @@ fn hybridgnn_hash(background: bool) -> u64 {
 const DEEPWALK_GOLDEN: u64 = 0x3efb_bf03_adea_3a51;
 const HYBRIDGNN_GOLDEN: u64 = 0x5ba1_2d5b_9c5c_91de;
 
-/// R-GCN on a small Amazon graph: every step multiplies batch sides of
-/// hundreds of rows by `dim × dim` relation weights, so unlike the two
-/// recipes above it runs the register-tiled GEMM path (and its tile
-/// edges: `dim` 20 is not a multiple of the tile width). Hashes the score
-/// of every validation and test edge.
-fn rgcn_hash() -> u64 {
-    let dataset = DatasetKind::Amazon.generate(0.01, 11);
-    let mut rng = StdRng::seed_from_u64(11);
+/// Fits `model` on a small `kind` graph (`scale`, seed `seed`) and hashes
+/// the score of every validation and test edge.
+fn score_hash(model: &mut dyn LinkPredictor, kind: DatasetKind, scale: f64, seed: u64) -> u64 {
+    let dataset = kind.generate(scale, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
-    let mut cfg = CommonConfig::fast();
-    cfg.epochs = 2;
-    cfg.dim = 20;
-    let mut model = RGcn::new(cfg);
     let data = FitData {
         graph: &split.train_graph,
         metapath_shapes: &dataset.metapath_shapes,
         val: &split.val,
     };
     let report = model.fit(&data, &mut rng).expect("fit must succeed");
-    assert!(report.epochs_run > 0, "R-GCN ran zero epochs");
+    assert!(report.epochs_run > 0, "{} ran zero epochs", model.name());
     let edges = split.val.iter().chain(&split.test);
     fnv1a(edges.map(|e| model.score(e.u, e.v, e.relation).to_bits()))
+}
+
+/// The fast config at 2 epochs and embedding dimension `dim`.
+fn encoder_config(dim: usize) -> CommonConfig {
+    let mut cfg = CommonConfig::fast();
+    cfg.epochs = 2;
+    cfg.dim = dim;
+    cfg
+}
+
+/// R-GCN on a small Amazon graph: every step multiplies batch sides of
+/// hundreds of rows by `dim × dim` relation weights, so unlike the two
+/// recipes above it runs the register-tiled GEMM path (and its tile
+/// edges: `dim` 20 is not a multiple of the tile width).
+fn rgcn_hash() -> u64 {
+    score_hash(
+        &mut RGcn::new(encoder_config(20)),
+        DatasetKind::Amazon,
+        0.01,
+        11,
+    )
 }
 
 /// Pinned before the GEMM kernels were rewritten; a kernel change that
 /// reassociates any dot product fails here.
 const RGCN_GOLDEN: u64 = 0xf7b7_0acc_5496_768f;
+
+/// The other four GNN encoder baselines, each on the recipe of
+/// [`rgcn_hash`]: GCN and GraphSage on Amazon, HAN and MAGNN on IMDB
+/// (whose metapath shapes give them several schemes per node). Every graph
+/// has more nodes than the model's inference chunk, so the full-graph
+/// snapshot spans several tapes. A change that reorders any op on their
+/// tapes, any RNG draw, or the parameter registration order fails here.
+fn gcn_hash() -> u64 {
+    score_hash(
+        &mut Gcn::new(encoder_config(20)),
+        DatasetKind::Amazon,
+        0.03,
+        11,
+    )
+}
+
+fn graphsage_hash() -> u64 {
+    score_hash(
+        &mut GraphSage::new(encoder_config(16)),
+        DatasetKind::Amazon,
+        0.015,
+        12,
+    )
+}
+
+fn han_hash() -> u64 {
+    score_hash(
+        &mut Han::new(encoder_config(16)),
+        DatasetKind::Imdb,
+        0.02,
+        16,
+    )
+}
+
+fn magnn_hash() -> u64 {
+    score_hash(
+        &mut Magnn::new(encoder_config(16)),
+        DatasetKind::Imdb,
+        0.02,
+        20,
+    )
+}
+
+/// Pinned before the five encoders moved onto one shared training step.
+const GCN_GOLDEN: u64 = 0xd29d_b0b2_997f_b3b2;
+const GRAPHSAGE_GOLDEN: u64 = 0xfc95_564c_2ecc_8465;
+const HAN_GOLDEN: u64 = 0xf981_1875_2205_5bb3;
+const MAGNN_GOLDEN: u64 = 0x76bf_c475_892b_cdac;
 
 /// FNV-1a over raw bytes (for hashing a rendered `metrics.jsonl`).
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -420,16 +483,41 @@ fn hybridgnn_is_bit_identical_across_thread_counts() {
     );
 }
 
-#[test]
-fn rgcn_is_bit_identical_across_thread_counts() {
-    let one = hybridgnn_repro::par::with_threads(1, rgcn_hash);
-    let four = hybridgnn_repro::par::with_threads(4, rgcn_hash);
+/// Runs `recipe` at 1 and 4 worker threads; both must hash to `golden`.
+fn assert_golden_across_thread_counts(name: &str, recipe: fn() -> u64, golden: u64) {
+    let one = hybridgnn_repro::par::with_threads(1, recipe);
+    let four = hybridgnn_repro::par::with_threads(4, recipe);
     assert_eq!(
         one, four,
-        "thread count changed R-GCN's result: 1 thread {one:#018x} vs 4 threads {four:#018x}"
+        "thread count changed {name}'s result: 1 thread {one:#018x} vs 4 threads {four:#018x}"
     );
     assert_eq!(
-        one, RGCN_GOLDEN,
-        "R-GCN scores drifted from the golden hash: got {one:#018x}"
+        one, golden,
+        "{name} scores drifted from the golden hash: got {one:#018x}"
     );
+}
+
+#[test]
+fn rgcn_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("R-GCN", rgcn_hash, RGCN_GOLDEN);
+}
+
+#[test]
+fn gcn_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("GCN", gcn_hash, GCN_GOLDEN);
+}
+
+#[test]
+fn graphsage_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("GraphSage", graphsage_hash, GRAPHSAGE_GOLDEN);
+}
+
+#[test]
+fn han_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("HAN", han_hash, HAN_GOLDEN);
+}
+
+#[test]
+fn magnn_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("MAGNN", magnn_hash, MAGNN_GOLDEN);
 }

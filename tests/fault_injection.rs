@@ -101,28 +101,38 @@ fn every_model_survives_sampler_panic_and_nan_loss() {
     }
 }
 
+/// Runs `fit` once clean and once under a sampler panic plus a NaN loss
+/// in the second epoch, returning both results.
+fn clean_and_faulted<T>(fit: impl Fn() -> T) -> (T, T) {
+    faults::clear();
+    let clean = fit();
+    faults::install(
+        FaultPlan::new()
+            .inject(FaultSite::SamplerPanic, 1)
+            .inject(FaultSite::NanLoss, 2),
+    );
+    let faulted = fit();
+    faults::clear();
+    (clean, faulted)
+}
+
 /// A faulted run must end in exactly the same place as a clean run: the
 /// inline fallback replays the same epoch and the NaN rollback restores the
-/// exact pre-epoch state before the deterministic re-run.
+/// exact pre-epoch state before the deterministic re-run. DeepWalk restores
+/// raw embedding tables; R-GCN restores its encoder parameters and the
+/// scoring snapshot with its DistMult relation diagonals.
 #[test]
 fn faulted_run_is_bit_identical_to_clean_run() {
     let _guard = faults::test_guard();
-    let embeddings = |faulted: bool| {
-        if faulted {
-            faults::install(
-                FaultPlan::new()
-                    .inject(FaultSite::SamplerPanic, 1)
-                    .inject(FaultSite::NanLoss, 2),
-            );
-        } else {
-            faults::clear();
-        }
-        let mut model = DeepWalk::new(tiny_common());
-        fit_tiny(&mut model, 11).expect("fit must succeed");
-        faults::clear();
+    let split = || {
         let dataset = DatasetKind::Amazon.generate(0.004, 11);
         let mut rng = StdRng::seed_from_u64(11);
-        let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
+        EdgeSplit::default_split(&dataset.graph, &mut rng)
+    };
+    let (clean, faulted) = clean_and_faulted(|| {
+        let mut model = DeepWalk::new(tiny_common());
+        fit_tiny(&mut model, 11).expect("fit must succeed");
+        let split = split();
         let graph = &split.train_graph;
         let mut bits: Vec<u32> = Vec::new();
         for v in graph.nodes() {
@@ -137,12 +147,25 @@ fn faulted_run_is_bit_identical_to_clean_run() {
             }
         }
         bits
-    };
-    let clean = embeddings(false);
-    let faulted = embeddings(true);
+    });
     assert_eq!(
         clean, faulted,
-        "fault recovery changed the final embeddings bit-for-bit"
+        "fault recovery changed DeepWalk's final embeddings bit-for-bit"
+    );
+    let (clean, faulted) = clean_and_faulted(|| {
+        let mut model = RGcn::new(tiny_common());
+        let report = fit_tiny(&mut model, 11).expect("fit must succeed");
+        let split = split();
+        let edges = split.val.iter().chain(&split.test);
+        let bits: Vec<u32> = edges
+            .map(|e| model.score(e.u, e.v, e.relation).to_bits())
+            .collect();
+        (bits, report.recovery.nan_rollbacks)
+    });
+    assert!(faulted.1 >= 1, "R-GCN: no NaN rollback was recorded");
+    assert_eq!(
+        clean.0, faulted.0,
+        "fault recovery changed R-GCN's final scores bit-for-bit"
     );
 }
 
