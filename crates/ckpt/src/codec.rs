@@ -1,7 +1,7 @@
 //! The checkpoint container: a named, typed state dictionary with a
 //! versioned, checksummed binary encoding.
 //!
-//! The file is an MHGC v1 [`crate::frame`]; its body layout is in the
+//! The file is an MHGC v2 [`crate::frame`]; its body layout is in the
 //! "Persisted formats" table of DESIGN.md §2.11. Entries are stored in name
 //! order (the dictionary is a `BTreeMap`), so encoding is
 //! byte-deterministic: the same state always produces the same file.
@@ -14,7 +14,7 @@ use crate::error::CkptError;
 use crate::frame::{FrameError, Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"MHGC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 const TAG_TENSOR: u8 = 1;
 const TAG_U64: u8 = 2;

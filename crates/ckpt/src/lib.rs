@@ -3,7 +3,7 @@
 //! Four layers, each usable on its own:
 //!
 //! * [`frame`] — the one framed codec (magic, version, length-guarded
-//!   reads, checked narrowing, FNV-1a trailer, typed [`FrameError`]) that
+//!   reads, checked narrowing, XXH64 trailer, typed [`FrameError`]) that
 //!   every persisted format in the workspace is written with.
 //! * [`StateDict`] + [`encode`] / [`decode`] — a named, typed state
 //!   dictionary with a byte-deterministic frame encoding. Corrupt input

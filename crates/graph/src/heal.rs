@@ -192,10 +192,13 @@ impl ShardedCsr {
     /// coordinating thread.
     pub fn verify_all(&self) -> FsckReport {
         let mut report = FsckReport::default();
+        let mut targets = Vec::new();
         for (rel, table) in self.shards.iter().enumerate() {
             for (shard, meta) in table.iter().enumerate() {
                 report.checked += 1;
-                if let Err(e) = self.read_shard_once(rel as u16, shard as u32, meta, false) {
+                if let Err(e) =
+                    self.read_shard_once(rel as u16, shard as u32, meta, false, &mut targets)
+                {
                     report.corrupt.push(FsckFinding {
                         relation: rel as u16,
                         shard: shard as u32,
@@ -220,9 +223,10 @@ impl ShardedCsr {
     /// thread.
     pub fn repair(&self) -> RepairReport {
         let mut out = RepairReport::default();
+        let mut targets = Vec::new();
         for finding in self.verify_all().corrupt {
             let meta = self.shards[finding.relation as usize][finding.shard as usize];
-            match self.rebuild_shard(finding.relation, finding.shard, &meta) {
+            match self.rebuild_shard(finding.relation, finding.shard, &meta, &mut targets) {
                 Ok(_) => {
                     lock_heal(&self.heal.quarantined).remove(&(finding.relation, finding.shard));
                     out.repaired.push((finding.relation, finding.shard));
@@ -237,7 +241,10 @@ impl ShardedCsr {
         // now that the storm has passed; release it without a rebuild.
         for (relation, shard) in self.quarantined() {
             let meta = self.shards[relation as usize][shard as usize];
-            if self.read_shard_once(relation, shard, &meta, false).is_ok() {
+            if self
+                .read_shard_once(relation, shard, &meta, false, &mut targets)
+                .is_ok()
+            {
                 lock_heal(&self.heal.quarantined).remove(&(relation, shard));
             }
         }
@@ -253,21 +260,22 @@ impl ShardedCsr {
 
     /// The healing page-in ladder: bounded retries with clock backoff, then
     /// rebuild-from-source, then quarantine. Called from the pager's load
-    /// closure on a cache miss.
+    /// closure on a cache miss, with the page buffer to fill.
     pub(crate) fn load_shard_healing(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
-    ) -> Result<Vec<NodeId>, ShardError> {
+        targets: &mut Vec<NodeId>,
+    ) -> Result<(), ShardError> {
         if lock_heal(&self.heal.quarantined).contains(&(relation, shard)) {
             return Err(ShardError::Quarantined { relation, shard });
         }
         let attempts = self.heal.policy.read_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.read_shard_once(relation, shard, meta, true) {
-                Ok(targets) => return Ok(targets),
+            match self.read_shard_once(relation, shard, meta, true, targets) {
+                Ok(()) => return Ok(()),
                 Err(_) if attempt.saturating_add(1) < attempts => {
                     attempt += 1;
                     lock_heal(&self.heal.stats).retries += 1;
@@ -278,8 +286,8 @@ impl ShardedCsr {
             }
         }
         // Retries exhausted: regenerate the shard in place from the source.
-        match self.rebuild_shard(relation, shard, meta) {
-            Ok(targets) => Ok(targets),
+        match self.rebuild_shard(relation, shard, meta, targets) {
+            Ok(()) => Ok(()),
             Err(_) => {
                 lock_heal(&self.heal.quarantined).insert((relation, shard));
                 self.heal.obs.counter_add("graph/shard_quarantined", 1);
@@ -288,17 +296,18 @@ impl ShardedCsr {
         }
     }
 
-    /// One raw read + decode of a shard file. `inject` arms the per-shard
-    /// `ShardRead`/`ShardDecode` fault sites (the page-load path); the
-    /// repair re-verify and fsck paths read without them so a scheduled
-    /// page fault cannot masquerade as a failed repair.
+    /// One raw read + decode of a shard file into `targets`. `inject` arms
+    /// the per-shard `ShardRead`/`ShardDecode` fault sites (the page-load
+    /// path); the repair re-verify and fsck paths read without them so a
+    /// scheduled page fault cannot masquerade as a failed repair.
     fn read_shard_once(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
         inject: bool,
-    ) -> Result<Vec<NodeId>, ShardError> {
+        targets: &mut Vec<NodeId>,
+    ) -> Result<(), ShardError> {
         if inject {
             mhg_faults::io_error_if_scheduled(mhg_faults::FaultSite::ShardRead, "shard read")?;
         }
@@ -309,22 +318,30 @@ impl ShardedCsr {
                 *b ^= 1;
             }
         }
-        shard_codec::decode_shard(&bytes, relation, shard, meta, self.node_types.len())
+        shard_codec::decode_shard(
+            &bytes,
+            relation,
+            shard,
+            meta,
+            self.node_types.len(),
+            targets,
+        )
     }
 
     /// Regenerates one shard from the heal source: re-streams the
     /// relation's edges for exactly the shard's node range, cross-checks
     /// the per-node degrees against the manifest offsets, atomically
-    /// rewrites the file and re-verifies its checksum from disk. Rebuilds
-    /// are serialized store-wide and preceded by a re-check read, so a
-    /// shard another worker already repaired — or one healthy again after
-    /// a transient fault — is returned as-is instead of rewritten.
+    /// rewrites the file and re-verifies its checksum from disk into `out`.
+    /// Rebuilds are serialized store-wide and preceded by a re-check read,
+    /// so a shard another worker already repaired — or one healthy again
+    /// after a transient fault — is read as-is instead of rewritten.
     fn rebuild_shard(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
-    ) -> Result<Vec<NodeId>, ShardError> {
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), ShardError> {
         let fail = |state: &HealState, e: ShardError| -> ShardError {
             lock_heal(&state.stats).repair_failures += 1;
             state.obs.counter_add("graph/shard_repair_failures", 1);
@@ -335,8 +352,11 @@ impl ShardedCsr {
         // find the shard already rebuilt — a plain read settles it without
         // touching the disk again (and without counting a second repair).
         let _serial = lock_heal(&self.heal.rebuild_serial);
-        if let Ok(targets) = self.read_shard_once(relation, shard, meta, false) {
-            return Ok(targets);
+        if self
+            .read_shard_once(relation, shard, meta, false, out)
+            .is_ok()
+        {
+            return Ok(());
         }
         let Some(source) = self.heal.source.as_ref() else {
             return Err(fail(
@@ -404,17 +424,17 @@ impl ShardedCsr {
         // before declaring the repair good.
         let attempts = self.heal.policy.read_attempts.max(1);
         let mut attempt = 0u32;
-        let verified = loop {
-            match self.read_shard_once(relation, shard, meta, false) {
-                Ok(t) => break t,
+        loop {
+            match self.read_shard_once(relation, shard, meta, false, out) {
+                Ok(()) => break,
                 Err(_) if attempt.saturating_add(1) < attempts => {
                     attempt += 1;
                     self.backoff(attempt);
                 }
                 Err(e) => return Err(fail(&self.heal, e)),
             }
-        };
-        if verified != targets {
+        }
+        if *out != targets {
             return Err(fail(
                 &self.heal,
                 ShardError::Inconsistent("rebuilt shard reads back different targets"),
@@ -422,7 +442,7 @@ impl ShardedCsr {
         }
         lock_heal(&self.heal.stats).repairs += 1;
         self.heal.obs.counter_add("graph/shard_repairs", 1);
-        Ok(verified)
+        Ok(())
     }
 
     /// Waits `backoff_base_ns << (attempt - 1)` nanoseconds on the obs

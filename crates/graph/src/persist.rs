@@ -1,6 +1,6 @@
 //! Binary snapshot persistence for [`MultiplexGraph`].
 //!
-//! A snapshot is an MHG1 v2 [`mhg_ckpt::frame`] (body layout in the
+//! A snapshot is an MHG1 v3 [`mhg_ckpt::frame`] (body layout in the
 //! "Persisted formats" table of DESIGN.md §2.11): the schema, the node
 //! types and one CSR per relation. `hybridgnn-cli generate` writes one, and
 //! every other CLI command reads its graph from one.
@@ -11,10 +11,10 @@
 //! attempted multi-gigabyte allocation, or a silently different graph.
 //! Content that is well framed but inconsistent (an id out of range, CSR
 //! offsets that are not monotone, do not start at 0 or do not end at the
-//! target count) reports [`FrameError::Inconsistent`]. Version 1
-//! snapshots (a one-byte version, no checksum) are rejected with
-//! [`FrameError::UnsupportedVersion`]; a snapshot is a cache, so regenerate
-//! it. Writes go through [`mhg_ckpt::atomic_write`], so a crash mid-save
+//! target count) reports [`FrameError::Inconsistent`]. Older snapshots —
+//! version 1 (a one-byte version, no checksum) and version 2 (the FNV-1a
+//! trailer) — are rejected with [`FrameError::UnsupportedVersion`]; a
+//! snapshot is a cache, so regenerate it. Writes go through [`mhg_ckpt::atomic_write`], so a crash mid-save
 //! leaves the previous snapshot intact; reads through
 //! [`mhg_ckpt::read_file`], the `IoRead` fault-injection site.
 
@@ -28,7 +28,7 @@ use crate::store::GraphStore;
 use crate::{MultiplexGraph, NodeId, NodeTypeId, Schema};
 
 const MAGIC: &[u8; 4] = b"MHG1";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// Serialises any graph store to bytes.
 ///

@@ -21,7 +21,7 @@ pub const MANIFEST_MAGIC: &[u8; 4] = b"MHGS";
 /// Magic bytes of a shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"MHSH";
 /// Current format version (shared by manifest and shards).
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Errors produced by the sharded-store codec and loader.
 #[derive(Debug)]
@@ -226,15 +226,21 @@ pub fn encode_shard(relation: u16, shard: u32, meta: &ShardMeta, targets: &[Node
     w.finish()
 }
 
-/// Deserialises one shard, cross-checking every header field against the
-/// manifest metadata the caller already trusts.
+/// Deserialises one shard into `targets`, cross-checking every header field
+/// against the manifest metadata the caller already trusts.
+///
+/// `targets` is cleared first and reused, so a caller that recycles page
+/// buffers pays no allocation once a buffer has grown to the shard size. On
+/// success it holds exactly the shard's targets; on error its contents are
+/// unspecified.
 pub fn decode_shard(
     data: &[u8],
     relation: u16,
     shard: u32,
     meta: &ShardMeta,
     num_nodes: usize,
-) -> Result<Vec<NodeId>, ShardError> {
+    targets: &mut Vec<NodeId>,
+) -> Result<(), ShardError> {
     let mut r = Reader::open(data, SHARD_MAGIC, VERSION)?;
     if r.u16()? != relation || r.u32()? != shard {
         return Err(ShardError::Inconsistent("shard identity mismatch"));
@@ -243,21 +249,24 @@ pub fn decode_shard(
         return Err(ShardError::Inconsistent("shard node range mismatch"));
     }
     // A hostile count is caught twice: against the bytes actually present,
-    // then against the manifest, both before the allocation below.
+    // then against the manifest, both before `targets` grows below.
     let count = r.u32()?;
     let raw = r.u32s(count as usize)?;
     if count != meta.num_targets {
         return Err(ShardError::Inconsistent("shard target count mismatch"));
     }
-    let mut targets = Vec::with_capacity(raw.len());
-    for t in raw {
-        if t as usize >= num_nodes {
-            return Err(ShardError::Inconsistent("target node out of range"));
-        }
-        targets.push(NodeId(t));
-    }
     r.finish()?;
-    Ok(targets)
+    // One bulk copy, then one branch-free scan: the largest target bounds
+    // every other one. `reserve_exact` keeps a recycled buffer from
+    // doubling past the largest page it has held.
+    targets.clear();
+    targets.reserve_exact(raw.len());
+    targets.extend(raw.map(NodeId));
+    let max = targets.iter().fold(0, |m, t| m.max(t.0));
+    if !targets.is_empty() && max as usize >= num_nodes {
+        return Err(ShardError::Inconsistent("target node out of range"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -308,8 +317,14 @@ mod tests {
         };
         let targets = vec![NodeId(2), NodeId(2)];
         let bytes = encode_shard(0, 0, &meta, &targets);
-        let back = decode_shard(&bytes, 0, 0, &meta, 3).expect("decode");
+        // A recycled buffer's old contents never leak into the page.
+        let mut back = vec![NodeId(9); 5];
+        decode_shard(&bytes, 0, 0, &meta, 3, &mut back).expect("decode");
         assert_eq!(back, targets);
+        assert!(matches!(
+            decode_shard(&bytes, 0, 0, &meta, 2, &mut back),
+            Err(ShardError::Inconsistent("target node out of range"))
+        ));
     }
 
     #[test]
@@ -320,12 +335,13 @@ mod tests {
             num_targets: 2,
         };
         let bytes = encode_shard(0, 0, &meta, &[NodeId(2), NodeId(2)]);
+        let mut out = Vec::new();
         assert!(matches!(
-            decode_shard(&bytes, 1, 0, &meta, 3),
+            decode_shard(&bytes, 1, 0, &meta, 3, &mut out),
             Err(ShardError::Inconsistent(_))
         ));
         assert!(matches!(
-            decode_shard(&bytes, 0, 7, &meta, 3),
+            decode_shard(&bytes, 0, 7, &meta, 3, &mut out),
             Err(ShardError::Inconsistent(_))
         ));
     }

@@ -99,7 +99,11 @@ impl EdgeSource for MultiplexGraph {
 }
 
 /// Page-cache counters, exposed for the memory-bound tests and the graph
-/// benchmark. All byte figures count target payloads (4 bytes per entry).
+/// benchmark. All byte figures count target payloads (4 bytes per entry) of
+/// cached pages. Up to four evicted page buffers (`SPARE_PAGES`) are kept for
+/// reuse by the next miss; they are not counted in `resident_bytes` or
+/// `peak_bytes`, so the pager holds at most that many page buffers beyond
+/// the budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageStats {
     /// Pages read and decoded from disk.
@@ -114,10 +118,28 @@ pub struct PageStats {
     pub peak_bytes: usize,
 }
 
+/// Most evicted page buffers the pager keeps for reuse. Without reuse,
+/// pages allocated on one worker thread and freed on another fragment the
+/// allocator's per-thread arenas and the resident set grows; four spares
+/// hold it below the no-reuse level (DESIGN.md §2.14, "Page buffers are
+/// recycled").
+const SPARE_PAGES: usize = 4;
+
 struct PagerState {
     pages: BTreeMap<(u16, u32), Arc<Vec<NodeId>>>,
     fifo: VecDeque<(u16, u32)>,
+    /// Evicted page buffers no reader still held, for the next miss.
+    spare: Vec<Vec<NodeId>>,
     stats: PageStats,
+}
+
+impl PagerState {
+    /// Keeps `buf` for the next miss while the spare list has room.
+    fn recycle(&mut self, buf: Vec<NodeId>) {
+        if self.spare.len() < SPARE_PAGES {
+            self.spare.push(buf);
+        }
+    }
 }
 
 /// Byte-budgeted FIFO page cache over shard files.
@@ -133,34 +155,42 @@ impl Pager {
             state: Mutex::new(PagerState {
                 pages: BTreeMap::new(),
                 fifo: VecDeque::new(),
+                spare: Vec::new(),
                 stats: PageStats::default(),
             }),
         }
     }
 
-    /// Fetches a page, loading it via `load` on a miss and evicting
-    /// oldest-first past the byte budget.
+    /// Fetches a page. On a miss, `load` fills a buffer taken from the
+    /// spare list (or a new one), and pages are evicted oldest-first past
+    /// the byte budget.
     fn get(
         &self,
         key: (u16, u32),
-        load: impl FnOnce() -> Result<Vec<NodeId>, ShardError>,
+        load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
     ) -> Result<Arc<Vec<NodeId>>, ShardError> {
         let mut st = lock_pager(&self.state);
         if let Some(page) = st.pages.get(&key).map(Arc::clone) {
             st.stats.hits += 1;
             return Ok(page);
         }
+        let mut buf = st.spare.pop().unwrap_or_default();
         drop(st);
         // Load outside the lock: a slow disk read must not serialize hits
-        // on other pages. A racing thread may load the same page; the
-        // second insert below simply wins and the loser's copy is dropped.
-        let page = Arc::new(load()?);
-        let bytes = page.len().saturating_mul(4);
+        // on other pages.
+        load(&mut buf)?;
+        let bytes = buf.len().saturating_mul(4);
         let mut st = lock_pager(&self.state);
         st.stats.loads += 1;
+        // A racing thread loaded the same page meanwhile: serve its copy,
+        // evict nothing and keep this buffer for the next miss.
+        if let Some(page) = st.pages.get(&key).map(Arc::clone) {
+            st.recycle(buf);
+            return Ok(page);
+        }
         // Make room first, so resident_bytes (and its high-water mark) never
         // exceeds the budget unless a single page is itself oversized.
-        while st.stats.resident_bytes.saturating_add(bytes) > self.budget && !st.fifo.is_empty() {
+        while st.stats.resident_bytes.saturating_add(bytes) > self.budget {
             let Some(old) = st.fifo.pop_front() else {
                 break;
             };
@@ -168,12 +198,16 @@ impl Pager {
                 let freed = evicted.len().saturating_mul(4);
                 st.stats.resident_bytes = st.stats.resident_bytes.saturating_sub(freed);
                 st.stats.evictions += 1;
+                // A page some reader still holds is freed by that reader.
+                if let Ok(spare) = Arc::try_unwrap(evicted) {
+                    st.recycle(spare);
+                }
             }
         }
-        if st.pages.insert(key, Arc::clone(&page)).is_none() {
-            st.fifo.push_back(key);
-            st.stats.resident_bytes = st.stats.resident_bytes.saturating_add(bytes);
-        }
+        let page = Arc::new(buf);
+        st.pages.insert(key, Arc::clone(&page));
+        st.fifo.push_back(key);
+        st.stats.resident_bytes = st.stats.resident_bytes.saturating_add(bytes);
         st.stats.peak_bytes = st.stats.peak_bytes.max(st.stats.resident_bytes);
         Ok(page)
     }
@@ -512,8 +546,8 @@ impl ShardedCsr {
         // A page-in on a cache miss runs the full self-healing ladder:
         // bounded retries with backoff, rebuild-from-source repair, and
         // quarantine on exhaustion (see `heal.rs`).
-        self.pager.get((relation, shard), || {
-            self.load_shard_healing(relation, shard, meta)
+        self.pager.get((relation, shard), |buf| {
+            self.load_shard_healing(relation, shard, meta, buf)
         })
     }
 }
@@ -588,5 +622,66 @@ impl GraphStore for ShardedCsr {
                 error,
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A load that fills the buffer with `n` targets, as `decode_shard`
+    /// does: cleared first, so a recycled buffer's contents never leak.
+    fn fill(n: u32) -> impl Fn(&mut Vec<NodeId>) -> Result<(), ShardError> + Copy {
+        move |buf| {
+            buf.clear();
+            buf.extend((0..n).map(NodeId));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_duplicate_load_serves_the_resident_page() {
+        // The budget holds exactly one two-target page.
+        let pager = Pager::new(8);
+        let key = (0, 0);
+        // The outer miss loads with the lock released; inside it a second
+        // reader misses the same page and inserts it first.
+        let outer = pager
+            .get(key, |buf| {
+                let inner = pager.get(key, fill(2))?;
+                assert_eq!(*inner, [NodeId(0), NodeId(1)]);
+                fill(2)(buf)
+            })
+            .unwrap();
+        let stats = pager.stats();
+        assert_eq!(stats.loads, 2);
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.resident_bytes, 8);
+        let again = pager.get(key, |_| unreachable!("resident")).unwrap();
+        assert!(Arc::ptr_eq(&outer, &again), "the resident page is served");
+        assert_eq!(lock_pager(&pager.state).spare.len(), 1);
+    }
+
+    #[test]
+    fn only_unheld_evicted_pages_are_recycled_up_to_the_bound() {
+        let pager = Pager::new(6 * 8);
+        let held = pager.get((0, 0), fill(2)).unwrap();
+        for shard in 1..6 {
+            drop(pager.get((0, shard), fill(2)).unwrap());
+        }
+        // A page the size of the whole budget evicts all six.
+        drop(pager.get((1, 0), fill(12)).unwrap());
+        let stats = pager.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (6, 48));
+        // Five were unheld, but the spare list keeps only its bound; the
+        // held page stays with its reader.
+        assert_eq!(lock_pager(&pager.state).spare.len(), SPARE_PAGES);
+        assert_eq!(Arc::strong_count(&held), 1);
+        // The next miss loads into a spare instead of a new buffer.
+        let reused = pager.get((2, 0), |buf| {
+            assert!(buf.capacity() >= 2, "a fresh buffer, not a spare");
+            fill(1)(buf)
+        });
+        assert_eq!(*reused.unwrap(), [NodeId(0)]);
     }
 }

@@ -221,7 +221,7 @@ fn forged_target_count_is_rejected_before_allocation() {
     // then the u32 target count at offset 20.
     bytes[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
     let body = bytes.len() - 8;
-    let sum = mhg_ckpt::fnv1a64(&bytes[..body]);
+    let sum = mhg_ckpt::frame::checksum(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&shard, &bytes).unwrap();
 

@@ -1,11 +1,11 @@
 //! Exported embedding tables: the MHE1 file `hybridgnn-cli train` writes
 //! and `hybridgnn-cli recommend` reads.
 //!
-//! One `num_nodes × dim` table per relation, as an MHE1 v1
+//! One `num_nodes × dim` table per relation, as an MHE1 v2
 //! [`mhg_ckpt::frame`] (body layout in the "Persisted formats" table of
 //! DESIGN.md §2.11). Files written before the format carried a version and
-//! a checksum are rejected with a typed [`FrameError`]; re-run `train` to
-//! regenerate them.
+//! a checksum, and v1 files (the FNV-1a trailer), are rejected with a typed
+//! [`FrameError`]; re-run `train` to regenerate them.
 
 use std::io;
 use std::path::Path;
@@ -17,7 +17,7 @@ use mhg_tensor::Tensor;
 use crate::HybridGnn;
 
 const MAGIC: &[u8; 4] = b"MHE1";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// The fitted model's per-relation tables over `graph`: row `v` of table
 /// `r` is [`HybridGnn::embedding`]`(v, r)`.

@@ -3,19 +3,28 @@
 //! (MHG1) and exported embeddings (MHE1).
 //!
 //! For each format: every single-bit flip is rejected, every truncation is
-//! rejected, and a length field forged to `u32::MAX` (trailer re-signed, so
-//! the checksum passes) is rejected as `Truncated` without any large
-//! allocation. A second test pins the bytes of the three formats that must
-//! never move (MHGC, MHGS, MHSH), and a third checks that a re-signed graph
-//! snapshot whose CSR does not start at offset 0 is rejected as
-//! `Inconsistent`.
+//! rejected, every swap of two distinct 8-byte body words and every move of
+//! a word to another lane of its 32-byte checksum stripe fails the trailer,
+//! and a length field forged to `u32::MAX` (trailer re-signed, so the
+//! checksum passes) is rejected as `Truncated` without any large
+//! allocation. Each fixture frames at least 64 bytes, so every format
+//! reaches the trailer's stripe loop. A pinning test fixes the bytes of
+//! every format at its current version and checks that a file of the
+//! previous version is rejected as `UnsupportedVersion`, and a last test
+//! checks that a re-signed graph snapshot whose CSR does not start at
+//! offset 0 is rejected as `Inconsistent`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hybridgnn_repro::ckpt::{self, CkptError, FrameError, StateDict};
+use std::path::{Path, PathBuf};
+
+use hybridgnn_repro::ckpt::{self, Checkpointer, CkptError, FrameError, StateDict};
 use hybridgnn_repro::graph::shard_codec::{self, Manifest, ShardError, ShardMeta};
-use hybridgnn_repro::graph::{persist, GraphBuilder, MultiplexGraph, NodeId, NodeTypeId, Schema};
+use hybridgnn_repro::graph::{
+    persist, GraphBuilder, MultiplexGraph, NodeId, NodeTypeId, Schema, ShardedCsr,
+    ShardedCsrOptions, MANIFEST_FILE,
+};
 use hybridgnn_repro::model::embeddings;
 use hybridgnn_repro::tensor::Tensor;
 
@@ -92,6 +101,8 @@ fn shard_frame(e: ShardError) -> Option<FrameError> {
 
 /// Frame header bytes: magic plus version.
 const HEADER: usize = 6;
+/// Frame trailer bytes: the checksum.
+const TRAILER: usize = 8;
 
 /// Encoded size of a frame string list.
 fn str_list_len(items: &[String]) -> usize {
@@ -103,12 +114,24 @@ fn schema_len(schema: &Schema) -> usize {
     str_list_len(schema.node_type_names()) + str_list_len(schema.relation_names())
 }
 
+/// Recomputes a frame's trailer with `sum` after its bytes were edited.
+fn resign_with(frame: &mut [u8], sum: fn(&[u8]) -> u64) {
+    let body = frame.len() - TRAILER;
+    let sum = sum(&frame[..body]);
+    frame[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Rewrites a frame as an earlier, FNV-1a-trailed version wrote it: the
+/// same body under version field `version`, re-signed with FNV-1a 64.
+fn as_fnv_version(frame: &mut [u8], version: u16) {
+    frame[4..HEADER].copy_from_slice(&version.to_le_bytes());
+    resign_with(frame, ckpt::fnv1a64);
+}
+
 /// Recomputes a frame's checksum trailer after its body was edited, so the
 /// frame passes `Reader::open` and only the decoder's own checks remain.
 fn resign(frame: &mut [u8]) {
-    let body = frame.len() - 8;
-    let sum = ckpt::fnv1a64(&frame[..body]);
-    frame[body..].copy_from_slice(&sum.to_le_bytes());
+    resign_with(frame, ckpt::frame::checksum);
 }
 
 fn state_dict() -> StateDict {
@@ -146,11 +169,12 @@ fn manifest() -> Manifest {
 const SHARD_META: ShardMeta = ShardMeta {
     start: 4,
     end: 6,
-    num_targets: 3,
+    num_targets: 12,
 };
 
 fn shard() -> Vec<u8> {
-    shard_codec::encode_shard(1, 3, &SHARD_META, &[NodeId(7), NodeId(0), NodeId(9)])
+    let targets = [7, 0, 9, 3, 3, 1, 8, 2, 5, 4, 6, 0].map(NodeId);
+    shard_codec::encode_shard(1, 3, &SHARD_META, &targets)
 }
 
 fn graph() -> MultiplexGraph {
@@ -202,8 +226,7 @@ fn formats() -> Vec<Format> {
             name: "MHSH",
             bytes: shard(),
             decode: |b| {
-                shard_codec::decode_shard(b, 1, 3, &SHARD_META, 10)
-                    .map(drop)
+                shard_codec::decode_shard(b, 1, 3, &SHARD_META, 10, &mut Vec::new())
                     .map_err(shard_frame)
             },
             // relation, shard, start, end, then the target count.
@@ -234,6 +257,12 @@ fn every_single_bit_flip_is_rejected() {
             "{} fixture must decode",
             f.name
         );
+        assert!(
+            f.bytes.len() - TRAILER >= 64,
+            "{} fixture frames only {} bytes",
+            f.name,
+            f.bytes.len() - TRAILER
+        );
         for byte in 0..f.bytes.len() {
             for bit in 0..8 {
                 let mut corrupt = f.bytes.clone();
@@ -257,6 +286,76 @@ fn every_truncation_is_rejected() {
                 "{}: truncation to {cut} bytes decoded",
                 f.name
             );
+        }
+    }
+}
+
+/// Asserts that `edited`, a copy of a fixture with body words rearranged,
+/// fails the trailer check.
+fn assert_checksum_rejects(f: &Format, edited: &[u8], what: &str) {
+    assert!(
+        matches!(
+            (f.decode)(edited),
+            Err(Some(FrameError::ChecksumMismatch { .. }))
+        ),
+        "{}: {what} passed the checksum",
+        f.name
+    );
+}
+
+/// Byte offsets of the 8-byte words of a frame that lie wholly in its body.
+/// Words are counted from the frame start, as the checksum's lanes are.
+fn body_words(f: &Format) -> impl Iterator<Item = usize> {
+    (HEADER.div_ceil(8) * 8..=f.bytes.len() - TRAILER - 8).step_by(8)
+}
+
+#[test]
+fn swapped_body_words_are_rejected() {
+    for f in formats() {
+        for a in body_words(&f) {
+            for b in body_words(&f).filter(|&b| b > a) {
+                if f.bytes[a..a + 8] == f.bytes[b..b + 8] {
+                    continue;
+                }
+                let mut edited = f.bytes.clone();
+                let (head, tail) = edited.split_at_mut(b);
+                head[a..a + 8].swap_with_slice(&mut tail[..8]);
+                assert_checksum_rejects(&f, &edited, &format!("swap of words {a} and {b}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn words_moved_across_lanes_are_rejected() {
+    for f in formats() {
+        let framed = f.bytes.len() - TRAILER;
+        for stripe in (0..=framed - 32).step_by(32) {
+            // Moving a word from lane `from` to lane `to` shifts the lanes
+            // between them by one: a rotation of that run of words.
+            for from in 0..4 {
+                for to in (0..4).filter(|&to| to != from) {
+                    let (lo, hi) = (from.min(to), from.max(to));
+                    let run = stripe + 8 * lo..stripe + 8 * (hi + 1);
+                    if run.start < HEADER {
+                        continue;
+                    }
+                    let mut edited = f.bytes.clone();
+                    if from < to {
+                        edited[run].rotate_left(8);
+                    } else {
+                        edited[run].rotate_right(8);
+                    }
+                    if edited == f.bytes {
+                        continue;
+                    }
+                    assert_checksum_rejects(
+                        &f,
+                        &edited,
+                        &format!("stripe {stripe}: lane {from} moved to lane {to}"),
+                    );
+                }
+            }
         }
     }
 }
@@ -294,18 +393,101 @@ fn snapshot_csr_offsets_must_start_at_zero() {
     );
 }
 
-/// FNV-1a of the encoding of fixed inputs, computed with the codecs these
-/// formats were first written by: checkpoint directories and shard stores
-/// on disk stay readable only while these hold.
+/// FNV-1a of the encoding of fixed inputs at each format's current
+/// version. Bytes may move only with a version bump: a file of the
+/// previous version — the same body under its old version field and the
+/// FNV-1a 64 trailer those versions carried — is rejected as
+/// `UnsupportedVersion`, never misread and never reported as a checksum
+/// mismatch.
 #[test]
 fn checkpoint_and_shard_store_bytes_are_pinned() {
-    assert_eq!(
-        ckpt::fnv1a64(&ckpt::encode(&state_dict())),
-        0x88c1_1216_5247_9b5e
+    // Per format: the hash of its current bytes, its previous version and,
+    // for the fixtures unchanged since then, the hash of the bytes that
+    // version wrote.
+    let pinned: [(&str, u64, u16, Option<u64>); 5] = [
+        (
+            "MHGC",
+            0xb478_06ac_0366_94df,
+            1,
+            Some(0x88c1_1216_5247_9b5e),
+        ),
+        (
+            "MHGS",
+            0xaa6e_15c8_fc44_2043,
+            1,
+            Some(0xa706_045e_f544_cda6),
+        ),
+        ("MHSH", 0x0462_73b5_8b32_97d1, 1, None),
+        ("MHG1", 0xb05e_ff43_594a_3027, 2, None),
+        ("MHE1", 0x5b41_c2a7_62ab_7cce, 1, None),
+    ];
+    for (f, (name, hash, old, old_hash)) in formats().iter().zip(pinned) {
+        assert_eq!(f.name, name);
+        assert_eq!(
+            ckpt::fnv1a64(&f.bytes),
+            hash,
+            "{name}: {:#018x}",
+            ckpt::fnv1a64(&f.bytes)
+        );
+        assert_eq!(
+            u16::from_le_bytes([f.bytes[4], f.bytes[5]]),
+            old + 1,
+            "{name}: version"
+        );
+        let mut previous = f.bytes.clone();
+        as_fnv_version(&mut previous, old);
+        if let Some(old_hash) = old_hash {
+            assert_eq!(ckpt::fnv1a64(&previous), old_hash, "{name}: v{old} bytes");
+        }
+        assert_eq!(
+            (f.decode)(&previous),
+            Err(Some(FrameError::UnsupportedVersion(old))),
+            "{name}"
+        );
+    }
+}
+
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mhg_formats_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Rewrites the frame file at `path` as version 1 wrote it.
+fn downgrade_to_v1(path: &Path) {
+    let mut bytes = ckpt::read_file(path).unwrap();
+    as_fnv_version(&mut bytes, 1);
+    ckpt::atomic_write(path, &bytes).unwrap();
+}
+
+#[test]
+fn a_v1_shard_store_is_rejected_on_open() {
+    let dir = fresh_dir("v1_store");
+    drop(ShardedCsr::build(&graph(), &dir, ShardedCsrOptions::default()).unwrap());
+    downgrade_to_v1(&dir.join(MANIFEST_FILE));
+    let res = ShardedCsr::open(&dir, ShardedCsrOptions::default()).map(drop);
+    assert!(
+        matches!(
+            res,
+            Err(ShardError::Frame(FrameError::UnsupportedVersion(1)))
+        ),
+        "{res:?}"
     );
-    assert_eq!(
-        ckpt::fnv1a64(&shard_codec::encode_manifest(&manifest())),
-        0xa706_045e_f544_cda6
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v1_checkpoint_is_rejected_on_resume() {
+    let ck = Checkpointer::create(fresh_dir("v1_ckpt")).unwrap();
+    ck.save(3, &state_dict()).unwrap();
+    downgrade_to_v1(&ck.path_for(3));
+    let res = ck.load_latest().map(drop);
+    assert!(
+        matches!(
+            res,
+            Err(CkptError::Frame(FrameError::UnsupportedVersion(1)))
+        ),
+        "{res:?}"
     );
-    assert_eq!(ckpt::fnv1a64(&shard()), 0x39a0_4186_1fa1_87ac);
+    let _ = std::fs::remove_dir_all(ck.dir());
 }
