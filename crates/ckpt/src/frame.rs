@@ -28,7 +28,7 @@ use std::fmt;
 /// Bytes of the frame header: 4-byte magic plus `u16` version.
 const HEADER_LEN: usize = 6;
 /// Bytes of the checksum trailer.
-const TRAILER_LEN: usize = 8;
+pub const TRAILER_LEN: usize = 8;
 
 /// Everything that can be wrong with the bytes of a frame.
 #[derive(Debug, PartialEq, Eq)]

@@ -42,11 +42,12 @@ pub enum FaultSite {
     IoRead,
     /// Replace an epoch's training loss with NaN.
     NanLoss,
-    /// IO error reading one shard file of the sharded graph store at
-    /// page-load time (counted per shard read, independent of `IoRead`).
+    /// IO error reading one block of a shard file of the sharded graph
+    /// store at page-in time (counted per block read, independent of
+    /// `IoRead`).
     ShardRead,
-    /// Corruption detected while decoding a shard page that was read
-    /// successfully (surfaces as a checksum mismatch to the heal path).
+    /// Corruption detected in a block that was read successfully (surfaces
+    /// as a checksum mismatch to the heal path).
     ShardDecode,
 }
 
@@ -327,8 +328,10 @@ pub fn panic_if_scheduled(site: FaultSite) {
 }
 
 /// Returns an injected IO error if the schedule fires at this hit of
-/// `site`; `Ok(())` otherwise. `what` names the operation for the message.
-pub fn io_error_if_scheduled(site: FaultSite, what: &str) -> io::Result<()> {
+/// `site`; `Ok(())` otherwise. `what` names the operation for the message;
+/// it is formatted only when the fault fires, so a caller can pass
+/// `path.display()` on a hot path for free.
+pub fn io_error_if_scheduled(site: FaultSite, what: impl std::fmt::Display) -> io::Result<()> {
     if should_inject(site) {
         return Err(io::Error::other(format!("injected fault: {site} ({what})")));
     }

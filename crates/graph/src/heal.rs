@@ -2,7 +2,8 @@
 //!
 //! Production storage lies — reads fail transiently, files get truncated,
 //! bits rot. This module turns those events from terminal [`ShardError`]s
-//! into a graded recovery ladder on every shard page-in:
+//! into a graded recovery ladder on every block page-in and every
+//! whole-shard [`ShardedCsr::verify`] read:
 //!
 //! 1. **Retry with backoff.** A failed read/decode is retried up to
 //!    [`HealPolicy::read_attempts`] times. The backoff waits on the
@@ -14,8 +15,8 @@
 //!    [`ShardedCsr::with_heal_source`], a shard that exhausts its retries
 //!    is regenerated in place — the relation's edges are re-streamed for
 //!    exactly the shard's node range, cross-checked against the manifest
-//!    degrees, atomically rewritten, and checksum re-verified — without
-//!    touching healthy shards.
+//!    degrees and block checksums, atomically rewritten, and checksum
+//!    re-verified — without touching healthy shards.
 //! 3. **Quarantine.** A shard that cannot be repaired is quarantined:
 //!    further accesses fail fast with [`ShardError::Quarantined`] instead
 //!    of hammering a dead disk. [`ShardedCsr::repair`] lifts the quarantine
@@ -33,11 +34,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use mhg_obs::{EventValue, Obs};
 
-use crate::shard_codec::{self, ShardError, ShardMeta};
+use crate::shard_codec::{self, ShardError, ShardMeta, BLOCK_TARGETS, SHARD_HEADER_BYTES};
 use crate::sharded::{shard_file, EdgeSource, ShardedCsr};
 use crate::{NodeId, RelationId};
 
-/// Retry/backoff policy for shard page reads.
+/// Retry/backoff policy for shard block and whole-frame reads.
 #[derive(Clone, Copy, Debug)]
 pub struct HealPolicy {
     /// Total read attempts per page-in (at least 1; 1 disables retries).
@@ -152,8 +153,8 @@ impl RepairReport {
 impl ShardedCsr {
     /// Attaches a re-streamable edge source enabling rebuild-from-source
     /// repair. The source must stream exactly the edges the store was built
-    /// from; a mismatch is detected against the manifest degrees and the
-    /// repair rejected.
+    /// from; a mismatch is detected against the manifest degrees and block
+    /// checksums and the repair rejected.
     pub fn with_heal_source(mut self, source: Arc<dyn EdgeSource + Send + Sync>) -> Self {
         self.heal.source = Some(source);
         self
@@ -186,8 +187,9 @@ impl ShardedCsr {
         lock_heal(&self.heal.quarantined).iter().copied().collect()
     }
 
-    /// Fsck pass: reads and fully decodes every shard file (bypassing the
-    /// page cache and the heal ladder) and reports the corrupt ones. Emits
+    /// Fsck pass: reads and fully checks every shard file — trailer, header
+    /// and every block sum (bypassing the page cache and the heal ladder) —
+    /// and reports the corrupt ones. Emits
     /// a `graph_fsck` event on the attached obs handle; call from the
     /// coordinating thread.
     pub fn verify_all(&self) -> FsckReport {
@@ -196,9 +198,7 @@ impl ShardedCsr {
         for (rel, table) in self.shards.iter().enumerate() {
             for (shard, meta) in table.iter().enumerate() {
                 report.checked += 1;
-                if let Err(e) =
-                    self.read_shard_once(rel as u16, shard as u32, meta, false, &mut targets)
-                {
+                if let Err(e) = self.read_frame(rel as u16, shard as u32, meta, &mut targets) {
                     report.corrupt.push(FsckFinding {
                         relation: rel as u16,
                         shard: shard as u32,
@@ -242,7 +242,7 @@ impl ShardedCsr {
         for (relation, shard) in self.quarantined() {
             let meta = self.shards[relation as usize][shard as usize];
             if self
-                .read_shard_once(relation, shard, &meta, false, &mut targets)
+                .read_frame(relation, shard, &meta, &mut targets)
                 .is_ok()
             {
                 lock_heal(&self.heal.quarantined).remove(&(relation, shard));
@@ -258,14 +258,18 @@ impl ShardedCsr {
         out
     }
 
-    /// The healing page-in ladder: bounded retries with clock backoff, then
-    /// rebuild-from-source, then quarantine. Called from the pager's load
-    /// closure on a cache miss, with the page buffer to fill.
-    pub(crate) fn load_shard_healing(
+    /// The healing read ladder: bounded retries with clock backoff, then
+    /// rebuild-from-source, then quarantine. `block` names the block a
+    /// page-in reads (the pager's load closure, with the page buffer to
+    /// fill); `None` reads and checks the whole shard file, as
+    /// [`ShardedCsr::verify`] does. On success `targets` holds the block's or
+    /// the shard's targets.
+    pub(crate) fn load_healing(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
+        block: Option<usize>,
         targets: &mut Vec<NodeId>,
     ) -> Result<(), ShardError> {
         if lock_heal(&self.heal.quarantined).contains(&(relation, shard)) {
@@ -274,7 +278,11 @@ impl ShardedCsr {
         let attempts = self.heal.policy.read_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.read_shard_once(relation, shard, meta, true, targets) {
+            let read = match block {
+                Some(b) => self.read_block_once(relation, shard, meta, b, targets),
+                None => self.read_frame(relation, shard, meta, targets),
+            };
+            match read {
                 Ok(()) => return Ok(()),
                 Err(_) if attempt.saturating_add(1) < attempts => {
                     attempt += 1;
@@ -287,7 +295,16 @@ impl ShardedCsr {
         }
         // Retries exhausted: regenerate the shard in place from the source.
         match self.rebuild_shard(relation, shard, meta, targets) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                if let Some(b) = block {
+                    // Keep only the block's part of the rebuilt shard.
+                    let at = b * BLOCK_TARGETS;
+                    targets.truncate(at + BLOCK_TARGETS);
+                    targets.drain(..at.min(targets.len()));
+                    targets.shrink_to_fit();
+                }
+                Ok(())
+            }
             Err(_) => {
                 lock_heal(&self.heal.quarantined).insert((relation, shard));
                 self.heal.obs.counter_add("graph/shard_quarantined", 1);
@@ -296,28 +313,64 @@ impl ShardedCsr {
         }
     }
 
-    /// One raw read + decode of a shard file into `targets`. `inject` arms
-    /// the per-shard `ShardRead`/`ShardDecode` fault sites (the page-load
-    /// path); the repair re-verify and fsck paths read without them so a
-    /// scheduled page fault cannot masquerade as a failed repair.
-    fn read_shard_once(
+    /// One positioned read of block `block` of a shard file, checked
+    /// against its manifest sum and decoded into `targets`; a read of block
+    /// 0 also checks the shard header. The per-block
+    /// `ShardRead`/`ShardDecode` fault sites fire here, on the page-in path
+    /// only, so a scheduled page fault cannot masquerade as a failed
+    /// repair or fsck.
+    fn read_block_once(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
-        inject: bool,
+        block: usize,
         targets: &mut Vec<NodeId>,
     ) -> Result<(), ShardError> {
-        if inject {
-            mhg_faults::io_error_if_scheduled(mhg_faults::FaultSite::ShardRead, "shard read")?;
+        mhg_faults::io_error_if_scheduled(mhg_faults::FaultSite::ShardRead, "shard read")?;
+        let at = block * BLOCK_TARGETS;
+        let len = (meta.num_targets as usize)
+            .checked_sub(at)
+            .ok_or(ShardError::Inconsistent("block past the shard's targets"))?
+            .min(BLOCK_TARGETS);
+        // Block 0 is read together with the header that precedes it.
+        let header = if block == 0 { SHARD_HEADER_BYTES } else { 0 };
+        let mut buf = [0u8; SHARD_HEADER_BYTES + BLOCK_TARGETS * 4];
+        let read = &mut buf[..header + len * 4];
+        mhg_ckpt::read_file_at(
+            shard_file(&self.dir, relation, shard),
+            shard_codec::block_offset(block) - header as u64,
+            read,
+        )?;
+        let (head, bytes) = read.split_at_mut(header);
+        if block == 0 {
+            shard_codec::check_shard_header(head, relation, shard, meta)?;
         }
-        let mut bytes = mhg_ckpt::read_file(shard_file(&self.dir, relation, shard))?;
-        if inject && mhg_faults::should_inject(mhg_faults::FaultSite::ShardDecode) {
-            // Bit rot in the page just read: the decode below rejects it.
+        if mhg_faults::should_inject(mhg_faults::FaultSite::ShardDecode) {
+            // Bit rot in the block just read: its manifest sum rejects it.
             if let Some(b) = bytes.last_mut() {
                 *b ^= 1;
             }
         }
+        shard_codec::decode_block(
+            bytes,
+            self.block_sum(relation, shard, block),
+            self.node_types.len(),
+            targets,
+        )
+    }
+
+    /// One whole-frame read of a shard file into `targets`: the trailer,
+    /// the header against the manifest, and every block against its
+    /// manifest sum. The repair, fsck and verify paths read this way.
+    fn read_frame(
+        &self,
+        relation: u16,
+        shard: u32,
+        meta: &ShardMeta,
+        targets: &mut Vec<NodeId>,
+    ) -> Result<(), ShardError> {
+        let bytes = mhg_ckpt::read_file(shard_file(&self.dir, relation, shard))?;
         shard_codec::decode_shard(
             &bytes,
             relation,
@@ -325,13 +378,15 @@ impl ShardedCsr {
             meta,
             self.node_types.len(),
             targets,
-        )
+        )?;
+        shard_codec::check_block_sums(&bytes, self.shard_sums(relation, shard))
     }
 
     /// Regenerates one shard from the heal source: re-streams the
     /// relation's edges for exactly the shard's node range, cross-checks
-    /// the per-node degrees against the manifest offsets, atomically
-    /// rewrites the file and re-verifies its checksum from disk into `out`.
+    /// the per-node degrees against the manifest offsets and every block
+    /// against its manifest sum, atomically rewrites the file and
+    /// re-verifies it from disk into `out`.
     /// Rebuilds are serialized store-wide and preceded by a re-check read,
     /// so a shard another worker already repaired — or one healthy again
     /// after a transient fault — is read as-is instead of rewritten.
@@ -352,10 +407,7 @@ impl ShardedCsr {
         // find the shard already rebuilt — a plain read settles it without
         // touching the disk again (and without counting a second repair).
         let _serial = lock_heal(&self.heal.rebuild_serial);
-        if self
-            .read_shard_once(relation, shard, meta, false, out)
-            .is_ok()
-        {
+        if self.read_frame(relation, shard, meta, out).is_ok() {
             return Ok(());
         }
         let Some(source) = self.heal.source.as_ref() else {
@@ -410,8 +462,15 @@ impl ShardedCsr {
                 ShardError::Inconsistent("heal source contradicts shard target count"),
             ));
         }
-
         let bytes = shard_codec::encode_shard(relation, shard, meta, &targets);
+        // Content cross-check: a source that moved targets between lists
+        // but kept every degree fails a block sum.
+        if shard_codec::check_block_sums(&bytes, self.shard_sums(relation, shard)).is_err() {
+            return Err(fail(
+                &self.heal,
+                ShardError::Inconsistent("heal source contradicts manifest block checksums"),
+            ));
+        }
         let path = shard_file(&self.dir, relation, shard);
         if let Err(e) = mhg_ckpt::atomic_write_retry(
             &path,
@@ -425,7 +484,7 @@ impl ShardedCsr {
         let attempts = self.heal.policy.read_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            match self.read_shard_once(relation, shard, meta, false, out) {
+            match self.read_frame(relation, shard, meta, out) {
                 Ok(()) => break,
                 Err(_) if attempt.saturating_add(1) < attempts => {
                     attempt += 1;

@@ -11,8 +11,15 @@
 //! and target bounds against the manifest metadata the caller already
 //! holds. Corrupt, truncated or hostile input always yields a typed
 //! [`ShardError`], never a panic or a runaway allocation.
+//!
+//! A shard's targets are also cut into blocks of [`BLOCK_TARGETS`], and the
+//! manifest records the [`frame::checksum`] of each block's little-endian
+//! bytes. The pager reads one block at a time at a fixed offset of the shard
+//! file ([`block_offset`]) and checks it against that sum
+//! (`decode_block`); a whole-frame read checks the trailer and then every
+//! block sum (`check_block_sums`).
 
-use mhg_ckpt::frame::{FrameError, Reader, Writer};
+use mhg_ckpt::frame::{self, FrameError, Reader, Writer, TRAILER_LEN};
 
 use crate::{NodeId, NodeTypeId, Schema};
 
@@ -21,7 +28,15 @@ pub const MANIFEST_MAGIC: &[u8; 4] = b"MHGS";
 /// Magic bytes of a shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"MHSH";
 /// Current format version (shared by manifest and shards).
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
+
+/// Targets per block: the unit the pager reads, checksums and caches.
+pub const BLOCK_TARGETS: usize = 1024;
+/// Bytes of one full block of targets.
+const BLOCK_BYTES: usize = BLOCK_TARGETS * 4;
+/// Bytes of a shard frame before its first target: magic, version,
+/// relation, shard, start, end and target count.
+pub(crate) const SHARD_HEADER_BYTES: usize = 24;
 
 /// Errors produced by the sharded-store codec and loader.
 #[derive(Debug)]
@@ -102,6 +117,84 @@ pub struct Manifest {
     pub shards: Vec<Vec<ShardMeta>>,
     /// Per-relation global CSR offsets (`num_nodes + 1` entries each).
     pub offsets: Vec<Vec<u32>>,
+    /// Per relation, the block checksums of every shard, in shard order:
+    /// `ceil(num_targets / BLOCK_TARGETS)` sums per shard.
+    pub block_sums: Vec<Vec<u64>>,
+}
+
+/// Number of blocks a shard of `num_targets` targets is cut into.
+pub(crate) fn num_blocks(num_targets: u32) -> usize {
+    (num_targets as usize).div_ceil(BLOCK_TARGETS)
+}
+
+/// Byte offset of block `block` inside its shard file.
+pub fn block_offset(block: usize) -> u64 {
+    SHARD_HEADER_BYTES as u64 + block as u64 * BLOCK_BYTES as u64
+}
+
+/// The little-endian target bytes of an encoded shard frame: everything
+/// between its header and its trailer.
+fn target_bytes(frame: &[u8]) -> &[u8] {
+    let end = frame.len().saturating_sub(TRAILER_LEN);
+    frame.get(SHARD_HEADER_BYTES..end).unwrap_or_default()
+}
+
+/// The manifest sums of an encoded shard frame: [`frame::checksum`] of
+/// each block of its target bytes.
+pub(crate) fn block_sums(frame: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    target_bytes(frame).chunks(BLOCK_BYTES).map(frame::checksum)
+}
+
+/// Checks every block of an encoded shard frame against its manifest
+/// `sums`. The header and trailer are [`decode_shard`]'s to check.
+pub(crate) fn check_block_sums(frame: &[u8], sums: &[u64]) -> Result<(), ShardError> {
+    if target_bytes(frame).len().div_ceil(BLOCK_BYTES) != sums.len() {
+        return Err(ShardError::Inconsistent("shard block count mismatch"));
+    }
+    for (computed, &stored) in block_sums(frame).zip(sums) {
+        if computed != stored {
+            return Err(FrameError::ChecksumMismatch { stored, computed }.into());
+        }
+    }
+    Ok(())
+}
+
+/// Decodes one block read from a shard file into `targets`, after checking
+/// its bytes against the manifest sum `stored`. `targets` is cleared first;
+/// on error its contents are unspecified.
+pub(crate) fn decode_block(
+    bytes: &[u8],
+    stored: u64,
+    num_nodes: usize,
+    targets: &mut Vec<NodeId>,
+) -> Result<(), ShardError> {
+    let computed = frame::checksum(bytes);
+    if computed != stored {
+        return Err(FrameError::ChecksumMismatch { stored, computed }.into());
+    }
+    let mut r = Reader::plain(bytes);
+    let raw = r.u32s(bytes.len() / 4)?;
+    r.finish()?;
+    decode_targets(raw, num_nodes, targets)
+}
+
+/// Fills `targets` with `raw` in one bulk copy, then range-checks them in
+/// one branch-free scan: the largest target bounds every other one.
+/// `reserve_exact` keeps a recycled page buffer from growing past the
+/// largest page it has held.
+fn decode_targets(
+    raw: impl ExactSizeIterator<Item = u32>,
+    num_nodes: usize,
+    targets: &mut Vec<NodeId>,
+) -> Result<(), ShardError> {
+    targets.clear();
+    targets.reserve_exact(raw.len());
+    targets.extend(raw.map(NodeId));
+    let max = targets.iter().fold(0, |m, t| m.max(t.0));
+    if !targets.is_empty() && max as usize >= num_nodes {
+        return Err(ShardError::Inconsistent("target node out of range"));
+    }
+    Ok(())
 }
 
 /// Serialises a manifest.
@@ -117,12 +210,15 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     for &t in &m.node_types {
         w.u16(t.0);
     }
-    for (shards, offsets) in m.shards.iter().zip(&m.offsets) {
+    for ((shards, offsets), sums) in m.shards.iter().zip(&m.offsets).zip(&m.block_sums) {
         w.len_u32(shards.len(), "shard count");
         for s in shards {
             w.u32s([s.start, s.end, s.num_targets]);
         }
         w.u32s(offsets.iter().copied());
+        for &sum in sums {
+            w.u64(sum);
+        }
     }
     w.finish()
 }
@@ -158,6 +254,7 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
 
     let mut shards = Vec::with_capacity(schema.num_relations());
     let mut offsets = Vec::with_capacity(schema.num_relations());
+    let mut block_sums = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
         let n_shards = r.u32()?;
         let mut table = Vec::with_capacity(r.count(n_shards.into(), 12)?);
@@ -170,6 +267,10 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
         }
         let off: Vec<u32> = r.u32s(num_nodes + 1)?.collect();
         validate_relation(num_nodes, &table, &off)?;
+        // The validated target counts fix the number of sums; `u64s`
+        // checks that many are present before any is collected.
+        let n_sums = table.iter().map(|s| num_blocks(s.num_targets)).sum();
+        block_sums.push(r.u64s(n_sums)?.collect());
         shards.push(table);
         offsets.push(off);
     }
@@ -180,6 +281,7 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
         node_types,
         shards,
         offsets,
+        block_sums,
     })
 }
 
@@ -226,13 +328,56 @@ pub fn encode_shard(relation: u16, shard: u32, meta: &ShardMeta, targets: &[Node
     w.finish()
 }
 
+/// Reads the identity and node range fields of a shard header and checks
+/// them against the manifest.
+fn check_identity(
+    r: &mut Reader<'_>,
+    relation: u16,
+    shard: u32,
+    meta: &ShardMeta,
+) -> Result<(), ShardError> {
+    if r.u16()? != relation || r.u32()? != shard {
+        return Err(ShardError::Inconsistent("shard identity mismatch"));
+    }
+    if r.u32()? != meta.start || r.u32()? != meta.end {
+        return Err(ShardError::Inconsistent("shard node range mismatch"));
+    }
+    Ok(())
+}
+
+/// Checks the header of a shard file — the `SHARD_HEADER_BYTES` before
+/// block 0 — against the manifest: magic, version, identity, node range
+/// and target count. A page-in of block 0 reads the header with it, so a
+/// damaged header fails on the page-in path too, not only in a
+/// whole-frame read.
+pub(crate) fn check_shard_header(
+    header: &[u8],
+    relation: u16,
+    shard: u32,
+    meta: &ShardMeta,
+) -> Result<(), ShardError> {
+    let mut r = Reader::plain(header);
+    if r.bytes(SHARD_MAGIC.len())? != SHARD_MAGIC {
+        return Err(FrameError::BadMagic.into());
+    }
+    let version = r.u16()?;
+    if version != VERSION {
+        return Err(FrameError::UnsupportedVersion(version).into());
+    }
+    check_identity(&mut r, relation, shard, meta)?;
+    if r.u32()? != meta.num_targets {
+        return Err(ShardError::Inconsistent("shard target count mismatch"));
+    }
+    r.finish()?;
+    Ok(())
+}
+
 /// Deserialises one shard into `targets`, cross-checking every header field
 /// against the manifest metadata the caller already trusts.
 ///
-/// `targets` is cleared first and reused, so a caller that recycles page
-/// buffers pays no allocation once a buffer has grown to the shard size. On
-/// success it holds exactly the shard's targets; on error its contents are
-/// unspecified.
+/// `targets` is cleared first and reused. On success it holds exactly the
+/// shard's targets; on error its contents are unspecified. The block sums
+/// are checked separately, by `check_block_sums`.
 pub fn decode_shard(
     data: &[u8],
     relation: u16,
@@ -242,12 +387,7 @@ pub fn decode_shard(
     targets: &mut Vec<NodeId>,
 ) -> Result<(), ShardError> {
     let mut r = Reader::open(data, SHARD_MAGIC, VERSION)?;
-    if r.u16()? != relation || r.u32()? != shard {
-        return Err(ShardError::Inconsistent("shard identity mismatch"));
-    }
-    if r.u32()? != meta.start || r.u32()? != meta.end {
-        return Err(ShardError::Inconsistent("shard node range mismatch"));
-    }
+    check_identity(&mut r, relation, shard, meta)?;
     // A hostile count is caught twice: against the bytes actually present,
     // then against the manifest, both before `targets` grows below.
     let count = r.u32()?;
@@ -256,17 +396,7 @@ pub fn decode_shard(
         return Err(ShardError::Inconsistent("shard target count mismatch"));
     }
     r.finish()?;
-    // One bulk copy, then one branch-free scan: the largest target bounds
-    // every other one. `reserve_exact` keeps a recycled buffer from
-    // doubling past the largest page it has held.
-    targets.clear();
-    targets.reserve_exact(raw.len());
-    targets.extend(raw.map(NodeId));
-    let max = targets.iter().fold(0, |m, t| m.max(t.0));
-    if !targets.is_empty() && max as usize >= num_nodes {
-        return Err(ShardError::Inconsistent("target node out of range"));
-    }
-    Ok(())
+    decode_targets(raw, num_nodes, targets)
 }
 
 #[cfg(test)]
@@ -294,6 +424,7 @@ mod tests {
                 },
             ]],
             offsets: vec![vec![0, 1, 2, 4]],
+            block_sums: vec![vec![11, 22]],
         }
     }
 
@@ -306,6 +437,92 @@ mod tests {
         assert_eq!(m2.node_types, m.node_types);
         assert_eq!(m2.shards, m.shards);
         assert_eq!(m2.offsets, m.offsets);
+        assert_eq!(m2.block_sums, m.block_sums);
+    }
+
+    #[test]
+    fn blocks_are_checked_against_their_manifest_sums() {
+        // 2.5 blocks: two full ones and a short tail.
+        let targets: Vec<NodeId> = (0..2 * BLOCK_TARGETS as u32 + 512).map(NodeId).collect();
+        let meta = ShardMeta {
+            start: 0,
+            end: 1,
+            num_targets: targets.len() as u32,
+        };
+        let frame = encode_shard(0, 0, &meta, &targets);
+        let sums: Vec<u64> = block_sums(&frame).collect();
+        assert_eq!(sums.len(), num_blocks(meta.num_targets));
+        assert_eq!(sums.len(), 3);
+        check_block_sums(&frame, &sums).unwrap();
+        let n = targets.len();
+        let mut out = Vec::new();
+        for (b, &sum) in sums.iter().enumerate() {
+            let at = block_offset(b) as usize;
+            let len = (n - b * BLOCK_TARGETS).min(BLOCK_TARGETS) * 4;
+            decode_block(&frame[at..at + len], sum, n, &mut out).unwrap();
+            assert_eq!(out, targets[b * BLOCK_TARGETS..][..len / 4]);
+        }
+
+        // A changed target fails its block's sum, in a whole frame and in
+        // a block read alike.
+        let mut drifted = targets.clone();
+        drifted[BLOCK_TARGETS + 7] = NodeId(0);
+        assert!(matches!(
+            check_block_sums(&encode_shard(0, 0, &meta, &drifted), &sums),
+            Err(ShardError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+        assert!(matches!(
+            check_block_sums(&frame, &sums[..2]),
+            Err(ShardError::Inconsistent(_))
+        ));
+        let at = block_offset(1) as usize;
+        let mut block = frame[at..at + BLOCK_BYTES].to_vec();
+        block[9] ^= 1;
+        assert!(matches!(
+            decode_block(&block, sums[1], n, &mut out),
+            Err(ShardError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+        // A block whose sum matches still has its targets range-checked.
+        assert!(matches!(
+            decode_block(&frame[at..at + BLOCK_BYTES], sums[1], 10, &mut out),
+            Err(ShardError::Inconsistent("target node out of range"))
+        ));
+    }
+
+    #[test]
+    fn shard_headers_are_checked_against_the_manifest() {
+        let meta = ShardMeta {
+            start: 0,
+            end: 2,
+            num_targets: 2,
+        };
+        let frame = encode_shard(0, 5, &meta, &[NodeId(2), NodeId(2)]);
+        let header = &frame[..SHARD_HEADER_BYTES];
+        check_shard_header(header, 0, 5, &meta).unwrap();
+        assert!(check_shard_header(header, 0, 4, &meta).is_err());
+        let other = ShardMeta {
+            num_targets: 3,
+            ..meta
+        };
+        assert!(check_shard_header(header, 0, 5, &other).is_err());
+        for byte in 0..SHARD_HEADER_BYTES {
+            let mut flipped = header.to_vec();
+            flipped[byte] ^= 0x10;
+            assert!(
+                check_shard_header(&flipped, 0, 5, &meta).is_err(),
+                "header byte {byte}"
+            );
+        }
+    }
+
+    #[test]
+    fn manifest_sums_are_length_guarded() {
+        let mut m = sample_manifest();
+        m.block_sums[0].pop();
+        assert!(matches!(
+            decode_manifest(&encode_manifest(&m)),
+            Err(ShardError::Frame(FrameError::Truncated))
+        ));
     }
 
     #[test]
@@ -317,7 +534,7 @@ mod tests {
         };
         let targets = vec![NodeId(2), NodeId(2)];
         let bytes = encode_shard(0, 0, &meta, &targets);
-        // A recycled buffer's old contents never leak into the page.
+        // A reused buffer's old contents never leak into the shard.
         let mut back = vec![NodeId(9); 5];
         decode_shard(&bytes, 0, 0, &meta, 3, &mut back).expect("decode");
         assert_eq!(back, targets);

@@ -2,11 +2,15 @@
 //! RAM.
 //!
 //! The store keeps only compact metadata resident — schema, per-node type
-//! tags, per-relation global CSR offsets and the shard tables — while the
-//! target arrays live in per-`(relation, shard)` files and are paged in on
-//! demand through a byte-budgeted FIFO cache. Each shard covers a
-//! *contiguous node range*, so every neighbor list lives entirely inside
-//! one shard and `with_neighbors` never stitches pages.
+//! tags, per-relation global CSR offsets, the shard tables and one checksum
+//! per block — while the target arrays live in per-`(relation, shard)`
+//! files. Each shard covers a *contiguous node range*, so every neighbor
+//! list lives entirely inside one shard. The pager's unit is a block of
+//! [`BLOCK_TARGETS`] targets of one shard: a miss reads just that block
+//! with one positioned read, checks it against its manifest sum and caches
+//! it in a byte-budgeted FIFO. A list inside one block is served as a slice
+//! of the cached page; a list that straddles blocks is stitched into a
+//! scratch buffer.
 //!
 //! Building never materialises the whole graph: [`ShardedCsr::build`]
 //! consumes a re-streamable [`EdgeSource`] in waves. Pass A streams the
@@ -23,25 +27,27 @@
 //! `derive_seed`-derived streams produce byte-identical walks over either
 //! backend (pinned by `crates/sampling/tests/store_parity.rs`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use mhg_ckpt::frame::{size_u16, size_u32};
 
 use crate::heal::HealState;
-use crate::shard_codec::{self, Manifest, ShardError, ShardMeta};
+use crate::shard_codec::{self, Manifest, ShardError, ShardMeta, BLOCK_TARGETS};
 use crate::store::GraphStore;
 use crate::{MultiplexGraph, NodeId, NodeTypeId, RelationId, Schema};
 
 /// Tuning knobs for building and paging a [`ShardedCsr`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedCsrOptions {
-    /// Upper bound on directed targets per shard (pre-dedup). Smaller
-    /// shards mean cheaper page misses but more files.
+    /// Upper bound on directed targets per shard (pre-dedup). It sets the
+    /// number of files, not the cost of a miss: a miss reads one block of
+    /// at most [`BLOCK_TARGETS`] targets whatever the shard size.
     pub shard_target_cap: usize,
-    /// Byte budget of the page cache. At least one page is always kept, so
-    /// a single oversized shard still loads.
+    /// Byte budget of the page cache. A page is one block of at most
+    /// 4 KiB; at least one page is always kept, so a budget below that
+    /// still loads.
     pub page_budget_bytes: usize,
     /// Byte budget of the build-time wave buffers (directed-edge staging).
     pub build_budget_bytes: usize,
@@ -99,16 +105,17 @@ impl EdgeSource for MultiplexGraph {
 }
 
 /// Page-cache counters, exposed for the memory-bound tests and the graph
-/// benchmark. All byte figures count target payloads (4 bytes per entry) of
-/// cached pages. Up to four evicted page buffers (`SPARE_PAGES`) are kept for
-/// reuse by the next miss; they are not counted in `resident_bytes` or
-/// `peak_bytes`, so the pager holds at most that many page buffers beyond
-/// the budget.
+/// benchmark. A page is one block of [`BLOCK_TARGETS`] targets (the last
+/// block of a shard may be shorter). All byte figures count target payloads
+/// (4 bytes per entry) of cached pages. A neighbor list that straddles
+/// blocks counts one hit or load per block it touches. Up to four evicted
+/// page buffers (`SPARE_PAGES`) are kept for reuse by the next miss; they
+/// are not counted in `resident_bytes` or `peak_bytes`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageStats {
-    /// Pages read and decoded from disk.
+    /// Blocks read and decoded from disk.
     pub loads: u64,
-    /// Accesses served from the cache.
+    /// Block accesses served from the cache.
     pub hits: u64,
     /// Pages evicted to stay inside the budget.
     pub evictions: u64,
@@ -118,16 +125,16 @@ pub struct PageStats {
     pub peak_bytes: usize,
 }
 
-/// Most evicted page buffers the pager keeps for reuse. Without reuse,
-/// pages allocated on one worker thread and freed on another fragment the
-/// allocator's per-thread arenas and the resident set grows; four spares
-/// hold it below the no-reuse level (DESIGN.md §2.14, "Page buffers are
-/// recycled").
+/// Most evicted page buffers the pager keeps for reuse. A miss that
+/// refills a spare skips an allocation and a cross-thread free; that makes
+/// `walks-10m-sharded` ≈7% faster and its high-water mark after a long run
+/// ≈3 MiB lower (DESIGN.md §2.14, "Page buffers are recycled").
 const SPARE_PAGES: usize = 4;
 
 struct PagerState {
-    pages: BTreeMap<(u16, u32), Arc<Vec<NodeId>>>,
-    fifo: VecDeque<(u16, u32)>,
+    /// The resident page of each block, indexed by global block id.
+    slots: Vec<Option<Arc<Vec<NodeId>>>>,
+    fifo: VecDeque<usize>,
     /// Evicted page buffers no reader still held, for the next miss.
     spare: Vec<Vec<NodeId>>,
     stats: PageStats,
@@ -142,18 +149,19 @@ impl PagerState {
     }
 }
 
-/// Byte-budgeted FIFO page cache over shard files.
+/// Byte-budgeted FIFO page cache over the blocks of every shard file: a
+/// flat slot table indexed by global block id, under one mutex.
 struct Pager {
     budget: usize,
     state: Mutex<PagerState>,
 }
 
 impl Pager {
-    fn new(budget: usize) -> Self {
+    fn new(budget: usize, num_blocks: usize) -> Self {
         Self {
             budget: budget.max(1),
             state: Mutex::new(PagerState {
-                pages: BTreeMap::new(),
+                slots: vec![None; num_blocks],
                 fifo: VecDeque::new(),
                 spare: Vec::new(),
                 stats: PageStats::default(),
@@ -161,16 +169,16 @@ impl Pager {
         }
     }
 
-    /// Fetches a page. On a miss, `load` fills a buffer taken from the
-    /// spare list (or a new one), and pages are evicted oldest-first past
-    /// the byte budget.
+    /// Fetches the page of global block `block`. On a miss, `load` fills a
+    /// buffer taken from the spare list (or a new one), and pages are
+    /// evicted oldest-first past the byte budget.
     fn get(
         &self,
-        key: (u16, u32),
+        block: usize,
         load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
     ) -> Result<Arc<Vec<NodeId>>, ShardError> {
         let mut st = lock_pager(&self.state);
-        if let Some(page) = st.pages.get(&key).map(Arc::clone) {
+        if let Some(page) = st.slots[block].as_ref().map(Arc::clone) {
             st.stats.hits += 1;
             return Ok(page);
         }
@@ -184,7 +192,7 @@ impl Pager {
         st.stats.loads += 1;
         // A racing thread loaded the same page meanwhile: serve its copy,
         // evict nothing and keep this buffer for the next miss.
-        if let Some(page) = st.pages.get(&key).map(Arc::clone) {
+        if let Some(page) = st.slots[block].as_ref().map(Arc::clone) {
             st.recycle(buf);
             return Ok(page);
         }
@@ -194,7 +202,7 @@ impl Pager {
             let Some(old) = st.fifo.pop_front() else {
                 break;
             };
-            if let Some(evicted) = st.pages.remove(&old) {
+            if let Some(evicted) = st.slots[old].take() {
                 let freed = evicted.len().saturating_mul(4);
                 st.stats.resident_bytes = st.stats.resident_bytes.saturating_sub(freed);
                 st.stats.evictions += 1;
@@ -205,8 +213,8 @@ impl Pager {
             }
         }
         let page = Arc::new(buf);
-        st.pages.insert(key, Arc::clone(&page));
-        st.fifo.push_back(key);
+        st.slots[block] = Some(Arc::clone(&page));
+        st.fifo.push_back(block);
         st.stats.resident_bytes = st.stats.resident_bytes.saturating_add(bytes);
         st.stats.peak_bytes = st.stats.peak_bytes.max(st.stats.resident_bytes);
         Ok(page)
@@ -229,8 +237,9 @@ fn lock_pager(m: &Mutex<PagerState>) -> std::sync::MutexGuard<'_, PagerState> {
 /// A sharded, chunk-paged CSR multiplex graph store.
 ///
 /// Resident memory: schema + 2 bytes/node (types) + 4 bytes/node/relation
-/// (offsets) + shard tables. Target arrays are paged through a byte-budgeted
-/// cache, so graphs larger than RAM stream through walk generation.
+/// (offsets) + shard tables + 16 bytes/block (its checksum and page slot).
+/// Target arrays are paged through a byte-budgeted cache, so graphs larger
+/// than RAM stream through walk generation.
 pub struct ShardedCsr {
     pub(crate) dir: PathBuf,
     schema: Schema,
@@ -238,6 +247,11 @@ pub struct ShardedCsr {
     nodes_by_type: Vec<Vec<NodeId>>,
     pub(crate) shards: Vec<Vec<ShardMeta>>,
     pub(crate) offsets: Vec<Vec<u32>>,
+    /// Per relation, the global block id of each shard's first block; a
+    /// shard's blocks have consecutive ids.
+    block_base: Vec<Vec<usize>>,
+    /// The manifest checksum of every block, indexed by global block id.
+    block_sums: Vec<u64>,
     pager: Pager,
     pub(crate) heal: HealState,
 }
@@ -313,6 +327,7 @@ impl ShardedCsr {
             off.push(0);
         }
         let budget_targets = (opts.build_budget_bytes / 4).max(opts.shard_target_cap.max(1));
+        let mut block_sums: Vec<Vec<u64>> = vec![Vec::new(); num_relations];
         for rel in 0..num_relations {
             let table = &mut plan[rel];
             let counts = &ub[rel];
@@ -412,6 +427,7 @@ impl ShardedCsr {
                         &meta,
                         &staging[lo..hi],
                     );
+                    block_sums[rel].extend(shard_codec::block_sums(&bytes));
                     mhg_ckpt::atomic_write(shard_file(dir, rel as u16, shard_idx as u32), &bytes)?;
                 }
             }
@@ -432,6 +448,7 @@ impl ShardedCsr {
             node_types,
             shards: plan,
             offsets,
+            block_sums,
         };
         mhg_ckpt::atomic_write(
             dir.join(MANIFEST_FILE),
@@ -442,7 +459,8 @@ impl ShardedCsr {
 
     /// Opens an existing sharded store. The manifest is read through
     /// `mhg_ckpt::read_file` (the `mhg-faults` io_read site) and fully
-    /// validated; shard files are checksummed lazily on first page-in.
+    /// validated; each block is checked against its manifest sum when it is
+    /// paged in.
     pub fn open(dir: impl AsRef<Path>, opts: ShardedCsrOptions) -> Result<Self, ShardError> {
         let dir = dir.as_ref().to_path_buf();
         let bytes = mhg_ckpt::read_file(dir.join(MANIFEST_FILE))?;
@@ -451,6 +469,21 @@ impl ShardedCsr {
         for (i, &ty) in m.node_types.iter().enumerate() {
             nodes_by_type[ty.index()].push(NodeId(i as u32));
         }
+        let mut block_base = Vec::with_capacity(m.shards.len());
+        let mut next = 0usize;
+        for table in &m.shards {
+            block_base.push(
+                table
+                    .iter()
+                    .map(|meta| {
+                        let base = next;
+                        next += shard_codec::num_blocks(meta.num_targets);
+                        base
+                    })
+                    .collect(),
+            );
+        }
+        let block_sums: Vec<u64> = m.block_sums.concat();
         Ok(Self {
             dir,
             schema: m.schema,
@@ -458,7 +491,9 @@ impl ShardedCsr {
             nodes_by_type,
             shards: m.shards,
             offsets: m.offsets,
-            pager: Pager::new(opts.page_budget_bytes),
+            pager: Pager::new(opts.page_budget_bytes, block_sums.len()),
+            block_base,
+            block_sums,
             heal: HealState::new(),
         })
     }
@@ -473,11 +508,20 @@ impl ShardedCsr {
         self.pager.stats()
     }
 
-    /// Bytes of metadata held resident (node types, offsets, shard tables).
+    /// Bytes of metadata held resident (node types, offsets, shard tables,
+    /// block checksums and the pager's slot table).
     pub fn resident_metadata_bytes(&self) -> usize {
         let offs: usize = self.offsets.iter().map(|o| o.len().saturating_mul(4)).sum();
         let tables: usize = self.shards.iter().map(|t| t.len().saturating_mul(12)).sum();
-        self.node_types.len().saturating_mul(2) + offs + tables
+        let bases: usize = self
+            .block_base
+            .iter()
+            .map(|b| b.len().saturating_mul(8))
+            .sum();
+        // Per block: its checksum and its pager slot.
+        let slot = std::mem::size_of::<Option<Arc<Vec<NodeId>>>>();
+        let blocks = self.block_sums.len().saturating_mul(8 + slot);
+        self.node_types.len().saturating_mul(2) + offs + tables + bases + blocks
     }
 
     /// Total size of the on-disk files (manifest + shards), in bytes.
@@ -491,16 +535,31 @@ impl ShardedCsr {
         Ok(total)
     }
 
-    /// Pages in every shard once, verifying checksums and manifest
-    /// consistency. A freshly copied or possibly damaged store can be
-    /// validated up front instead of failing mid-walk.
+    /// Reads every shard file whole and checks it: the frame trailer, the
+    /// header against the manifest, and every block against its manifest
+    /// sum. A failed shard runs the heal ladder. Nothing enters the page
+    /// cache. A freshly copied or possibly damaged store can be validated up
+    /// front instead of failing mid-walk.
     pub fn verify(&self) -> Result<(), ShardError> {
+        let mut targets = Vec::new();
         for (rel, table) in self.shards.iter().enumerate() {
             for (shard, meta) in table.iter().enumerate() {
-                self.load_page(rel as u16, shard as u32, meta)?;
+                self.load_healing(rel as u16, shard as u32, meta, None, &mut targets)?;
             }
         }
         Ok(())
+    }
+
+    /// The manifest sums of the blocks of one shard.
+    pub(crate) fn shard_sums(&self, relation: u16, shard: u32) -> &[u64] {
+        let base = self.block_base[relation as usize][shard as usize];
+        let meta = &self.shards[relation as usize][shard as usize];
+        &self.block_sums[base..base + shard_codec::num_blocks(meta.num_targets)]
+    }
+
+    /// The manifest sum of block `block` of one shard.
+    pub(crate) fn block_sum(&self, relation: u16, shard: u32, block: usize) -> u64 {
+        self.block_sums[self.block_base[relation as usize][shard as usize] + block]
     }
 
     /// Fallible neighbor access: `f` runs over the sorted neighbor slice,
@@ -522,13 +581,28 @@ impl ShardedCsr {
             Some(m) if m.start <= v.0 => m,
             _ => return Err(ShardError::Inconsistent("node outside every shard")),
         };
-        let page = self.load_page(r.0, si as u32, meta)?;
         let base = off[meta.start as usize] as usize;
         let (lo, hi) = (s - base, e - base);
-        if hi > page.len() || lo > hi {
+        if hi > meta.num_targets as usize || lo > hi {
             return Err(ShardError::Inconsistent("offsets exceed shard payload"));
         }
-        Ok(f(&page[lo..hi]))
+        let (first, last) = (lo / BLOCK_TARGETS, (hi - 1) / BLOCK_TARGETS);
+        // Each block's part of `lo..hi`, relative to the block's start.
+        let part = |b: usize| {
+            let at = b * BLOCK_TARGETS;
+            lo.max(at) - at..hi.min(at + BLOCK_TARGETS) - at
+        };
+        let short = || ShardError::Inconsistent("offsets exceed block payload");
+        if first == last {
+            let page = self.load_block(r.0, si as u32, meta, first)?;
+            return Ok(f(page.get(part(first)).ok_or_else(short)?));
+        }
+        let mut stitched = Vec::with_capacity(hi - lo);
+        for b in first..=last {
+            let page = self.load_block(r.0, si as u32, meta, b)?;
+            stitched.extend_from_slice(page.get(part(b)).ok_or_else(short)?);
+        }
+        Ok(f(&stitched))
     }
 
     /// Index of the shard whose node range holds `v` under `r` (the first
@@ -537,17 +611,19 @@ impl ShardedCsr {
         self.shards[r.index()].partition_point(|m| m.end <= v.0)
     }
 
-    fn load_page(
+    fn load_block(
         &self,
         relation: u16,
         shard: u32,
         meta: &ShardMeta,
+        block: usize,
     ) -> Result<Arc<Vec<NodeId>>, ShardError> {
+        let id = self.block_base[relation as usize][shard as usize] + block;
         // A page-in on a cache miss runs the full self-healing ladder:
         // bounded retries with backoff, rebuild-from-source repair, and
         // quarantine on exhaustion (see `heal.rs`).
-        self.pager.get((relation, shard), |buf| {
-            self.load_shard_healing(relation, shard, meta, buf)
+        self.pager.get(id, |buf| {
+            self.load_healing(relation, shard, meta, Some(block), buf)
         })
     }
 }
@@ -629,7 +705,7 @@ impl GraphStore for ShardedCsr {
 mod tests {
     use super::*;
 
-    /// A load that fills the buffer with `n` targets, as `decode_shard`
+    /// A load that fills the buffer with `n` targets, as `decode_block`
     /// does: cleared first, so a recycled buffer's contents never leak.
     fn fill(n: u32) -> impl Fn(&mut Vec<NodeId>) -> Result<(), ShardError> + Copy {
         move |buf| {
@@ -642,8 +718,8 @@ mod tests {
     #[test]
     fn a_duplicate_load_serves_the_resident_page() {
         // The budget holds exactly one two-target page.
-        let pager = Pager::new(8);
-        let key = (0, 0);
+        let pager = Pager::new(8, 1);
+        let key = 0;
         // The outer miss loads with the lock released; inside it a second
         // reader misses the same page and inserts it first.
         let outer = pager
@@ -663,14 +739,28 @@ mod tests {
     }
 
     #[test]
+    fn the_oldest_block_is_evicted_and_its_slot_emptied() {
+        // The budget holds two two-target pages.
+        let pager = Pager::new(16, 3);
+        for block in 0..3 {
+            drop(pager.get(block, fill(2)).unwrap());
+        }
+        let st = lock_pager(&pager.state);
+        let resident: Vec<bool> = st.slots.iter().map(Option::is_some).collect();
+        assert_eq!(resident, [false, true, true]);
+        assert_eq!(st.fifo, [1, 2]);
+        assert_eq!((st.stats.evictions, st.stats.resident_bytes), (1, 16));
+    }
+
+    #[test]
     fn only_unheld_evicted_pages_are_recycled_up_to_the_bound() {
-        let pager = Pager::new(6 * 8);
-        let held = pager.get((0, 0), fill(2)).unwrap();
-        for shard in 1..6 {
-            drop(pager.get((0, shard), fill(2)).unwrap());
+        let pager = Pager::new(6 * 8, 8);
+        let held = pager.get(0, fill(2)).unwrap();
+        for block in 1..6 {
+            drop(pager.get(block, fill(2)).unwrap());
         }
         // A page the size of the whole budget evicts all six.
-        drop(pager.get((1, 0), fill(12)).unwrap());
+        drop(pager.get(6, fill(12)).unwrap());
         let stats = pager.stats();
         assert_eq!((stats.evictions, stats.resident_bytes), (6, 48));
         // Five were unheld, but the spare list keeps only its bound; the
@@ -678,7 +768,7 @@ mod tests {
         assert_eq!(lock_pager(&pager.state).spare.len(), SPARE_PAGES);
         assert_eq!(Arc::strong_count(&held), 1);
         // The next miss loads into a spare instead of a new buffer.
-        let reused = pager.get((2, 0), |buf| {
+        let reused = pager.get(7, |buf| {
             assert!(buf.capacity() >= 2, "a fresh buffer, not a spare");
             fill(1)(buf)
         });

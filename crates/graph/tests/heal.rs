@@ -230,6 +230,73 @@ fn drifted_source_is_rejected_not_written() {
 }
 
 #[test]
+fn degree_preserving_drift_is_rejected_not_written() {
+    let _guard = mhg_faults::test_guard();
+    mhg_faults::clear();
+    let ram = fixture();
+    let dir = fresh_dir("degree_drift");
+    drop(ShardedCsr::build(&ram, &dir, small_opts()).unwrap());
+
+    // Damage the shard holding users 0 and 1 under "buy".
+    let files = shard_files(&dir);
+    let mut bytes = std::fs::read(&files[0]).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&files[0], &bytes).unwrap();
+
+    // A source that swaps two "buy" targets — (0, 12), (1, 13) become
+    // (0, 13), (1, 12) — keeps every degree and target count, so only the
+    // content check can tell it from the edges the store was built from.
+    let buy = RelationId(0);
+    let swap = |u: NodeId, v: NodeId| match (u.0, v.0) {
+        (0, 12) => (u, NodeId(13)),
+        (1, 13) => (u, NodeId(12)),
+        _ => (u, v),
+    };
+    let drifted = {
+        let mut b = GraphBuilder::new(ram.schema().clone());
+        for v in ram.nodes() {
+            b.add_node(ram.node_type(v));
+        }
+        for r in ram.schema().relations() {
+            for (u, v) in ram.edges_in(r) {
+                let (u, v) = if r == buy { swap(u, v) } else { (u, v) };
+                b.add_edge(u, v, r);
+            }
+        }
+        b.build()
+    };
+    for r in ram.schema().relations() {
+        for v in ram.nodes() {
+            assert_eq!(drifted.degree(v, r), ram.degree(v, r), "{v:?} {r:?}");
+        }
+    }
+    assert_ne!(
+        drifted.neighbors(NodeId(0), buy),
+        ram.neighbors(NodeId(0), buy)
+    );
+
+    let store = ShardedCsr::open(&dir, small_opts())
+        .unwrap()
+        .with_heal_source(Arc::new(drifted))
+        .with_heal_policy(fast_policy());
+    let report = store.repair();
+    assert!(!report.is_complete(), "a drifted rebuild was accepted");
+    assert!(
+        report.failed[0].error.contains("contradicts"),
+        "{}",
+        report.failed[0].error
+    );
+    // The damaged file was not overwritten with drifted data, and a
+    // page-in refuses it rather than serve swapped targets.
+    assert_eq!(std::fs::read(&files[0]).unwrap(), bytes);
+    assert!(matches!(
+        store.try_with_neighbors(NodeId(0), buy, |ns| ns.to_vec()),
+        Err(ShardError::Quarantined { .. })
+    ));
+}
+
+#[test]
 fn backoff_is_deterministic_on_a_fake_clock_and_counted() {
     let _guard = mhg_faults::test_guard();
     mhg_faults::clear();

@@ -121,11 +121,11 @@ fn resign_with(frame: &mut [u8], sum: fn(&[u8]) -> u64) {
     frame[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Rewrites a frame as an earlier, FNV-1a-trailed version wrote it: the
-/// same body under version field `version`, re-signed with FNV-1a 64.
-fn as_fnv_version(frame: &mut [u8], version: u16) {
+/// Rewrites a frame as an earlier version wrote it: the same body under
+/// version field `version`, re-signed with that version's trailer `sum`.
+fn as_version(frame: &mut [u8], version: u16, sum: fn(&[u8]) -> u64) {
     frame[4..HEADER].copy_from_slice(&version.to_le_bytes());
-    resign_with(frame, ckpt::fnv1a64);
+    resign_with(frame, sum);
 }
 
 /// Recomputes a frame's checksum trailer after its body was edited, so the
@@ -163,6 +163,8 @@ fn manifest() -> Manifest {
         node_types: vec![NodeTypeId(0), NodeTypeId(0), NodeTypeId(1), NodeTypeId(1)],
         shards: vec![vec![meta(0, 2, 2), meta(2, 4, 2)], vec![]],
         offsets: vec![vec![0, 1, 2, 3, 4], vec![0, 0, 0, 0, 0]],
+        // One block per shard of relation 0, none for the empty relation.
+        block_sums: vec![vec![0x0123_4567_89ab_cdef, u64::MAX], vec![]],
     }
 }
 
@@ -396,32 +398,39 @@ fn snapshot_csr_offsets_must_start_at_zero() {
 /// FNV-1a of the encoding of fixed inputs at each format's current
 /// version. Bytes may move only with a version bump: a file of the
 /// previous version — the same body under its old version field and the
-/// FNV-1a 64 trailer those versions carried — is rejected as
-/// `UnsupportedVersion`, never misread and never reported as a checksum
-/// mismatch.
+/// trailer that version carried (FNV-1a 64, or XXH64 for MHGS/MHSH v2) —
+/// is rejected as `UnsupportedVersion`, never misread and never reported
+/// as a checksum mismatch.
 #[test]
 fn checkpoint_and_shard_store_bytes_are_pinned() {
-    // Per format: the hash of its current bytes, its previous version and,
-    // for the fixtures unchanged since then, the hash of the bytes that
-    // version wrote.
-    let pinned: [(&str, u64, u16, Option<u64>); 5] = [
+    // Per format: the hash of its current bytes, its previous version and
+    // that version's trailer, and, for the fixtures unchanged since then,
+    // the hash of the bytes that version wrote.
+    type Pin = (&'static str, u64, u16, fn(&[u8]) -> u64, Option<u64>);
+    let fnv: fn(&[u8]) -> u64 = ckpt::fnv1a64;
+    let xxh: fn(&[u8]) -> u64 = ckpt::frame::checksum;
+    let pinned: [Pin; 5] = [
         (
             "MHGC",
             0xb478_06ac_0366_94df,
             1,
+            fnv,
             Some(0x88c1_1216_5247_9b5e),
         ),
+        // v3 added the per-block checksums to the manifest.
+        ("MHGS", 0x3839_65d9_f047_6f43, 2, xxh, None),
+        // v3 shards keep the v2 body; only the version moved.
         (
-            "MHGS",
-            0xaa6e_15c8_fc44_2043,
-            1,
-            Some(0xa706_045e_f544_cda6),
+            "MHSH",
+            0x1864_c796_e7b1_7620,
+            2,
+            xxh,
+            Some(0x0462_73b5_8b32_97d1),
         ),
-        ("MHSH", 0x0462_73b5_8b32_97d1, 1, None),
-        ("MHG1", 0xb05e_ff43_594a_3027, 2, None),
-        ("MHE1", 0x5b41_c2a7_62ab_7cce, 1, None),
+        ("MHG1", 0xb05e_ff43_594a_3027, 2, fnv, None),
+        ("MHE1", 0x5b41_c2a7_62ab_7cce, 1, fnv, None),
     ];
-    for (f, (name, hash, old, old_hash)) in formats().iter().zip(pinned) {
+    for (f, (name, hash, old, old_sum, old_hash)) in formats().iter().zip(pinned) {
         assert_eq!(f.name, name);
         assert_eq!(
             ckpt::fnv1a64(&f.bytes),
@@ -435,7 +444,7 @@ fn checkpoint_and_shard_store_bytes_are_pinned() {
             "{name}: version"
         );
         let mut previous = f.bytes.clone();
-        as_fnv_version(&mut previous, old);
+        as_version(&mut previous, old, old_sum);
         if let Some(old_hash) = old_hash {
             assert_eq!(ckpt::fnv1a64(&previous), old_hash, "{name}: v{old} bytes");
         }
@@ -453,11 +462,17 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Rewrites the frame file at `path` as version `version` wrote it, with
+/// that version's trailer `sum`.
+fn downgrade(path: &Path, version: u16, sum: fn(&[u8]) -> u64) {
+    let mut bytes = ckpt::read_file(path).unwrap();
+    as_version(&mut bytes, version, sum);
+    ckpt::atomic_write(path, &bytes).unwrap();
+}
+
 /// Rewrites the frame file at `path` as version 1 wrote it.
 fn downgrade_to_v1(path: &Path) {
-    let mut bytes = ckpt::read_file(path).unwrap();
-    as_fnv_version(&mut bytes, 1);
-    ckpt::atomic_write(path, &bytes).unwrap();
+    downgrade(path, 1, ckpt::fnv1a64);
 }
 
 #[test]
@@ -470,6 +485,22 @@ fn a_v1_shard_store_is_rejected_on_open() {
         matches!(
             res,
             Err(ShardError::Frame(FrameError::UnsupportedVersion(1)))
+        ),
+        "{res:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v2_shard_store_is_rejected_on_open() {
+    let dir = fresh_dir("v2_store");
+    drop(ShardedCsr::build(&graph(), &dir, ShardedCsrOptions::default()).unwrap());
+    downgrade(&dir.join(MANIFEST_FILE), 2, ckpt::frame::checksum);
+    let res = ShardedCsr::open(&dir, ShardedCsrOptions::default()).map(drop);
+    assert!(
+        matches!(
+            res,
+            Err(ShardError::Frame(FrameError::UnsupportedVersion(2)))
         ),
         "{res:?}"
     );
