@@ -109,29 +109,6 @@ impl Graph<'_> {
                     }
                     accumulate(&mut grads, *a, ga);
                 }
-                Op::SumRows(a) => {
-                    let src_rows = self.value(*a).rows();
-                    let mut ga = Tensor::zeros(src_rows, g.cols());
-                    for r in 0..src_rows {
-                        ga.set_row(r, g.row(0));
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::MaxRows(a) => {
-                    let src = self.value(*a);
-                    let y = &self.nodes[i].value;
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for c in 0..src.cols() {
-                        // First arg-max row receives the gradient.
-                        for r in 0..src.rows() {
-                            if src[(r, c)] == y[(0, c)] {
-                                ga[(r, c)] = g[(0, c)];
-                                break;
-                            }
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
                 Op::ConcatRows(parts) => {
                     let cols = g.cols();
                     let mut offset = 0;

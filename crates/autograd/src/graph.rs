@@ -52,10 +52,6 @@ pub(crate) enum Op {
     SoftmaxRows(Var),
     /// Column-wise mean producing a `1 × d` row.
     MeanRows(Var),
-    /// Column-wise sum producing a `1 × d` row.
-    SumRows(Var),
-    /// Column-wise maximum producing a `1 × d` row.
-    MaxRows(Var),
     /// Vertical stack of rows.
     ConcatRows(Vec<Var>),
     /// Row-wise dot product of two `n × d` tensors, producing `n × 1`.
@@ -66,7 +62,7 @@ pub(crate) enum Op {
     SliceRows(Var, usize, usize),
     /// Mean negative log-sigmoid loss over labelled scores (`n × 1` → `1 × 1`).
     LogisticLoss { scores: Var, labels: Vec<f32> },
-    /// Sum of all entries (`1 × 1`), used for L2 regularisation terms.
+    /// Sum of all entries (`1 × 1`).
     SumAll(Var),
 }
 
@@ -262,32 +258,6 @@ impl<'s> Graph<'s> {
         self.push(value, Op::MeanRows(a))
     }
 
-    /// Column-wise sum producing a `1 × d` row vector.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let value = self.value(a).sum_rows();
-        self.push(value, Op::SumRows(a))
-    }
-
-    /// Column-wise maximum producing a `1 × d` row vector (max-pooling
-    /// aggregator). Gradient flows to the (first) arg-max entry per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty input.
-    pub fn max_rows(&mut self, a: Var) -> Var {
-        let src = self.value(a);
-        assert!(src.rows() > 0, "max_rows of empty tensor");
-        let mut value = mhg_tensor::Tensor::zeros(1, src.cols());
-        for c in 0..src.cols() {
-            let mut best = f32::NEG_INFINITY;
-            for r in 0..src.rows() {
-                best = best.max(src[(r, c)]);
-            }
-            value[(0, c)] = best;
-        }
-        self.push(value, Op::MaxRows(a))
-    }
-
     /// Vertically stacks variables (all must share a width).
     ///
     /// # Panics
@@ -365,17 +335,10 @@ impl<'s> Graph<'s> {
         )
     }
 
-    /// Sum of all entries, producing `1 × 1` (for L2 penalties).
+    /// Sum of all entries, producing `1 × 1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
         self.push(value, Op::SumAll(a))
-    }
-
-    /// Convenience: `0.5 · λ · ‖a‖²` as a `1 × 1` loss term.
-    pub fn l2_penalty(&mut self, a: Var, lambda: f32) -> Var {
-        let sq = self.mul(a, a);
-        let s = self.sum_all(sq);
-        self.scale(s, 0.5 * lambda)
     }
 
     /// The scalar value of a `1 × 1` variable.

@@ -7,8 +7,8 @@
 //!   ever *gathered* onto the tape, never copied whole.
 //! * [`Graph`] — a per-step tape recording the forward computation, with
 //!   [`Graph::backward`] producing a [`GradStore`].
-//! * [`Sgd`] / [`Adam`] — optimizers; Adam performs lazy (per-row) updates
-//!   for sparse embedding gradients.
+//! * [`Adam`] — the optimizer; it performs lazy (per-row) updates for
+//!   sparse embedding gradients.
 //! * [`gradcheck`] — finite-difference verification used by the test suite.
 //!
 //! # Example
@@ -41,5 +41,5 @@ mod store;
 mod validate;
 
 pub use graph::{Graph, Var};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use store::{Grad, GradStore, ParamId, ParamStore, RowGrad};

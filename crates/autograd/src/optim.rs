@@ -1,4 +1,4 @@
-//! Optimizers: SGD and (sparse-aware) Adam.
+//! The sparse-aware Adam optimizer.
 //!
 //! The sparse-aware Adam mirrors "lazy Adam": for embedding tables whose
 //! gradients arrive as sparse rows, only the touched rows' moment estimates
@@ -24,63 +24,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// Serialises the optimizer state (just the learning rate — SGD keeps
-    /// no moments) into `dict` under `prefix`.
-    pub fn export_state(&self, prefix: &str, dict: &mut mhg_ckpt::StateDict) {
-        dict.put_u64(format!("{prefix}/lr"), u64::from(self.lr.to_bits()));
-    }
-
-    /// Restores state exported by [`Sgd::export_state`].
-    pub fn import_state(
-        &mut self,
-        prefix: &str,
-        dict: &mhg_ckpt::StateDict,
-    ) -> Result<(), mhg_ckpt::CkptError> {
-        let key = format!("{prefix}/lr");
-        self.lr = f32::from_bits(narrow(dict.u64(&key)?, &key)?);
-        Ok(())
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        for (id, grad) in grads.iter() {
-            let value = params.value_mut(id);
-            match grad {
-                Grad::Dense(g) => value.axpy(-self.lr, g),
-                Grad::Rows { rows } => {
-                    for (r, g) in rows.iter() {
-                        for (v, gv) in value.row_mut(r).iter_mut().zip(g) {
-                            *v -= self.lr * gv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Per-parameter Adam state.
 struct AdamState {
     m: Tensor,
@@ -91,30 +34,25 @@ struct AdamState {
     step: u32,
 }
 
+/// Adam's first-moment decay β₁ (the paper's default).
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay β₂ (the paper's default).
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard ε (the paper's default).
+const EPS: f32 = 1e-8;
+
 /// Adam optimizer with lazy (sparse-aware) updates for row gradients.
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     states: BTreeMap<ParamId, AdamState>,
 }
 
 impl Adam {
     /// Creates Adam with the paper's defaults (β₁=0.9, β₂=0.999, ε=1e-8).
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates Adam with explicit hyper-parameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
             states: BTreeMap::new(),
         }
     }
@@ -204,7 +142,7 @@ impl Optimizer for Adam {
                 let v = params.value(id);
                 (v.rows(), v.cols())
             };
-            let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+            let (lr, b1, b2, eps) = (self.lr, BETA1, BETA2, EPS);
             let state = self.state_for(id, shape);
             let value = params.value_mut(id);
             match grad {
@@ -290,13 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = converges_to_three(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         let w = converges_to_three(&mut opt, 500);
@@ -349,18 +280,11 @@ mod tests {
                 Err(CkptError::WrongType(_))
             ));
         }
-
-        let mut dict = StateDict::new();
-        dict.put_u64("sgd/lr", too_big);
-        assert!(matches!(
-            Sgd::new(0.1).import_state("sgd", &dict),
-            Err(CkptError::WrongType(_))
-        ));
     }
 
     #[test]
     fn learning_rate_override() {
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         assert_eq!(opt.learning_rate(), 0.5);
         opt.set_learning_rate(0.25);
         assert_eq!(opt.learning_rate(), 0.25);

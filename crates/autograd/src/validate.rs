@@ -107,7 +107,7 @@ impl Graph<'_> {
                 Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) | Op::SoftmaxRows(a) => {
                     expect(operand(*a, "input"));
                 }
-                Op::MeanRows(a) | Op::SumRows(a) | Op::MaxRows(a) => {
+                Op::MeanRows(a) => {
                     let sa = operand(*a, "input");
                     expect(Shape::new(1, sa.cols));
                 }

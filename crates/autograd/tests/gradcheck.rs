@@ -221,20 +221,6 @@ fn grad_gather_scatter() {
 }
 
 #[test]
-fn grad_l2_penalty() {
-    let mut params = store_with(&[(3, 3)], 22);
-    let a = pid(&params, 0);
-    assert_gradients_close(
-        &mut params,
-        |g| {
-            let av = g.param(a);
-            g.l2_penalty(av, 0.3)
-        },
-        TOL,
-    );
-}
-
-#[test]
 fn grad_attention_block() {
     // The paper's Eq. 6: softmax(H·W_Q · (H·W_K)ᵀ / sqrt(d_k)) · H·W_V —
     // the exact composition HybridGNN uses for both attention levels.
@@ -311,36 +297,4 @@ proptest! {
             TOL,
         );
     }
-}
-
-#[test]
-fn grad_sum_rows() {
-    let mut params = store_with(&[(4, 3)], 30);
-    let a = pid(&params, 0);
-    assert_gradients_close(
-        &mut params,
-        |g| {
-            let av = g.param(a);
-            let s = g.sum_rows(av);
-            to_scalar(g, s)
-        },
-        TOL,
-    );
-}
-
-#[test]
-fn grad_max_rows() {
-    let mut params = store_with(&[(4, 3)], 31);
-    let a = pid(&params, 0);
-    // max is piecewise-linear: check away from ties (random init ⇒ a.s. no
-    // ties) with a slightly looser tolerance for the kink.
-    assert_gradients_close(
-        &mut params,
-        |g| {
-            let av = g.param(a);
-            let m = g.max_rows(av);
-            to_scalar(g, m)
-        },
-        6e-2,
-    );
 }

@@ -2,22 +2,6 @@
 
 use mhg_models::CommonConfig;
 
-/// Aggregation function for the hybrid flows (the paper reports the mean
-/// aggregator and notes LSTM/pooling perform similarly; we offer mean, sum
-/// and max-pool as an ablation axis — see DESIGN.md §5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggregatorKind {
-    /// Arithmetic mean (the paper's reported choice).
-    Mean,
-    /// Column-wise sum.
-    Sum,
-    /// Column-wise max-pooling.
-    MaxPool,
-    /// LSTM over the stacked rows (the paper's third candidate); the final
-    /// hidden state is the pooled output. Order-sensitive and slower.
-    Lstm,
-}
-
 /// Full HybridGNN configuration.
 ///
 /// Dimension conventions match the paper: the base embedding `e_v` has
@@ -32,13 +16,6 @@ pub struct HybridConfig {
     /// (Table VI sweeps 1–3; 2 is the paper's sweet spot for complex
     /// graphs).
     pub exploration_depth: usize,
-    /// Per-parent fan-out when sampling metapath-guided / exploration
-    /// neighbors.
-    pub fan_out: usize,
-    /// Per-layer cap on sampled neighbor sets.
-    pub max_layer: usize,
-    /// Flow aggregation function.
-    pub aggregator: AggregatorKind,
     /// Ablation: metapath-level self-attention (Eq. 6) — when off, flows
     /// are combined by plain mean pooling.
     pub use_metapath_attention: bool,
@@ -58,9 +35,6 @@ impl Default for HybridConfig {
         Self {
             common: CommonConfig::default(),
             exploration_depth: 2,
-            fan_out: 4,
-            max_layer: 16,
-            aggregator: AggregatorKind::Mean,
             use_metapath_attention: true,
             use_relationship_attention: true,
             use_randomized_exploration: true,
@@ -115,19 +89,6 @@ mod tests {
         assert_eq!(c.common.edge_dim, 8);
         assert!(c.use_metapath_attention && c.use_relationship_attention);
         assert!(c.use_randomized_exploration && c.use_hybrid_flows);
-        assert_eq!(c.aggregator, AggregatorKind::Mean);
-    }
-
-    #[test]
-    fn lstm_kind_exists() {
-        // The paper's three aggregator candidates plus sum.
-        let kinds = [
-            AggregatorKind::Mean,
-            AggregatorKind::Sum,
-            AggregatorKind::MaxPool,
-            AggregatorKind::Lstm,
-        ];
-        assert_eq!(kinds.len(), 4);
     }
 
     #[test]

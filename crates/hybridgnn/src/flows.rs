@@ -4,103 +4,11 @@
 use mhg_autograd::{Graph, ParamId, Var};
 use mhg_sampling::LayeredNeighbors;
 
-use crate::config::AggregatorKind;
-
-/// LSTM-cell parameters: per-gate input/hidden projections and biases, in
-/// gate order `[input, forget, output, candidate]`. Shared across flows.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LstmParams {
-    /// Input projections `W_x` (`d_h × d_h` each).
-    pub wx: [ParamId; 4],
-    /// Hidden projections `W_h` (`d_h × d_h` each).
-    pub wh: [ParamId; 4],
-    /// Biases (`1 × d_h` each).
-    pub b: [ParamId; 4],
-}
-
-/// The aggregation function applied at every flow step, carrying its
-/// learnable state when the aggregator has any (LSTM).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FlowAggregator {
-    /// A stateless pool: mean, sum or max.
-    Simple(AggregatorKind),
-    /// LSTM over the stacked rows.
-    Lstm(LstmParams),
-}
-
-impl FlowAggregator {
-    /// Builds the aggregator for a configured kind.
-    pub(crate) fn new(kind: AggregatorKind, lstm: Option<LstmParams>) -> Self {
-        match kind {
-            AggregatorKind::Lstm => {
-                FlowAggregator::Lstm(lstm.expect("LSTM aggregator needs its parameters"))
-            }
-            other => FlowAggregator::Simple(other),
-        }
-    }
-}
-
-/// Pools a stack of rows into `1 × d` with the configured aggregator.
-fn pool(g: &mut Graph<'_>, stack: Var, agg: &FlowAggregator) -> Var {
-    match agg {
-        FlowAggregator::Simple(AggregatorKind::Mean) => g.mean_rows(stack),
-        FlowAggregator::Simple(AggregatorKind::Sum) => g.sum_rows(stack),
-        FlowAggregator::Simple(AggregatorKind::MaxPool) => g.max_rows(stack),
-        FlowAggregator::Simple(AggregatorKind::Lstm) => {
-            unreachable!("Lstm kind is always wrapped with parameters")
-        }
-        FlowAggregator::Lstm(p) => lstm_pool(g, stack, p),
-    }
-}
-
-/// Runs an LSTM over the rows of `stack` (`n × d_h`) and returns the final
-/// hidden state (`1 × d_h`).
-fn lstm_pool(g: &mut Graph<'_>, stack: Var, p: &LstmParams) -> Var {
-    let n = g.value(stack).rows();
-    let d = g.value(stack).cols();
-    let zero = g.constant(mhg_tensor::Tensor::zeros(1, d));
-    let mut h = zero;
-    let mut c = zero;
-    for i in 0..n {
-        let x = g.slice_rows(stack, i, i + 1);
-        let gate = |g: &mut Graph<'_>, h: Var, idx: usize| -> Var {
-            let wx = g.param(p.wx[idx]);
-            let wh = g.param(p.wh[idx]);
-            let b = g.param(p.b[idx]);
-            let xa = g.matmul(x, wx);
-            let ha = g.matmul(h, wh);
-            let sum = g.add(xa, ha);
-            g.add(sum, b)
-        };
-        let i_gate = {
-            let z = gate(g, h, 0);
-            g.sigmoid(z)
-        };
-        let f_gate = {
-            let z = gate(g, h, 1);
-            g.sigmoid(z)
-        };
-        let o_gate = {
-            let z = gate(g, h, 2);
-            g.sigmoid(z)
-        };
-        let cand = {
-            let z = gate(g, h, 3);
-            g.tanh(z)
-        };
-        let kept = g.mul(f_gate, c);
-        let new = g.mul(i_gate, cand);
-        c = g.add(kept, new);
-        let ct = g.tanh(c);
-        h = g.mul(o_gate, ct);
-    }
-    h
-}
-
 /// Computes one aggregation flow embedding `h_{v|P}` (Eq. 3 for metapath
 /// flows, Eq. 4 for the randomized-exploration flow) from layered neighbor
 /// sets: the recursion folds the layers leaves-to-root, sharing the flow's
-/// weight matrix `w` at every step.
+/// weight matrix `w` at every step and pooling each step's rows with the
+/// mean, the paper's aggregator.
 ///
 /// `layers[0]` must be `[v]`. Returns a `1 × d_h` variable.
 pub(crate) fn flow_embedding(
@@ -108,7 +16,6 @@ pub(crate) fn flow_embedding(
     flow_table: ParamId,
     w: ParamId,
     layers: &LayeredNeighbors,
-    agg: &FlowAggregator,
 ) -> Var {
     debug_assert!(!layers.is_empty() && layers[0].len() == 1);
     let wv = g.param(w);
@@ -120,7 +27,7 @@ pub(crate) fn flow_embedding(
             Some(c) => g.concat_rows(&[gathered, c]),
             None => gathered,
         };
-        let pooled = pool(g, stack, agg);
+        let pooled = g.mean_rows(stack);
         let lin = g.matmul(pooled, wv);
         carried = Some(g.tanh(lin));
     }
@@ -131,7 +38,7 @@ pub(crate) fn flow_embedding(
         Some(c) => g.concat_rows(&[self_row, c]),
         None => self_row,
     };
-    let pooled = pool(g, stack, agg);
+    let pooled = g.mean_rows(stack);
     let lin = g.matmul(pooled, wv);
     g.tanh(lin)
 }
@@ -193,13 +100,7 @@ mod tests {
         let (params, flow, w) = setup();
         let mut g = Graph::new(&params);
         let layers = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(2)], vec![NodeId(3)]];
-        let h = flow_embedding(
-            &mut g,
-            flow,
-            w,
-            &layers,
-            &FlowAggregator::Simple(AggregatorKind::Mean),
-        );
+        let h = flow_embedding(&mut g, flow, w, &layers);
         let t = g.value(h);
         assert_eq!((t.rows(), t.cols()), (1, 2));
         assert!(t.all_finite());
@@ -212,94 +113,8 @@ mod tests {
         let (params, flow, w) = setup();
         let mut g = Graph::new(&params);
         let layers = vec![vec![NodeId(2)]];
-        let h = flow_embedding(
-            &mut g,
-            flow,
-            w,
-            &layers,
-            &FlowAggregator::Simple(AggregatorKind::Mean),
-        );
+        let h = flow_embedding(&mut g, flow, w, &layers);
         assert_eq!(g.value(h).rows(), 1);
-    }
-
-    #[test]
-    fn aggregators_differ() {
-        let (params, flow, w) = setup();
-        let layers = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(3)]];
-        let values: Vec<Tensor> = [
-            AggregatorKind::Mean,
-            AggregatorKind::Sum,
-            AggregatorKind::MaxPool,
-        ]
-        .iter()
-        .map(|&kind| {
-            let mut g = Graph::new(&params);
-            let h = flow_embedding(&mut g, flow, w, &layers, &FlowAggregator::Simple(kind));
-            g.value(h).clone()
-        })
-        .collect();
-        assert!(values[0].max_abs_diff(&values[1]) > 1e-6);
-        assert!(values[0].max_abs_diff(&values[2]) > 1e-6);
-    }
-
-    #[test]
-    fn lstm_pool_runs_and_is_order_sensitive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut params = ParamStore::new();
-        let flow = params.register(
-            "flow",
-            Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, -0.5], &[-1.0, 1.0]]),
-        );
-        let w = params.register("w", InitKind::XavierUniform.init(2, 2, &mut rng));
-        let mut mat = |name: &str, p: &mut ParamStore| {
-            p.register(
-                name.to_string(),
-                InitKind::XavierUniform.init(2, 2, &mut rng),
-            )
-        };
-        let wx = [
-            mat("wxi", &mut params),
-            mat("wxf", &mut params),
-            mat("wxo", &mut params),
-            mat("wxg", &mut params),
-        ];
-        let wh = [
-            mat("whi", &mut params),
-            mat("whf", &mut params),
-            mat("who", &mut params),
-            mat("whg", &mut params),
-        ];
-        let b = [
-            params.register("bi", Tensor::zeros(1, 2)),
-            params.register("bf", Tensor::full(1, 2, 1.0)),
-            params.register("bo", Tensor::zeros(1, 2)),
-            params.register("bg", Tensor::zeros(1, 2)),
-        ];
-        let lstm = LstmParams { wx, wh, b };
-        let agg = FlowAggregator::Lstm(lstm);
-
-        // Same multiset of neighbors, different order: the LSTM (unlike
-        // mean) is order-sensitive.
-        let fwd = vec![vec![NodeId(0)], vec![NodeId(1), NodeId(3)]];
-        let rev = vec![vec![NodeId(0)], vec![NodeId(3), NodeId(1)]];
-        let mut g1 = Graph::new(&params);
-        let h1 = flow_embedding(&mut g1, flow, w, &fwd, &agg);
-        let v1 = g1.value(h1).clone();
-        let mut g2 = Graph::new(&params);
-        let h2 = flow_embedding(&mut g2, flow, w, &rev, &agg);
-        let v2 = g2.value(h2).clone();
-        assert!(v1.all_finite() && v2.all_finite());
-        assert!(
-            v1.max_abs_diff(&v2) > 1e-7,
-            "LSTM should be order-sensitive"
-        );
-
-        // And its gradients must flow: backprop a scalar through it.
-        let mut g3 = Graph::new(&params);
-        let h3 = flow_embedding(&mut g3, flow, w, &fwd, &agg);
-        let s = g3.sum_all(h3);
-        let grads = g3.backward(s);
-        assert!(grads.get(lstm.wx[0]).is_some(), "no gradient reached W_xi");
     }
 
     /// §III-F, case G₂: with a single relation the relationship-level

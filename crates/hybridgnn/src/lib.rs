@@ -50,5 +50,5 @@ pub mod embeddings;
 mod flows;
 mod model;
 
-pub use config::{AggregatorKind, HybridConfig};
+pub use config::HybridConfig;
 pub use model::{AttentionProfile, HybridGnn};

@@ -20,11 +20,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::config::AggregatorKind;
 use crate::config::HybridConfig;
-use crate::flows::{flow_embedding, self_attention, FlowAggregator, LstmParams};
+use crate::flows::{flow_embedding, self_attention};
 
 const BATCH: usize = 48;
+/// Per-parent fan-out when sampling metapath-guided, uniform and
+/// exploration neighbors.
+const FAN_OUT: usize = 4;
+/// Per-layer cap on sampled neighbor sets.
+const MAX_LAYER: usize = 16;
 
 /// Averaged metapath-level attention mass per flow, per relation — the data
 /// behind the paper's Fig. 4.
@@ -53,8 +57,6 @@ struct Params {
     rk: ParamId,
     rv: ParamId,
     w_out: Vec<ParamId>,
-    /// Present only for the LSTM aggregator.
-    lstm: Option<LstmParams>,
 }
 
 /// Static per-fit context shared by forward passes.
@@ -143,34 +145,6 @@ impl HybridGnn {
                     )
                 })
                 .collect(),
-            lstm: (config.aggregator == AggregatorKind::Lstm).then(|| {
-                let mut mat = |name: &str| {
-                    params.register(
-                        name.to_string(),
-                        InitKind::XavierUniform.init(d_h, d_h, rng),
-                    )
-                };
-                let wx = [
-                    mat("lstm_wxi"),
-                    mat("lstm_wxf"),
-                    mat("lstm_wxo"),
-                    mat("lstm_wxg"),
-                ];
-                let wh = [
-                    mat("lstm_whi"),
-                    mat("lstm_whf"),
-                    mat("lstm_who"),
-                    mat("lstm_whg"),
-                ];
-                let b = [
-                    params.register("lstm_bi", Tensor::zeros(1, d_h)),
-                    // Forget-gate bias starts at 1 (standard LSTM trick).
-                    params.register("lstm_bf", Tensor::full(1, d_h, 1.0)),
-                    params.register("lstm_bo", Tensor::zeros(1, d_h)),
-                    params.register("lstm_bg", Tensor::zeros(1, d_h)),
-                ];
-                LstmParams { wx, wh, b }
-            }),
         };
         (params, p)
     }
@@ -189,10 +163,9 @@ impl HybridGnn {
     ) -> (Vec<Var>, Vec<Vec<(String, f64)>>) {
         let cfg = ctx.config;
         let graph = ctx.graph;
-        let metapath_sampler = MetapathNeighborSampler::new(graph, cfg.fan_out, cfg.max_layer);
-        let uniform_sampler = UniformNeighborSampler::new(graph, cfg.fan_out, cfg.max_layer);
+        let metapath_sampler = MetapathNeighborSampler::new(graph, FAN_OUT, MAX_LAYER);
+        let uniform_sampler = UniformNeighborSampler::new(graph, FAN_OUT, MAX_LAYER);
         let explorer = InterRelationshipExplorer::new(graph);
-        let aggregator = FlowAggregator::new(cfg.aggregator, p.lstm);
 
         let mut rel_rows: Vec<Var> = Vec::with_capacity(graph.schema().num_relations());
         let mut attn_obs: Vec<Vec<(String, f64)>> = Vec::new();
@@ -205,48 +178,27 @@ impl HybridGnn {
                 if shape[0] != graph.node_type(v) {
                     continue;
                 }
-                if cfg.use_hybrid_flows {
+                let layers = if cfg.use_hybrid_flows {
                     // Intra-relationship metapath-guided flow (Eq. 3).
                     let scheme = MetapathScheme::intra(shape.clone(), r);
-                    let layers = metapath_sampler.sample(v, &scheme, rng);
-                    if layers.len() <= 1 {
-                        continue;
-                    }
-                    rows.push(flow_embedding(
-                        g,
-                        p.flow,
-                        p.w_shape[si],
-                        &layers,
-                        &aggregator,
-                    ));
+                    metapath_sampler.sample(v, &scheme, rng)
                 } else {
                     // Ablation: random-neighbor aggregation of the same
                     // depth replaces the metapath guidance.
-                    let layers = uniform_sampler.sample(v, shape.len() - 1, rng);
-                    if layers.len() <= 1 {
-                        continue;
-                    }
-                    rows.push(flow_embedding(
-                        g,
-                        p.flow,
-                        p.w_shape[si],
-                        &layers,
-                        &aggregator,
-                    ));
+                    uniform_sampler.sample(v, shape.len() - 1, rng)
+                };
+                if layers.len() <= 1 {
+                    continue;
                 }
+                rows.push(flow_embedding(g, p.flow, p.w_shape[si], &layers));
                 labels.push(label.clone());
             }
 
             if cfg.use_randomized_exploration {
-                let layers = explorer.layered_neighbors(
-                    v,
-                    cfg.exploration_depth,
-                    cfg.fan_out,
-                    cfg.max_layer,
-                    rng,
-                );
+                let layers =
+                    explorer.layered_neighbors(v, cfg.exploration_depth, FAN_OUT, MAX_LAYER, rng);
                 if layers.len() > 1 {
-                    rows.push(flow_embedding(g, p.flow, p.w_rand, &layers, &aggregator));
+                    rows.push(flow_embedding(g, p.flow, p.w_rand, &layers));
                     labels.push("random".to_string());
                 }
             }
@@ -254,7 +206,7 @@ impl HybridGnn {
             if rows.is_empty() {
                 // Isolated node or no applicable scheme: self flow.
                 let layers = vec![vec![v]];
-                rows.push(flow_embedding(g, p.flow, p.w_self, &layers, &aggregator));
+                rows.push(flow_embedding(g, p.flow, p.w_self, &layers));
                 labels.push("self".to_string());
             }
 

@@ -1,7 +1,7 @@
 //! node2vec baseline (Grover & Leskovec, KDD 2016).
 //!
 //! Identical to DeepWalk except walks are second-order biased with return
-//! parameter `p` and in-out parameter `q`.
+//! parameter `p = 1` and in-out parameter `q = 0.5`.
 
 use mhg_graph::{NodeId, RelationId};
 use mhg_sampling::{pairs_from_walk, NegativeSampler, Node2VecWalker, Pair};
@@ -15,11 +15,15 @@ use crate::common::{
 use crate::deepwalk::SGNS_BATCH;
 use crate::sgns::{Sgns, SgnsStep};
 
+/// Return parameter `p` of the standard bias.
+const P: f32 = 1.0;
+/// In-out parameter `q` of the standard bias (`q < 1` favours outward
+/// exploration).
+const Q: f32 = 0.5;
+
 /// The node2vec baseline.
 pub struct Node2Vec {
     config: CommonConfig,
-    p: f32,
-    q: f32,
     scores: EmbeddingScores,
 }
 
@@ -27,15 +31,8 @@ impl Node2Vec {
     /// Creates an untrained model with the standard `p = 1, q = 0.5` bias
     /// (favouring outward exploration).
     pub fn new(config: CommonConfig) -> Self {
-        Self::with_bias(config, 1.0, 0.5)
-    }
-
-    /// Creates an untrained model with explicit bias parameters.
-    pub fn with_bias(config: CommonConfig, p: f32, q: f32) -> Self {
         Self {
             config,
-            p,
-            q,
             scores: EmbeddingScores::default(),
         }
     }
@@ -49,7 +46,7 @@ impl LinkPredictor for Node2Vec {
     fn fit(&mut self, data: &FitData<'_>, rng: &mut StdRng) -> Result<TrainReport, TrainError> {
         let graph = data.graph;
         let cfg = &self.config;
-        let walker = Node2VecWalker::new(graph, self.p, self.q);
+        let walker = Node2VecWalker::new(graph, P, Q);
         let negatives = NegativeSampler::new(graph);
         let starts: Vec<NodeId> = graph.nodes().collect();
 

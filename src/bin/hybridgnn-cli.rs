@@ -238,6 +238,12 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             model_path.display()
         ));
     }
+    if tables.iter().any(|t| !t.all_finite()) {
+        return Err(format!(
+            "embedding file {} holds non-finite values",
+            model_path.display()
+        ));
+    }
     let table = &tables[relation.index()];
 
     // Candidate targets: the node types observed opposite `node`'s type
@@ -266,7 +272,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             (v, dot)
         })
         .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
 
     println!("top-{k} {rel_name} recommendations for {node}:");
     for (rank, (v, score)) in scored.iter().take(k).enumerate() {

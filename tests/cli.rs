@@ -141,3 +141,53 @@ fn helpful_errors() {
     assert!(!out.status.success());
     std::fs::remove_file(graph_path).ok();
 }
+
+#[test]
+fn recommend_rejects_a_non_finite_embedding_file() {
+    use hybridgnn_repro::graph::{persist, RelationId};
+    use hybridgnn_repro::model::embeddings;
+    use hybridgnn_repro::tensor::Tensor;
+
+    let graph_path = temp_path("non_finite.mhg");
+    let model_path = temp_path("non_finite.emb");
+    let out = cli()
+        .args([
+            "generate",
+            "--dataset",
+            "amazon",
+            "--scale",
+            "0.005",
+            "--out",
+        ])
+        .arg(&graph_path)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+
+    // A well-formed MHE1 file whose tables carry a NaN in the query row:
+    // the frame checks pass, so only the value check can catch it.
+    let graph = persist::load(&graph_path).expect("load graph");
+    let mut tables: Vec<Tensor> = graph
+        .schema()
+        .relations()
+        .map(|_| Tensor::full(graph.num_nodes(), 4, 0.5))
+        .collect();
+    tables[0][(0, 0)] = f32::NAN;
+    embeddings::save(&model_path, &tables).expect("save tables");
+
+    let relation = graph.schema().relation_name(RelationId(0));
+    let out = cli()
+        .args(["recommend", "--graph"])
+        .arg(&graph_path)
+        .arg("--model")
+        .arg(&model_path)
+        .args(["--node", "0", "--relation", relation])
+        .output()
+        .expect("run recommend");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("non-finite"), "{stderr}");
+
+    std::fs::remove_file(graph_path).ok();
+    std::fs::remove_file(model_path).ok();
+}

@@ -22,7 +22,7 @@ use hybridgnn_repro::graph::MultiplexGraph;
 use hybridgnn_repro::model::{HybridConfig, HybridGnn};
 use hybridgnn_repro::models::{
     CommonConfig, DeepWalk, EmbeddingScores, FitData, Gcn, GraphSage, Han, LinkPredictor, Magnn,
-    RGcn,
+    Node2Vec, RGcn,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -193,6 +193,21 @@ const GCN_GOLDEN: u64 = 0xd29d_b0b2_997f_b3b2;
 const GRAPHSAGE_GOLDEN: u64 = 0xfc95_564c_2ecc_8465;
 const HAN_GOLDEN: u64 = 0xf981_1875_2205_5bb3;
 const MAGNN_GOLDEN: u64 = 0x76bf_c475_892b_cdac;
+
+/// node2vec on a small Amazon graph: its second-order walks draw from the
+/// `p`/`q`-biased transition, so a change to the bias or to the walker's
+/// RNG draws fails here.
+fn node2vec_hash() -> u64 {
+    score_hash(
+        &mut Node2Vec::new(encoder_config(16)),
+        DatasetKind::Amazon,
+        0.01,
+        13,
+    )
+}
+
+/// Pinned before the bias parameters became constants of `Node2Vec::new`.
+const NODE2VEC_GOLDEN: u64 = 0x4823_f519_dc3b_443d;
 
 /// FNV-1a over raw bytes (for hashing a rendered `metrics.jsonl`).
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -520,4 +535,9 @@ fn han_is_bit_identical_across_thread_counts() {
 #[test]
 fn magnn_is_bit_identical_across_thread_counts() {
     assert_golden_across_thread_counts("MAGNN", magnn_hash, MAGNN_GOLDEN);
+}
+
+#[test]
+fn node2vec_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("node2vec", node2vec_hash, NODE2VEC_GOLDEN);
 }
