@@ -32,6 +32,9 @@
 //! }
 //! assert!((params.value(w)[(0, 0)] - 2.0).abs() < 0.05);
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod backward;
 pub mod gradcheck;

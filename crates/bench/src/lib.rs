@@ -4,6 +4,9 @@
 //! this library holds what they share: CLI parsing, the model zoo, the
 //! train-and-evaluate pipeline, and table formatting. See `DESIGN.md` §3
 //! for the experiment index.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::path::{Path, PathBuf};
 
@@ -152,6 +155,12 @@ impl ExpConfig {
     /// # Panics
     ///
     /// Panics with a usage message on malformed flags.
+    #[expect(
+        clippy::panic,
+        clippy::expect_used,
+        reason = "malformed flags abort by design: this runs at the top of the `exp_*` \
+                  drivers, before any work starts"
+    )]
     pub fn from_args() -> Self {
         let mut cfg = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -349,6 +358,11 @@ pub fn prepare(kind: DatasetKind, cfg: &ExpConfig, run: usize) -> (Dataset, Edge
 /// removed on success; any failure aborts the experiment — publishing
 /// numbers from a store that disagrees with the in-RAM graph would poison
 /// every downstream comparison.
+#[expect(
+    clippy::panic,
+    reason = "the mirror is a correctness gate: a store that fails to build or verify \
+              aborts the experiment rather than let models train on unproven data"
+)]
 fn mirror_sharded(kind: DatasetKind, cfg: &ExpConfig, run: usize, graph: &MultiplexGraph) {
     let dir = std::env::temp_dir().join(format!(
         "mhg-exp-store-{}-{}-run{run}",
@@ -559,6 +573,11 @@ pub fn link_prediction_experiment(cfg: &ExpConfig, default_sets: &[DatasetKind])
                 let model = zoo[mi].as_mut();
                 #[expect(clippy::disallowed_methods, reason = "progress note, not a result")]
                 let started = std::time::Instant::now();
+                #[expect(
+                    clippy::panic,
+                    reason = "a partly filled results table is worse than a loud failure, and the \
+                              per-cell markers make the rerun cheap"
+                )]
                 let metrics = run_model(model, &dataset, &split, &cell_cfg, run)
                     .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"));
                 cfg.obs.note(&format!(

@@ -21,6 +21,9 @@
 //! The `mhg-train` pipeline composes these into `train(k) → crash → resume`
 //! runs that are bit-identical to straight-through training; see
 //! DESIGN.md §2.11.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod atomic;
 mod checkpoint;

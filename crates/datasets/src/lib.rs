@@ -26,6 +26,9 @@
 //! let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
 //! assert!(split.test.iter().any(|e| e.label) && split.test.iter().any(|e| !e.label));
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod amazon;
 mod dataset;

@@ -18,6 +18,9 @@
 //! assert_eq!(roc_auc(&scores, &labels), 1.0);
 //! assert_eq!(pr_auc(&scores, &labels), 1.0);
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod classification;
 mod degree;

@@ -23,6 +23,9 @@
 //! machinery is designed so that any such plan still produces bit-identical
 //! final results — fault runs can assert the same golden hashes as clean
 //! runs.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -321,6 +324,10 @@ pub fn should_inject(site: FaultSite) -> bool {
 
 /// Panics if the schedule injects at this hit of `site` (used inside the
 /// background sampler, where the pipeline contains the unwind).
+#[expect(
+    clippy::panic,
+    reason = "the injector's job is to panic on schedule; the pipeline contains the unwind"
+)]
 pub fn panic_if_scheduled(site: FaultSite) {
     if should_inject(site) {
         panic!("injected fault: {site}");

@@ -38,6 +38,9 @@
 //! let uvu = MetapathScheme::intra(vec![user, video, user], like);
 //! assert!(uvu.is_intra_relationship());
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod csr;
 mod graph;

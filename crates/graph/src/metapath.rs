@@ -56,6 +56,10 @@ impl MetapathScheme {
     /// # Panics
     ///
     /// Panics on unknown tokens.
+    #[expect(
+        clippy::panic,
+        reason = "a test and experiment convenience: an unknown token is a programmer error"
+    )]
     pub fn parse_intra(
         spec: &str,
         r: RelationId,
@@ -100,6 +104,10 @@ impl MetapathScheme {
     }
 
     /// The terminal node type `o_n`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`MetapathScheme::new` rejects empty schemes, so `node_types` is never empty"
+    )]
     pub fn target_type(&self) -> NodeTypeId {
         *self.node_types.last().unwrap()
     }

@@ -44,6 +44,9 @@
 //! let e = split.test[0];
 //! let _score = model.score(e.u, e.v, e.relation);
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod config;
 pub mod embeddings;

@@ -319,7 +319,7 @@ mod tests {
         // Find the `f` call token.
         let f_at = (0..ft.sig_len()).find(|&i| ft.sig_text(i) == "f");
         let Some(f_at) = f_at else {
-            unreachable!("token exists");
+            panic!("token exists");
         };
         let (s, e) = ft.statement_range(f_at);
         let stmt: Vec<&str> = (s..=e).map(|i| ft.sig_text(i)).collect();

@@ -9,29 +9,25 @@
 //! analyses ([`engine`]) layered on the significant-token stream.
 //!
 //! The other workspace bans belong to the compiler. `missing_docs = "deny"`
-//! comes from `[workspace.lints]`; the workspace `clippy.toml` bans the wall
-//! clock (`Instant::now`, `SystemTime::now`), raw threads (`thread::spawn`,
-//! `thread::scope`), raw file writes (`File::create`, `fs::write`) and
-//! `eprintln!`, and each sanctioned site carries an
-//! `#[expect(clippy::disallowed_…, reason = "…")]`. The `rand` shim exports
-//! no entropy-seeded constructor, so rustc rejects unseeded randomness.
+//! and `clippy::iter_over_hash_type` (no iteration over a `HashMap` or
+//! `HashSet`, whose per-process order would leak into results) come from
+//! `[workspace.lints]`. Every `crates/*/src/lib.rs` denies clippy's panic
+//! family (`unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`,
+//! `unimplemented`), which `clippy.toml` relaxes for test code. The
+//! workspace `clippy.toml` bans the wall clock (`Instant::now`,
+//! `SystemTime::now`), raw threads (`thread::spawn`, `thread::scope`), raw
+//! file writes (`File::create`, `fs::write`) and `eprintln!`. Each
+//! sanctioned site carries an `#[expect(clippy::…, reason = "…")]`. The
+//! `rand` shim exports no entropy-seeded constructor, so rustc rejects
+//! unseeded randomness.
 //!
 //! Rules ([`rules`]):
 //!
-//! * **no-panic** — no `.unwrap()` / `.expect(` / `panic!` family in library
-//!   code. Experiment binaries (`src/bin/`) and `#[cfg(test)]` items are
-//!   exempt: a driver or test may abort, a library must return errors or
-//!   assert with context.
 //! * **shape-assert** — every tensor-op entry point combining two or more
 //!   tensors (in `crates/tensor/src/{ops,tensor}.rs`) contains a shape
 //!   assertion in its body.
 //! * **epoch-loop** — no `for epoch in` loops outside `crates/train`; the
 //!   epoch loop is owned by `mhg_train::train`.
-//! * **ordered-iteration** — no iteration over `HashMap`/`HashSet` whose
-//!   order can leak into serialized, reduced or RNG-consuming state; use
-//!   `BTreeMap`/`BTreeSet` or sort before use. Hash iteration order varies
-//!   per process (SipHash keys are randomized), so any order leak breaks
-//!   the byte-identical replay contract.
 //! * **atomic-ordering** — `Ordering::Relaxed` counters are permitted only
 //!   in `crates/obs`; every other atomic-ordering use anywhere (including
 //!   `Acquire`/`Release`/`SeqCst`) needs a justified `lint.allow` entry
@@ -50,16 +46,16 @@
 //!
 //! Findings that are individually justified live in the `lint.allow` file
 //! at the workspace root; see [`parse_allowlist`] for the format and
-//! justification policy. The CLI renders text or machine-readable JSON
-//! (`--format json`) for CI consumption.
+//! justification policy. The CLI prints one `file:line:col: [rule] message`
+//! line per finding, the shape CI's problem matcher parses.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod engine;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use report::{
-    audit_allowlist, is_allowed, parse_allowlist, render_json, run, scan_workspace, AllowEntry,
-    OutputFormat,
-};
+pub use report::{audit_allowlist, is_allowed, parse_allowlist, run, scan_workspace, AllowEntry};
 pub use rules::{classify, scan_file, Diagnostic, FileClass, Rule};

@@ -10,14 +10,12 @@
 //!   was built in).
 //! * `--allowlist <file>` — allowlist path (default: `<root>/lint.allow`);
 //!   a missing file is an i/o error (exit 2).
-//! * `--format <text|json>` — report format (default: `text`). JSON goes to
-//!   stdout so CI can capture it without the linter writing files itself.
 #![expect(clippy::disallowed_macros, reason = "a CLI reports errors on stderr")]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mhg_lint::OutputFormat;
+const USAGE: &str = "usage: mhg-lint [--root <dir>] [--allowlist <file>]";
 
 fn main() -> ExitCode {
     let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,7 +24,6 @@ fn main() -> ExitCode {
         .map(PathBuf::from);
     let mut root = default_root;
     let mut allowlist: Option<PathBuf> = None;
-    let mut format = OutputFormat::Text;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,15 +36,8 @@ fn main() -> ExitCode {
                 Some(v) => allowlist = Some(PathBuf::from(v)),
                 None => return usage("--allowlist requires a file"),
             },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = OutputFormat::Text,
-                Some("json") => format = OutputFormat::Json,
-                _ => return usage("--format requires `text` or `json`"),
-            },
             "--help" | "-h" => {
-                println!(
-                    "usage: mhg-lint [--root <dir>] [--allowlist <file>] [--format text|json]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -59,7 +49,7 @@ fn main() -> ExitCode {
     };
     let allowlist = allowlist.unwrap_or_else(|| root.join("lint.allow"));
 
-    match mhg_lint::run(&root, &allowlist, format) {
+    match mhg_lint::run(&root, &allowlist) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -70,8 +60,6 @@ fn main() -> ExitCode {
 }
 
 fn usage(problem: &str) -> ExitCode {
-    eprintln!(
-        "mhg-lint: {problem}\nusage: mhg-lint [--root <dir>] [--allowlist <file>] [--format text|json]"
-    );
+    eprintln!("mhg-lint: {problem}\n{USAGE}");
     ExitCode::from(2)
 }

@@ -6,24 +6,18 @@
 //! [`scan_file`] runs them and returns [`Diagnostic`]s. [`scan_manifest`]
 //! checks one crate's `Cargo.toml` against the substrate DAG.
 
-use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
 
-use crate::engine::{needle, FileTokens, Needle};
+use crate::engine::{needle, FileTokens};
 use crate::lexer::TokenKind;
 
 /// A lint rule identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    /// `.unwrap()` / `.expect(` / `panic!` family in library code.
-    NoPanic,
     /// Multi-tensor op entry point without a shape assertion.
     ShapeAssert,
     /// Hand-rolled training epoch loop outside `crates/train`.
     EpochLoop,
-    /// Iteration over a `HashMap`/`HashSet` whose order can leak out.
-    OrderedIteration,
     /// Atomic memory-ordering use outside the sanctioned pattern.
     AtomicOrdering,
     /// Unchecked length/size arithmetic on a persistence path.
@@ -40,10 +34,8 @@ impl Rule {
     /// Stable rule name used in reports and the allowlist.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
             Rule::ShapeAssert => "shape-assert",
             Rule::EpochLoop => "epoch-loop",
-            Rule::OrderedIteration => "ordered-iteration",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::UncheckedArith => "unchecked-arith",
             Rule::CrateLayering => "crate-layering",
@@ -87,8 +79,6 @@ impl fmt::Display for Diagnostic {
 /// Which rules apply to a given file.
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
-    /// Panic-freedom applies (library code, not `src/bin/` or `src/main.rs`).
-    pub no_panic: bool,
     /// Shape-assertion rule applies.
     pub shape_assert: bool,
     /// Epoch-loop rule applies.
@@ -110,9 +100,7 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     if !tail.starts_with("src/") {
         return None;
     }
-    let is_bin = tail.starts_with("src/bin/") || tail == "src/main.rs";
     Some(FileClass {
-        no_panic: !is_bin,
         shape_assert: rel_path == "crates/tensor/src/ops.rs"
             || rel_path == "crates/tensor/src/tensor.rs",
         epoch_loop: krate != "train",
@@ -120,58 +108,6 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
         unchecked_arith: krate == "ckpt"
             || rel_path == "crates/graph/src/sharded.rs"
             || rel_path == "crates/graph/src/heal.rs",
-    })
-}
-
-fn rule_enabled(class: &FileClass, rule: Rule) -> bool {
-    match rule {
-        Rule::NoPanic => class.no_panic,
-        Rule::EpochLoop => class.epoch_loop,
-        _ => false,
-    }
-}
-
-/// Token-needle patterns for the substring-style rules.
-fn patterns() -> &'static [(Rule, Needle, &'static str)] {
-    static PATTERNS: OnceLock<Vec<(Rule, Needle, &'static str)>> = OnceLock::new();
-    PATTERNS.get_or_init(|| {
-        vec![
-            (
-                Rule::NoPanic,
-                needle(".unwrap()"),
-                "`.unwrap()` in library code — return a Result or assert with context",
-            ),
-            (
-                Rule::NoPanic,
-                needle(".expect("),
-                "`.expect(...)` in library code — return a Result or assert with context",
-            ),
-            (
-                Rule::NoPanic,
-                needle("panic!"),
-                "`panic!` in library code — return a Result or assert with context",
-            ),
-            (
-                Rule::NoPanic,
-                needle("unreachable!"),
-                "`unreachable!` in library code — encode the invariant in the types",
-            ),
-            (
-                Rule::NoPanic,
-                needle("todo!("),
-                "`todo!` must not ship in library code",
-            ),
-            (
-                Rule::NoPanic,
-                needle("unimplemented!"),
-                "`unimplemented!` must not ship in library code",
-            ),
-            (
-                Rule::EpochLoop,
-                needle("for epoch in"),
-                "hand-rolled epoch loop — drive training through `mhg_train::train`",
-            ),
-        ]
     })
 }
 
@@ -204,11 +140,12 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let ft = FileTokens::new(source);
     let mut diags = Vec::new();
 
-    needle_pass(&ft, &class, rel_path, &mut diags);
+    if class.epoch_loop {
+        epoch_pass(&ft, rel_path, &mut diags);
+    }
     if class.shape_assert {
         shape_pass(&ft, rel_path, &mut diags);
     }
-    ordered_iteration_pass(&ft, rel_path, &mut diags);
     atomic_pass(&ft, &class, rel_path, &mut diags);
     if class.unchecked_arith {
         unchecked_pass(&ft, rel_path, &mut diags);
@@ -218,18 +155,18 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Substring-style rules via token needles (whitespace-insensitive,
-/// identifier-boundary-exact).
-fn needle_pass(ft: &FileTokens<'_>, class: &FileClass, rel_path: &str, out: &mut Vec<Diagnostic>) {
-    for (rule, ndl, message) in patterns() {
-        if !rule_enabled(class, *rule) {
-            continue;
-        }
-        for i in ndl.find_all(ft) {
-            if ft.sig_in_test(i) {
-                continue;
-            }
-            out.push(diag_at(ft, rel_path, i, *rule, (*message).to_string()));
+/// Epoch-loop: a `for epoch in` loop (matched as a token needle, so line
+/// breaks and whitespace cannot hide it) outside `#[cfg(test)]` code.
+fn epoch_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>) {
+    for i in needle("for epoch in").find_all(ft) {
+        if !ft.sig_in_test(i) {
+            out.push(diag_at(
+                ft,
+                rel_path,
+                i,
+                Rule::EpochLoop,
+                "hand-rolled epoch loop — drive training through `mhg_train::train`".to_string(),
+            ));
         }
     }
 }
@@ -326,122 +263,6 @@ fn shape_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>) {
                 "multi-tensor op entry point without a shape assertion".to_string(),
             ));
         }
-    }
-}
-
-/// Iteration-producing methods on hash collections.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-];
-
-/// Collects names bound to `HashMap`/`HashSet` in this file: `let` bindings,
-/// struct fields and `name: HashMap<…>` parameters.
-fn hash_binding_names(ft: &FileTokens<'_>) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..ft.sig_len() {
-        let t = ft.sig_text(i);
-        if (t != "HashMap" && t != "HashSet") || ft.sig_kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        let (start, _) = ft.statement_range(i);
-        let mut found: Option<String> = None;
-        let mut j = i;
-        while j > start {
-            j -= 1;
-            match ft.sig_text(j) {
-                ":" => {
-                    let single = (j == 0 || ft.sig_text(j - 1) != ":") && ft.sig_text(j + 1) != ":";
-                    if single {
-                        if j >= 1 && ft.sig_kind(j - 1) == Some(TokenKind::Ident) {
-                            found = Some(ft.sig_text(j - 1).to_string());
-                        }
-                        break;
-                    }
-                }
-                "(" | ")" | "{" | "}" | ";" | "=" | "," => break,
-                _ => {}
-            }
-        }
-        if found.is_none() && ft.sig_text(start) == "let" {
-            let mut k = start + 1;
-            if ft.sig_text(k) == "mut" {
-                k += 1;
-            }
-            if ft.sig_kind(k) == Some(TokenKind::Ident) {
-                found = Some(ft.sig_text(k).to_string());
-            }
-        }
-        if let Some(name) = found {
-            names.insert(name);
-        }
-    }
-    names
-}
-
-/// Whether any token in `s..=e` signals an explicit ordering fix: a `sort*`
-/// call, or collecting into a B-tree collection.
-fn range_has_order_marker(ft: &FileTokens<'_>, s: usize, e: usize) -> bool {
-    (s..=e).any(|j| {
-        let t = ft.sig_text(j);
-        t.contains("sort") || t == "BTreeMap" || t == "BTreeSet"
-    })
-}
-
-/// Ordered-iteration: flags iteration over hash-ordered collections unless
-/// the surrounding statement (or the one after it) sorts the result.
-fn ordered_iteration_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>) {
-    let names = hash_binding_names(ft);
-    if names.is_empty() {
-        return;
-    }
-    for i in 0..ft.sig_len() {
-        if ft.sig_kind(i) != Some(TokenKind::Ident) || ft.sig_in_test(i) {
-            continue;
-        }
-        let t = ft.sig_text(i);
-        if !names.contains(t) {
-            continue;
-        }
-        let method_iter = ft.sig_text(i + 1) == "."
-            && ITER_METHODS.contains(&ft.sig_text(i + 2))
-            && ft.sig_text(i + 3) == "(";
-        let for_iter = {
-            let mut p = i;
-            while p > 0 && matches!(ft.sig_text(p - 1), "&" | "mut") {
-                p -= 1;
-            }
-            p > 0 && ft.sig_text(p - 1) == "in"
-        };
-        if !method_iter && !for_iter {
-            continue;
-        }
-        let (s, e) = ft.statement_range(i);
-        let mut exempt = range_has_order_marker(ft, s, e);
-        if !exempt && e + 1 < ft.sig_len() {
-            let (s2, e2) = ft.statement_range(e + 1);
-            exempt = range_has_order_marker(ft, s2, e2);
-        }
-        if exempt {
-            continue;
-        }
-        out.push(diag_at(
-            ft,
-            rel_path,
-            i,
-            Rule::OrderedIteration,
-            format!(
-                "iteration over hash-ordered `{t}` can leak nondeterministic order — \
-                 use BTreeMap/BTreeSet or sort before use"
-            ),
-        ));
     }
 }
 
@@ -689,10 +510,10 @@ mod tests {
     #[test]
     fn classify_selects_rules_by_crate() {
         let t = classify("crates/tensor/src/ops.rs").expect("tensor file is scanned");
-        assert!(t.no_panic && t.shape_assert && t.epoch_loop);
+        assert!(t.shape_assert && t.epoch_loop);
         assert!(!t.atomic_relaxed_ok && !t.unchecked_arith);
         let b = classify("crates/bench/src/bin/exp_table4.rs").expect("bin file is scanned");
-        assert!(!b.no_panic && b.epoch_loop);
+        assert!(b.epoch_loop && !b.shape_assert);
         let p = classify("crates/train/src/pipeline.rs").expect("train file is scanned");
         assert!(!p.epoch_loop, "the train crate owns the epoch loop");
         let o = classify("crates/obs/src/registry.rs").expect("obs file is scanned");
@@ -712,26 +533,10 @@ mod tests {
 
     #[test]
     fn cfg_test_blocks_are_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() { y.unwrap(); }\n";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { for epoch in 0..2 {} }\n}\nfn tail() { for epoch in 0..2 {} }\n";
         let diags = scan_file("crates/eval/src/fake.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 6);
-    }
-
-    #[test]
-    fn ordered_iteration_flags_hash_for_loops() {
-        let src = "use std::collections::HashMap;\nfn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    m.insert(1, 2);\n    for (k, v) in &m { emit(k, v); }\n}\n";
-        let diags = scan_file("crates/eval/src/fake.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, Rule::OrderedIteration);
-        assert_eq!(diags[0].line, 5);
-    }
-
-    #[test]
-    fn ordered_iteration_accepts_sorted_drains() {
-        let src = "use std::collections::HashMap;\nfn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    let mut v: Vec<_> = m.drain().collect();\n    v.sort_unstable();\n}\n";
-        let diags = scan_file("crates/eval/src/fake.rs", src);
-        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

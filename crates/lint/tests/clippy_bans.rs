@@ -3,8 +3,11 @@
 //! entry leaves its expectation unfulfilled, which fails
 //! `cargo clippy --all-targets -- -D warnings`. The calls are harmless, so
 //! the tests also pass under plain `cargo test`.
+//!
+//! The panic lints need a test of their own:
+//! `every_library_crate_denies_the_panic_lints` below.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch_file(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mhg_lint_clippy_bans_{name}"))
@@ -66,4 +69,28 @@ fn f64_mul_add_is_banned() {
 #[expect(clippy::disallowed_macros, reason = "exercises the ban")]
 fn eprintln_is_banned() {
     eprintln!();
+}
+
+/// The panic lints are denied by a `#![deny]` in each library crate root.
+/// An `#[expect(clippy::panic, …)]` raises its lint by itself, so deleting a
+/// crate's `#![deny]` leaves every expectation fulfilled and clippy green
+/// while new panics slip in. This test fails instead.
+#[test]
+fn every_library_crate_denies_the_panic_lints() {
+    const DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]";
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/lint sits in crates/");
+    let mut libs: Vec<PathBuf> = std::fs::read_dir(crates)
+        .expect("list crates/")
+        .map(|e| e.expect("crates/ entry").path().join("src/lib.rs"))
+        .filter(|lib| lib.is_file())
+        .collect();
+    libs.sort();
+    assert!(!libs.is_empty(), "no crates/*/src/lib.rs found");
+    for lib in libs {
+        let src = std::fs::read_to_string(&lib).expect("read lib.rs");
+        assert!(src.contains(DENY), "{} must carry\n{DENY}", lib.display());
+    }
 }

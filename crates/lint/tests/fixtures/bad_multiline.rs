@@ -1,15 +1,14 @@
 //! Fixture: needles split across line breaks — invisible to a
 //! line-oriented scanner, caught by the token-stream engine. Each bad
 //! construct below breaks its needle across a newline, so no single line
-//! of this file holds either needle. The JSON report golden pins the
+//! of this file holds either needle. `tests/fixtures.rs` pins the
 //! positions of both findings. Never compiled.
 
-pub fn load(points: &[u64]) -> u64 {
-    let first = points
-        .first()
-        .expect
-        ("points must be non-empty");
-    *first
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub fn publish(cell: &AtomicU64) {
+    cell.store(1, Ordering::
+        SeqCst);
 }
 
 pub fn train(epochs: usize) {

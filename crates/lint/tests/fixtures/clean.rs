@@ -6,11 +6,11 @@ pub fn first_or_zero(xs: &[f32]) -> f32 {
     xs.first().copied().unwrap_or(0.0)
 }
 
-/// Sums a slice; mentions "unwrap()" and thread_rng only in this doc
-/// comment and in the string below, which the lexer must ignore.
+/// Sums a slice; mentions "for epoch in" and Ordering::SeqCst only in
+/// this doc comment and in the string below, which the lexer must ignore.
 pub fn sum(xs: &[f32]) -> f32 {
-    let _note = "calling .unwrap() or thread_rng() in a string is fine";
-    // .expect( in a comment is fine too
+    let _note = "a `for epoch in 0..n` loop or Ordering::Relaxed in a string is fine";
+    // for epoch in a comment is fine too
     xs.iter().sum()
 }
 
@@ -19,8 +19,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unwrap_allowed_in_tests() {
-        let v: Option<f32> = Some(1.0);
-        assert_eq!(v.unwrap(), 1.0);
+    fn epoch_loops_allowed_in_tests() {
+        for epoch in 0..2 {
+            assert!(first_or_zero(&[epoch as f32]) >= 0.0);
+        }
     }
 }

@@ -12,6 +12,9 @@
 //!
 //! All models train on the same [`FitData`] (training graph + validation
 //! edges) and produce relation-aware dot-product scores.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod agg;
 mod attention;

@@ -17,6 +17,9 @@
 //! thread-count cell are benign: a kernel that observes a stale count only
 //! runs with different parallelism, not to a different answer.
 #![expect(clippy::disallowed_methods, reason = "this crate is the pool")]
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

@@ -20,6 +20,9 @@
 //! decomposition (bucket, count, sum, max), verified against the real
 //! histogram's serial snapshot; plus a deliberately broken load-then-store
 //! counter the harness must catch.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 /// Enumerates every interleaving of `counts[t]` steps per thread `t`,
 /// calling `f` with each complete schedule (a sequence of thread indices).

@@ -26,6 +26,9 @@
 //! all backends to report identically — walk and sample streams are
 //! bit-identical between the in-RAM graph and the chunk-paged
 //! [`mhg_graph::ShardedCsr`], for any shard layout and any thread count.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod alias;
 mod errors;

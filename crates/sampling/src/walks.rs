@@ -54,6 +54,10 @@ impl<'g, G: GraphStore> UniformWalker<'g, G> {
 
 /// Samples a uniform neighbor of `v` across all relations (degree-weighted
 /// over relations, i.e. uniform over the multiset of incident edges).
+#[expect(
+    clippy::unreachable,
+    reason = "`pick < total`, the summed degree, so the relation scan returns inside the loop"
+)]
 fn uniform_any_neighbor<G: GraphStore, R: Rng + ?Sized>(
     graph: &G,
     v: NodeId,

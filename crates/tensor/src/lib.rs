@@ -19,6 +19,9 @@
 //! let c = a.matmul(&b);
 //! assert_eq!(c, a);
 //! ```
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod init;
 mod ops;

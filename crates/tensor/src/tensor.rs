@@ -179,6 +179,10 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor contains a non-finite element.
+    #[expect(
+        clippy::panic,
+        reason = "the checked-mode diagnostic: its panic is the contextful report"
+    )]
     pub fn assert_finite(&self, context: &str) {
         if self.all_finite() {
             return;

@@ -39,6 +39,9 @@
 //!
 //! This crate is the single owner of training control flow: the `epoch-loop`
 //! rule of `mhg-lint` flags `for epoch in` loops anywhere outside it.
+// Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod error;
 mod pipeline;

@@ -6,7 +6,7 @@
 //! hybridgnn-cli generate  --dataset taobao --scale 0.05 --out graph.mhg
 //! hybridgnn-cli stats     --graph graph.mhg
 //! hybridgnn-cli train     --graph graph.mhg --out model.emb \
-//!                         [--epochs 20 --dim 64 --seed 42 --shapes user-item-user,item-user-item]
+//!                         [--epochs 15 --dim 64 --seed 42 --shapes user-item-user,item-user-item]
 //! hybridgnn-cli recommend --graph graph.mhg --model model.emb \
 //!                         --node 17 --relation purchase --k 10
 //! ```
@@ -17,7 +17,7 @@
 //! candidates for a node under a relation.
 #![expect(clippy::disallowed_macros, reason = "a CLI reports errors on stderr")]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -38,18 +38,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
     let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "train" => cmd_train(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "graph-fsck" => cmd_graph_fsck(&flags),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        name => match COMMANDS.iter().find(|(n, _, _)| *n == name) {
+            Some((_, allowed, run)) => parse_flags(allowed, &args[1..]).and_then(|f| run(&f)),
+            None => Err(format!("unknown command {name:?}\n{USAGE}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -72,32 +69,83 @@ const USAGE: &str = "usage: hybridgnn-cli <generate|stats|train|recommend|graph-
   graph-fsck --dir <store-dir> [--repair true]
              [--source-graph <file.mhg> | --source-tier taobao [--scale f] [--seed n]]";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i + 1 < args.len() + 1 {
-        if let Some(key) = args.get(i).and_then(|a| a.strip_prefix("--")) {
-            if let Some(value) = args.get(i + 1) {
-                out.insert(key.to_string(), value.clone());
-            }
-        }
-        i += 2;
+/// A subcommand's `--key value` flags, keyed without the dashes.
+type Flags = BTreeMap<String, String>;
+
+/// Each subcommand with the flags `USAGE` lists for it.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Flags) -> Result<(), String>,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        &["dataset", "out", "scale", "seed"],
+        cmd_generate,
+    ),
+    ("stats", &["graph"], cmd_stats),
+    (
+        "train",
+        &[
+            "graph",
+            "out",
+            "epochs",
+            "dim",
+            "seed",
+            "shapes",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "resume",
+            "metrics-out",
+        ],
+        cmd_train,
+    ),
+    (
+        "recommend",
+        &["graph", "model", "node", "relation", "k"],
+        cmd_recommend,
+    ),
+    (
+        "graph-fsck",
+        &[
+            "dir",
+            "repair",
+            "source-graph",
+            "source-tier",
+            "scale",
+            "seed",
+        ],
+        cmd_graph_fsck,
+    ),
+];
+
+/// Parses `--key value` pairs. A flag `allowed` does not list, and a flag
+/// whose value is missing or is the next `--flag`, is an error naming it.
+fn parse_flags(allowed: &[&str], args: &[String]) -> Result<Flags, String> {
+    let mut out = Flags::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--").filter(|k| allowed.contains(k)) else {
+            return Err(format!("unknown flag {arg:?}\n{USAGE}"));
+        };
+        match args.next() {
+            Some(value) if !value.starts_with("--") => out.insert(key.to_string(), value.clone()),
+            _ => return Err(format!("flag --{key} needs a value")),
+        };
     }
-    out
+    Ok(out)
 }
 
-fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
+fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
     flags
         .get(key)
         .map(String::as_str)
         .ok_or_else(|| format!("missing required flag --{key}"))
 }
 
-fn parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn parsed<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -106,7 +154,7 @@ fn parsed<T: std::str::FromStr>(
     }
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let name = required(flags, "dataset")?;
     let out: PathBuf = required(flags, "out")?.into();
     let scale: f64 = parsed(flags, "scale", 0.05)?;
@@ -128,7 +176,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let graph = load_graph(flags)?;
     println!("{}", GraphStats::compute(&graph));
     println!("node types: {:?}", graph.schema().node_type_names());
@@ -136,7 +184,7 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_train(flags: &Flags) -> Result<(), String> {
     let graph = load_graph(flags)?;
     let out: PathBuf = required(flags, "out")?.into();
     let seed: u64 = parsed(flags, "seed", 42)?;
@@ -209,7 +257,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let graph = load_graph(flags)?;
     let model_path: PathBuf = required(flags, "model")?.into();
     let node_id: u32 = required(flags, "node")?
@@ -289,7 +337,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
 /// checksums and manifest, optionally rebuilding corrupt shards in place
 /// from a re-streamable edge source. Exits nonzero while any shard remains
 /// corrupt, so the command doubles as a CI health check.
-fn cmd_graph_fsck(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_graph_fsck(flags: &Flags) -> Result<(), String> {
     let dir: PathBuf = required(flags, "dir")?.into();
     let repair: bool = parsed(flags, "repair", false)?;
     let mut store = ShardedCsr::open(&dir, ShardedCsrOptions::default())
@@ -346,7 +394,7 @@ fn cmd_graph_fsck(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn load_graph(flags: &HashMap<String, String>) -> Result<MultiplexGraph, String> {
+fn load_graph(flags: &Flags) -> Result<MultiplexGraph, String> {
     let path: PathBuf = required(flags, "graph")?.into();
     persist::load(&path).map_err(|e| format!("loading {}: {e}", path.display()))
 }

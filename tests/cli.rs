@@ -143,6 +143,56 @@ fn helpful_errors() {
 }
 
 #[test]
+fn unknown_and_valueless_flags_are_rejected() {
+    let graph_path = temp_path("flags.mhg");
+    let out = cli()
+        .args([
+            "generate",
+            "--dataset",
+            "amazon",
+            "--scale",
+            "0.005",
+            "--out",
+        ])
+        .arg(&graph_path)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let graph = graph_path.to_str().expect("utf-8 temp path");
+
+    // Each case exits 1 before doing any work, naming the offending flag:
+    // unknown flags (misspelt, owned by another command, or a switch this
+    // CLI does not have, in either position) and flags with no value (at
+    // the end, or followed by the next flag). `--epoch` used to train the
+    // default 15 epochs silently.
+    let out_path = "/nonexistent/x.emb";
+    let cases: [(&[&str], &str); 7] = [
+        (&["stats", "--graph", graph, "--grpah", "x"], "--grpah"),
+        (&["stats", "--graph", graph, "--k", "3"], "--k"),
+        (&["stats", "--graph", graph, "--verbose"], "--verbose"),
+        (&["stats", "--verbose", "--graph", graph], "--verbose"),
+        (&["stats", "--graph"], "--graph"),
+        (
+            &["train", "--graph", graph, "--epochs", "--out", out_path],
+            "--epochs",
+        ),
+        (
+            &["train", "--graph", graph, "--out", out_path, "--epoch", "2"],
+            "--epoch",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = cli().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        // The usage text that follows lists `--epochs` and `--k` itself.
+        let error = stderr.lines().next().unwrap_or("");
+        assert!(error.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
+    std::fs::remove_file(graph_path).ok();
+}
+
+#[test]
 fn recommend_rejects_a_non_finite_embedding_file() {
     use hybridgnn_repro::graph::{persist, RelationId};
     use hybridgnn_repro::model::embeddings;
