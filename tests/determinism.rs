@@ -21,8 +21,8 @@ use hybridgnn_repro::datasets::{DatasetKind, EdgeSplit};
 use hybridgnn_repro::graph::MultiplexGraph;
 use hybridgnn_repro::model::{HybridConfig, HybridGnn};
 use hybridgnn_repro::models::{
-    CommonConfig, DeepWalk, EmbeddingScores, FitData, Gcn, GraphSage, Han, LinkPredictor, Magnn,
-    Node2Vec, RGcn,
+    CommonConfig, DeepWalk, EmbeddingScores, FitData, Gatne, Gcn, GraphSage, Han, Line,
+    LinkPredictor, Magnn, Node2Vec, RGcn,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -208,6 +208,32 @@ fn node2vec_hash() -> u64 {
 
 /// Pinned before the bias parameters became constants of `Node2Vec::new`.
 const NODE2VEC_GOLDEN: u64 = 0x4823_f519_dc3b_443d;
+
+/// GATNE on a small Amazon graph: relation-restricted walks, the
+/// per-relation attention forward and the context-table decoder.
+fn gatne_hash() -> u64 {
+    score_hash(
+        &mut Gatne::new(encoder_config(16)),
+        DatasetKind::Amazon,
+        0.004,
+        14,
+    )
+}
+
+/// LINE on a small Amazon graph: edge sampling, the hand-rolled
+/// first-order update and the SGNS second-order half. Its validation AUC
+/// peaks at the second of three epochs, so the hash is of the kept best
+/// snapshot, not of the last epoch.
+fn line_hash() -> u64 {
+    let mut cfg = encoder_config(16);
+    cfg.epochs = 3;
+    score_hash(&mut Line::new(cfg), DatasetKind::Amazon, 0.01, 15)
+}
+
+/// Pinned before the best-validation snapshot moved from the model steps
+/// into the training loop.
+const GATNE_GOLDEN: u64 = 0xfd6a_537a_0525_04fc;
+const LINE_GOLDEN: u64 = 0x4103_0661_0dde_224e;
 
 /// FNV-1a over raw bytes (for hashing a rendered `metrics.jsonl`).
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -540,4 +566,14 @@ fn magnn_is_bit_identical_across_thread_counts() {
 #[test]
 fn node2vec_is_bit_identical_across_thread_counts() {
     assert_golden_across_thread_counts("node2vec", node2vec_hash, NODE2VEC_GOLDEN);
+}
+
+#[test]
+fn gatne_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("GATNE", gatne_hash, GATNE_GOLDEN);
+}
+
+#[test]
+fn line_is_bit_identical_across_thread_counts() {
+    assert_golden_across_thread_counts("LINE", line_hash, LINE_GOLDEN);
 }
