@@ -16,12 +16,6 @@ use crate::store::{Grad, GradStore, ParamId, ParamStore};
 pub trait Optimizer {
     /// Applies one update step from accumulated gradients.
     fn step(&mut self, params: &mut ParamStore, grads: &GradStore);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Per-parameter Adam state.
@@ -195,14 +189,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -280,13 +266,5 @@ mod tests {
                 Err(CkptError::WrongType(_))
             ));
         }
-    }
-
-    #[test]
-    fn learning_rate_override() {
-        let mut opt = Adam::new(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
-        opt.set_learning_rate(0.25);
-        assert_eq!(opt.learning_rate(), 0.25);
     }
 }

@@ -151,30 +151,6 @@ pub enum Grad {
     },
 }
 
-impl Grad {
-    /// Sum of squared entries (for global-norm clipping).
-    pub fn norm_sq(&self) -> f32 {
-        match self {
-            Grad::Dense(t) => t.norm_sq(),
-            Grad::Rows { rows } => rows
-                .iter()
-                .map(|(_, r)| r.iter().map(|v| v * v).sum::<f32>())
-                .sum(),
-        }
-    }
-
-    /// Scales the gradient in place.
-    pub fn scale_in_place(&mut self, s: f32) {
-        let values = match self {
-            Grad::Dense(t) => t.as_mut_slice(),
-            Grad::Rows { rows } => &mut rows.data,
-        };
-        for v in values {
-            *v *= s;
-        }
-    }
-}
-
 /// Slot-table entry of a row with no gradient.
 const UNTOUCHED: u32 = u32::MAX;
 
@@ -415,25 +391,6 @@ impl GradStore {
         self.grads.is_empty()
     }
 
-    /// Global L2 norm across all stored gradients.
-    pub fn global_norm(&self) -> f32 {
-        self.grads.values().map(Grad::norm_sq).sum::<f32>().sqrt()
-    }
-
-    /// Clips gradients so the global norm is at most `max_norm`.
-    ///
-    /// Returns the pre-clip norm.
-    pub fn clip_global_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.global_norm();
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for g in self.grads.values_mut() {
-                g.scale_in_place(s);
-            }
-        }
-        norm
-    }
-
     /// Converts the gradient of `id` to a dense tensor of shape `shape`
     /// (zeros where untouched). Test helper.
     pub fn to_dense(&self, id: ParamId, rows: usize, cols: usize) -> Tensor {
@@ -501,17 +458,5 @@ mod tests {
         let d = gs.to_dense(id, 3, 2);
         assert_eq!(d.row(0), &[0.5, 0.5]);
         assert_eq!(d.row(1), &[1.5, 1.5]);
-    }
-
-    #[test]
-    fn clip_reduces_norm() {
-        let mut gs = GradStore::new();
-        gs.accumulate_dense(ParamId(0), Tensor::full(1, 4, 3.0)); // norm 6
-        let pre = gs.clip_global_norm(1.0);
-        assert!((pre - 6.0).abs() < 1e-5);
-        assert!((gs.global_norm() - 1.0).abs() < 1e-5);
-        // A second clip with a larger bound is a no-op.
-        let pre2 = gs.clip_global_norm(5.0);
-        assert!((pre2 - 1.0).abs() < 1e-5);
     }
 }

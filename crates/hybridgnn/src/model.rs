@@ -15,7 +15,7 @@ use mhg_sampling::{
     MetapathNeighborSampler, MetapathWalker, NegativeSampler, Pair, UniformNeighborSampler,
 };
 use mhg_tensor::{InitKind, Tensor};
-use mhg_train::{pair_batches, BatchLoss, PairExample, TrainStep};
+use mhg_train::{pair_batches, Artefact, BatchLoss, PairExample, TrainStep};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -305,8 +305,32 @@ impl HybridGnn {
     }
 }
 
+/// HybridGNN's best snapshot: the scores and the attention profile of one
+/// inference pass.
+struct HybridArtefact {
+    scores: EmbeddingScores,
+    attention: AttentionProfile,
+}
+
+/// The shared `model/scores` encoding plus the profile under
+/// `model/attention` (empty when there is no artefact yet).
+impl Artefact for HybridArtefact {
+    fn export_state(best: Option<&Self>, dict: &mut StateDict) {
+        EmbeddingScores::export_state(best.map(|b| &b.scores), dict);
+        let attention = best.map_or(&[][..], |b| b.attention.as_slice());
+        dict.put_bytes("model/attention", encode_attention(attention));
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        let scores = EmbeddingScores::import_state(dict)?;
+        let attention = decode_attention(dict.bytes("model/attention")?)?;
+        Ok(scores.map(|scores| Self { scores, attention }))
+    }
+}
+
 /// The `TrainStep` for HybridGNN: hybrid-flow forward per pair batch with a
-/// per-center tape cache, (scores, attention) snapshot on improvement.
+/// per-center tape cache, a (scores, attention) artefact per validation
+/// pass.
 struct HybridStep<'a, G: GraphStore> {
     params: ParamStore,
     p: Params,
@@ -315,13 +339,11 @@ struct HybridStep<'a, G: GraphStore> {
     shapes: Vec<(Vec<NodeTypeId>, String)>,
     opt: Adam,
     val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    attention: &'a mut AttentionProfile,
-    staged: Option<(EmbeddingScores, AttentionProfile)>,
 }
 
 impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
     type Batch = Vec<PairExample>;
+    type Artefact = HybridArtefact;
 
     fn step(&mut self, batch: Vec<PairExample>, rng: &mut StdRng) -> BatchLoss {
         let ctx = ForwardCtx {
@@ -359,44 +381,27 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
         BatchLoss { loss_sum, denom: 1 }
     }
 
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
+    fn eval(&mut self, rng: &mut StdRng) -> (f64, HybridArtefact) {
         let ctx = ForwardCtx {
             graph: self.graph,
             config: &self.config,
             shapes: &self.shapes,
         };
         let (tables, attention) = HybridGnn::full_inference(&self.params, &self.p, &ctx, rng);
-        let snapshot = EmbeddingScores::per_relation(tables)
+        let scores = EmbeddingScores::per_relation(tables)
             .with_context(self.params.value(self.p.ctx).clone());
-        let auc = mhg_models::val_auc(&snapshot, self.val);
-        self.staged = Some((snapshot, attention));
-        auc
-    }
-
-    fn promote(&mut self) {
-        if let Some((scores, attention)) = self.staged.take() {
-            *self.scores = scores;
-            *self.attention = attention;
-        }
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
+        let auc = mhg_models::val_auc(&scores, self.val);
+        (auc, HybridArtefact { scores, attention })
     }
 
     fn export_state(&self, dict: &mut StateDict) {
         self.params.export_state("model/params", dict);
         self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
-        dict.put_bytes("model/attention", encode_attention(self.attention));
     }
 
     fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
         self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)?;
-        *self.attention = decode_attention(dict.bytes("model/attention")?)?;
-        Ok(())
+        self.opt.import_state("model/opt", dict)
     }
 }
 
@@ -404,7 +409,7 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
 /// nested inside the MHGC checkpoint: all integers are u64 LE — relation
 /// count, then per relation an entry count, then per entry a label length +
 /// UTF-8 bytes + the f64 mass as raw bits.
-fn encode_attention(profile: &AttentionProfile) -> Vec<u8> {
+fn encode_attention(profile: &[Vec<(String, f64)>]) -> Vec<u8> {
     let mut w = Writer::plain();
     w.u64(profile.len() as u64);
     for rel in profile {
@@ -534,11 +539,11 @@ impl HybridGnn {
             shapes: shapes.clone(),
             opt: Adam::new(common.lr.min(0.01)),
             val: data.val,
-            scores: &mut self.scores,
-            attention: &mut self.attention,
-            staged: None,
         };
-        mhg_train::train(&common.train_options(), sample, &mut step, rng)
+        let (report, best) = mhg_train::train(&common.train_options(), sample, &mut step, rng)?;
+        self.scores = best.scores;
+        self.attention = best.attention;
+        Ok(report)
     }
 }
 

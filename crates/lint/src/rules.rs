@@ -433,7 +433,6 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "hybridgnn",
         ],
     ),
-    ("race", &["obs"]),
 ];
 
 /// The workspace crate a dependency key names: `mhg-x` → `x`, `hybridgnn`

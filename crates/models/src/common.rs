@@ -6,7 +6,7 @@ use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
 use mhg_graph::{GraphStore, MultiplexGraph, NodeId, NodeTypeId, RelationId};
 use mhg_tensor::Tensor;
-use mhg_train::TrainOptions;
+use mhg_train::{Artefact, TrainOptions};
 use rand::rngs::StdRng;
 
 pub use mhg_obs::{EventValue, Obs, ObsConfig};
@@ -217,11 +217,6 @@ impl EmbeddingScores {
         self
     }
 
-    /// Whether the scores have been initialised.
-    pub fn is_ready(&self) -> bool {
-        !self.tables.is_empty()
-    }
-
     /// The embedding row for `v` under `r`.
     pub fn embedding(&self, v: NodeId, r: RelationId) -> &[f32] {
         let t = if self.tables.len() == 1 {
@@ -232,47 +227,13 @@ impl EmbeddingScores {
         t.row(v.index())
     }
 
-    /// Serialises the committed artefact into `dict` under `prefix`. An
-    /// uninitialised artefact round-trips as uninitialised.
-    pub fn export_state(&self, prefix: &str, dict: &mut StateDict) {
-        dict.put_u64(format!("{prefix}/ntables"), self.tables.len() as u64);
-        for (i, t) in self.tables.iter().enumerate() {
-            dict.put_tensor(format!("{prefix}/table/{i}"), t.clone());
-        }
-        match &self.decoder {
-            Decoder::Dot => {}
-            Decoder::Context(c) => dict.put_tensor(format!("{prefix}/context"), c.clone()),
-            Decoder::DistMult(d) => dict.put_tensor(format!("{prefix}/diag"), d.clone()),
-        }
-    }
-
-    /// Restores an artefact exported by [`EmbeddingScores::export_state`].
-    pub fn import_state(&mut self, prefix: &str, dict: &StateDict) -> Result<(), CkptError> {
-        let n = dict.u64(&format!("{prefix}/ntables"))? as usize;
-        let mut tables = Vec::new();
-        for i in 0..n {
-            tables.push(dict.tensor(&format!("{prefix}/table/{i}"))?.clone());
-        }
-        let (context_key, diag_key) = (format!("{prefix}/context"), format!("{prefix}/diag"));
-        let decoder = if dict.contains(&context_key) {
-            Decoder::Context(dict.tensor(&context_key)?.clone())
-        } else if dict.contains(&diag_key) {
-            Decoder::DistMult(dict.tensor(&diag_key)?.clone())
-        } else {
-            Decoder::Dot
-        };
-        self.tables = tables;
-        self.decoder = decoder;
-        Ok(())
-    }
-
     /// Scores `(u, v)` under `r` with the attached decoder.
     ///
     /// # Panics
     ///
     /// Panics if the artefact is uninitialised (the model was never fitted).
     pub fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
-        assert!(self.is_ready(), "score() before fit()");
+        assert!(!self.tables.is_empty(), "score() before fit()");
         let (eu, ev) = (self.embedding(u, r), self.embedding(v, r));
         match &self.decoder {
             Decoder::Dot => dot(eu, ev),
@@ -286,6 +247,43 @@ impl EmbeddingScores {
                 .map(|((a, b), d)| a * b * d)
                 .sum(),
         }
+    }
+}
+
+/// The checkpoint encoding every model's scores share, under `model/scores`:
+/// a table count, the tables, and the decoder's extra table if it has one.
+/// No artefact yet is a table count of 0.
+impl Artefact for EmbeddingScores {
+    fn export_state(best: Option<&Self>, dict: &mut StateDict) {
+        let tables = best.map_or(&[][..], |b| b.tables.as_slice());
+        dict.put_u64("model/scores/ntables", tables.len() as u64);
+        for (i, t) in tables.iter().enumerate() {
+            dict.put_tensor(format!("model/scores/table/{i}"), t.clone());
+        }
+        match best.map(|b| &b.decoder) {
+            None | Some(Decoder::Dot) => {}
+            Some(Decoder::Context(c)) => dict.put_tensor("model/scores/context", c.clone()),
+            Some(Decoder::DistMult(d)) => dict.put_tensor("model/scores/diag", d.clone()),
+        }
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        let n = dict.u64("model/scores/ntables")? as usize;
+        if n == 0 {
+            return Ok(None);
+        }
+        let mut tables = Vec::new();
+        for i in 0..n {
+            tables.push(dict.tensor(&format!("model/scores/table/{i}"))?.clone());
+        }
+        let decoder = if dict.contains("model/scores/context") {
+            Decoder::Context(dict.tensor("model/scores/context")?.clone())
+        } else if dict.contains("model/scores/diag") {
+            Decoder::DistMult(dict.tensor("model/scores/diag")?.clone())
+        } else {
+            Decoder::Dot
+        };
+        Ok(Some(Self { tables, decoder }))
     }
 }
 

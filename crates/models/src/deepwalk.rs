@@ -87,8 +87,10 @@ impl LinkPredictor for DeepWalk {
         };
 
         let model = Sgns::new(graph.num_nodes(), cfg.dim, rng);
-        let mut step = SgnsStep::new(model, cfg.lr, data.val, &mut self.scores);
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let mut step = SgnsStep::new(model, cfg.lr, data.val);
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: mhg_graph::RelationId) -> f32 {

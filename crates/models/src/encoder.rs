@@ -41,19 +41,18 @@ pub(crate) trait Encoder {
 }
 
 /// The [`TrainStep`] every [`Encoder`] trains through: one tape per
-/// [`EdgeBatch`], full-graph representation snapshot on improvement.
+/// [`EdgeBatch`], a full-graph representation per validation pass.
 struct EncoderStep<'a, E> {
     encoder: E,
     params: ParamStore,
     opt: Adam,
     nodes: Vec<NodeId>,
     val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
 }
 
 impl<E: Encoder> TrainStep for EncoderStep<'_, E> {
     type Batch = EdgeBatch;
+    type Artefact = EmbeddingScores;
 
     fn step(&mut self, batch: EdgeBatch, rng: &mut StdRng) -> BatchLoss {
         let mut g = Graph::new(&self.params);
@@ -70,7 +69,7 @@ impl<E: Encoder> TrainStep for EncoderStep<'_, E> {
     /// Encodes every node in chunks of [`Encoder::BATCH`], each on a fresh
     /// tape so tapes stay small. Rows are independent, so the chunking
     /// changes no bit of the table.
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
+    fn eval(&mut self, rng: &mut StdRng) -> (f64, EmbeddingScores) {
         let mut data = Vec::new();
         let mut cols = 0;
         for chunk in self.nodes.chunks(E::BATCH) {
@@ -81,41 +80,30 @@ impl<E: Encoder> TrainStep for EncoderStep<'_, E> {
             data.extend_from_slice(rep.as_slice());
         }
         let table = Tensor::from_vec(self.nodes.len(), cols, data);
-        self.staged = self.encoder.scores(&self.params, table);
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
+        let scores = self.encoder.scores(&self.params, table);
+        (val_auc(&scores, self.val), scores)
     }
 
     fn export_state(&self, dict: &mut StateDict) {
         self.params.export_state("model/params", dict);
         self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
     }
 
     fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
         self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        self.opt.import_state("model/opt", dict)
     }
 }
 
 /// Trains `encoder` (whose parameters are registered in `params`) on every
-/// training edge of `data`, committing the best snapshot to `scores`.
+/// training edge of `data`; returns the report and the best snapshot.
 pub(crate) fn fit_encoder<E: Encoder>(
     encoder: E,
     params: ParamStore,
     cfg: &CommonConfig,
     data: &FitData<'_>,
-    scores: &mut EmbeddingScores,
     rng: &mut StdRng,
-) -> Result<TrainReport, TrainError> {
+) -> Result<(TrainReport, EmbeddingScores), TrainError> {
     let graph = data.graph;
     let negatives = NegativeSampler::new(graph);
     let edges: Vec<(NodeId, NodeId, RelationId)> = graph
@@ -133,8 +121,6 @@ pub(crate) fn fit_encoder<E: Encoder>(
         opt: Adam::new(cfg.lr.min(0.01)),
         nodes: graph.nodes().collect(),
         val: data.val,
-        scores,
-        staged: EmbeddingScores::default(),
     };
     mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
 }

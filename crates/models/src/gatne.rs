@@ -228,20 +228,18 @@ impl Gatne {
 }
 
 /// The `TrainStep` for GATNE: relation-specific center representations
-/// scored against the context table, per-relation table snapshot on
-/// improvement.
+/// scored against the context table, evaluated as per-relation tables.
 struct GatneStep<'a> {
     params: ParamStore,
     p: GatneParams,
     graph: &'a MultiplexGraph,
     opt: Adam,
     val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
 }
 
 impl TrainStep for GatneStep<'_> {
     type Batch = Vec<PairExample>;
+    type Artefact = EmbeddingScores;
 
     fn step(&mut self, batch: Vec<PairExample>, rng: &mut StdRng) -> BatchLoss {
         let mut centers = Vec::with_capacity(batch.len());
@@ -279,31 +277,21 @@ impl TrainStep for GatneStep<'_> {
         BatchLoss { loss_sum, denom: 1 }
     }
 
-    fn eval(&mut self, rng: &mut StdRng) -> f64 {
+    fn eval(&mut self, rng: &mut StdRng) -> (f64, EmbeddingScores) {
         let tables = Gatne::full_inference(&self.params, &self.p, self.graph, rng);
-        self.staged = EmbeddingScores::per_relation(tables)
+        let scores = EmbeddingScores::per_relation(tables)
             .with_context(self.params.value(self.p.ctx).clone());
-        crate::common::val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
+        (crate::common::val_auc(&scores, self.val), scores)
     }
 
     fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
         self.params.export_state("model/params", dict);
         self.opt.export_state("model/opt", dict);
-        self.scores.export_state("model/scores", dict);
     }
 
     fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
         self.params.import_state("model/params", dict)?;
-        self.opt.import_state("model/opt", dict)?;
-        self.scores.import_state("model/scores", dict)
+        self.opt.import_state("model/opt", dict)
     }
 }
 
@@ -354,10 +342,10 @@ impl LinkPredictor for Gatne {
             graph,
             opt: Adam::new(cfg.lr.min(0.01)),
             val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

@@ -77,7 +77,9 @@ impl LinkPredictor for Gcn {
             ),
             w1: params.register("w1", InitKind::XavierUniform.init(dim, dim, rng)),
         };
-        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
+        let (report, scores) = fit_encoder(encoder, params, &self.config, data, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

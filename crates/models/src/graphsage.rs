@@ -115,7 +115,9 @@ impl LinkPredictor for GraphSage {
             w_self2: params.register("w_self2", InitKind::XavierUniform.init(dim, dim, rng)),
             w_neigh2: params.register("w_neigh2", InitKind::XavierUniform.init(dim, dim, rng)),
         };
-        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
+        let (report, scores) = fit_encoder(encoder, params, &self.config, data, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

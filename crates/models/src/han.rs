@@ -85,7 +85,9 @@ impl LinkPredictor for Han {
             sampler: MetapathNeighborSampler::new(data.graph, FAN_OUT, MAX_LAYER),
             block: SchemeAttention::register(&mut params, data, self.config.dim, rng),
         };
-        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
+        let (report, scores) = fit_encoder(encoder, params, &self.config, data, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

@@ -33,18 +33,17 @@ struct LineExample {
 }
 
 /// The `TrainStep` for LINE: applies first-order + second-order updates per
-/// example, snapshots the concatenated halves.
+/// example, evaluates the concatenated halves.
 struct LineStep<'a> {
     first: Tensor,
     second: Sgns,
     lr: f32,
     val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
 }
 
 impl TrainStep for LineStep<'_> {
     type Batch = Vec<LineExample>;
+    type Artefact = EmbeddingScores;
 
     fn step(&mut self, batch: Vec<LineExample>, _rng: &mut StdRng) -> BatchLoss {
         let mut loss_sum = 0.0f64;
@@ -61,29 +60,19 @@ impl TrainStep for LineStep<'_> {
         BatchLoss { loss_sum, denom }
     }
 
-    fn eval(&mut self, _rng: &mut StdRng) -> f64 {
-        self.staged = EmbeddingScores::shared(concat_halves(&self.first, self.second.embeddings()));
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
+    fn eval(&mut self, _rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let scores = EmbeddingScores::shared(concat_halves(&self.first, self.second.embeddings()));
+        (val_auc(&scores, self.val), scores)
     }
 
     fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
         dict.put_tensor("model/first", self.first.clone());
         self.second.export_state("model/second", dict);
-        self.scores.export_state("model/scores", dict);
     }
 
     fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
         self.first = import_tensor_like(&self.first, "model/first", dict)?;
-        self.second.import_state("model/second", dict)?;
-        self.scores.import_state("model/scores", dict)
+        self.second.import_state("model/second", dict)
     }
 }
 
@@ -164,10 +153,10 @@ impl LinkPredictor for Line {
             second,
             lr: cfg.lr,
             val: data.val,
-            scores: &mut self.scores,
-            staged: EmbeddingScores::default(),
         };
-        mhg_train::train(&cfg.train_options(), sample, &mut step, rng)
+        let (report, scores) = mhg_train::train(&cfg.train_options(), sample, &mut step, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

@@ -111,7 +111,9 @@ impl LinkPredictor for RGcn {
                 InitKind::Uniform { limit: 1.0 }.init(num_rel, dim, rng),
             ),
         };
-        fit_encoder(encoder, params, &self.config, data, &mut self.scores, rng)
+        let (report, scores) = fit_encoder(encoder, params, &self.config, data, rng)?;
+        self.scores = scores;
+        Ok(report)
     }
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {

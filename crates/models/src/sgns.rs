@@ -115,36 +115,24 @@ impl Sgns {
 }
 
 /// The shared `TrainStep` of the plain-SGNS walk baselines (DeepWalk,
-/// node2vec): consumes pre-sampled [`PairExample`] batches, snapshots the
-/// target+context tables on improvement.
+/// node2vec): consumes pre-sampled [`PairExample`] batches, evaluates the
+/// target+context tables.
 pub(crate) struct SgnsStep<'a> {
     model: Sgns,
     lr: f32,
     val: &'a [LabeledEdge],
-    scores: &'a mut EmbeddingScores,
-    staged: EmbeddingScores,
 }
 
 impl<'a> SgnsStep<'a> {
-    /// Wraps an initialized SGNS model and the slot its snapshot lands in.
-    pub(crate) fn new(
-        model: Sgns,
-        lr: f32,
-        val: &'a [LabeledEdge],
-        scores: &'a mut EmbeddingScores,
-    ) -> Self {
-        Self {
-            model,
-            lr,
-            val,
-            scores,
-            staged: EmbeddingScores::default(),
-        }
+    /// Wraps an initialized SGNS model.
+    pub(crate) fn new(model: Sgns, lr: f32, val: &'a [LabeledEdge]) -> Self {
+        Self { model, lr, val }
     }
 }
 
 impl TrainStep for SgnsStep<'_> {
     type Batch = Vec<PairExample>;
+    type Artefact = EmbeddingScores;
 
     fn step(&mut self, batch: Vec<PairExample>, _rng: &mut StdRng) -> BatchLoss {
         let mut loss_sum = 0.0f64;
@@ -158,28 +146,18 @@ impl TrainStep for SgnsStep<'_> {
         BatchLoss { loss_sum, denom }
     }
 
-    fn eval(&mut self, _rng: &mut StdRng) -> f64 {
-        self.staged = EmbeddingScores::shared(self.model.embeddings().clone())
+    fn eval(&mut self, _rng: &mut StdRng) -> (f64, EmbeddingScores) {
+        let scores = EmbeddingScores::shared(self.model.embeddings().clone())
             .with_context(self.model.contexts().clone());
-        val_auc(&self.staged, self.val)
-    }
-
-    fn promote(&mut self) {
-        *self.scores = std::mem::take(&mut self.staged);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.scores.is_ready()
+        (val_auc(&scores, self.val), scores)
     }
 
     fn export_state(&self, dict: &mut mhg_ckpt::StateDict) {
         self.model.export_state("model/sgns", dict);
-        self.scores.export_state("model/scores", dict);
     }
 
     fn import_state(&mut self, dict: &mhg_ckpt::StateDict) -> Result<(), mhg_ckpt::CkptError> {
-        self.model.import_state("model/sgns", dict)?;
-        self.scores.import_state("model/scores", dict)
+        self.model.import_state("model/sgns", dict)
     }
 }
 

@@ -213,6 +213,17 @@ mod tests {
         assert_eq!(s.buckets, vec![(2, 1), (3, 1), (4, 1)]);
     }
 
+    /// `sum` wraps on overflow, as [`HistogramSnapshot::sum`] documents,
+    /// while `count` and `max` stay exact.
+    #[test]
+    fn histogram_sum_wraps_past_u64_max() {
+        let h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(1);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum, s.max), (2, 0, u64::MAX));
+    }
+
     #[test]
     fn counters_and_gauges_roundtrip() {
         let r = Registry::new();

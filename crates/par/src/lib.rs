@@ -10,8 +10,8 @@
 //! The pool is std-only (`std::thread::scope`, no persistent threads). The
 //! worker count resolves lazily from the `MHG_THREADS` environment variable,
 //! falling back to [`std::thread::available_parallelism`], and can be
-//! overridden per scope with [`scoped_threads`] / [`ParConfig::install`] or
-//! per call in tests with [`with_threads`].
+//! overridden per scope with [`scoped_threads`] or per call in tests with
+//! [`with_threads`].
 //!
 //! Because results never depend on the worker count, races on the global
 //! thread-count cell are benign: a kernel that observes a stale count only
@@ -54,9 +54,9 @@ fn resolve_from_env() -> usize {
 
 /// Returns the worker count the pool is currently sized to.
 ///
-/// Resolution order: the last [`scoped_threads`] / [`ParConfig::install`]
-/// override still in scope, else the `MHG_THREADS` environment variable,
-/// else [`std::thread::available_parallelism`] (minimum 1).
+/// Resolution order: the last [`scoped_threads`] override still in scope,
+/// else the `MHG_THREADS` environment variable, else
+/// [`std::thread::available_parallelism`] (minimum 1).
 pub fn current_threads() -> usize {
     let n = THREADS.load(Ordering::Relaxed);
     if n != 0 {
@@ -68,7 +68,7 @@ pub fn current_threads() -> usize {
 }
 
 /// Restores the previous pool size when dropped; returned by
-/// [`scoped_threads`] and [`ParConfig::install`].
+/// [`scoped_threads`].
 #[must_use = "dropping the guard immediately restores the previous thread count"]
 pub struct ThreadsGuard {
     prev: Option<usize>,
@@ -106,43 +106,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let _lock = OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner);
     let _guard = scoped_threads(threads.max(1));
     f()
-}
-
-/// Worker-pool configuration, mirroring the `MHG_THREADS` environment knob
-/// as a plain value so it can live inside model configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    threads: usize,
-}
-
-impl ParConfig {
-    /// A config with an explicit worker count (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A config resolved from `MHG_THREADS` / available parallelism.
-    pub fn from_env() -> Self {
-        Self::new(resolve_from_env())
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Installs this config as the pool size until the guard drops.
-    pub fn install(&self) -> ThreadsGuard {
-        scoped_threads(self.threads)
-    }
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 /// The fixed partition of `total` work units into `parts` ranges: range

@@ -427,11 +427,6 @@ impl Tensor {
         )
     }
 
-    /// Squared Frobenius norm.
-    pub fn norm_sq(&self) -> f32 {
-        guard_scalar(self.as_slice().iter().map(|v| v * v).sum(), "norm_sq")
-    }
-
     /// Numerically-stable row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
@@ -660,7 +655,6 @@ mod tests {
         let mr = a.mean_rows();
         assert!(approx(mr[(0, 0)], 2.0));
         assert!(approx(mr[(0, 1)], 3.0));
-        assert!(approx(a.norm_sq(), 30.0));
     }
 
     #[test]

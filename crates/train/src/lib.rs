@@ -9,10 +9,11 @@
 //!
 //! A model contributes two things: a **sampling recipe** (a closure that
 //! turns an epoch index and a seeded RNG into minibatches) and a
-//! [`TrainStep`] implementation (one optimizer step per batch, plus
-//! validation/snapshot hooks). The pipeline owns everything else: the epoch
-//! loop, loss averaging, early stopping, report bookkeeping and the
-//! per-stage timing breakdown.
+//! [`TrainStep`] implementation (one optimizer step per batch, plus a
+//! validation pass that returns its AUC and the [`Artefact`] it scored).
+//! The pipeline owns everything else: the epoch loop, loss averaging,
+//! early stopping, keeping the best-validation artefact (which [`train`]
+//! returns), report bookkeeping and the per-stage timing breakdown.
 //!
 //! # Background sampling
 //!
@@ -28,9 +29,9 @@
 //!
 //! With [`TrainOptions::checkpoint_dir`] set, the pipeline persists
 //! versioned, checksummed, atomically-written snapshots (via `mhg-ckpt`) of
-//! everything a run owns — model parameters, optimizer moments, the RNG
-//! stream, the epoch cursor, early-stopping state — at the configured
-//! cadence and at run end. [`TrainOptions::resume`] restores the latest
+//! everything a run owns — model parameters, optimizer moments, the best
+//! artefact, the RNG stream, the epoch cursor, early-stopping state — at
+//! the configured cadence and at run end. [`TrainOptions::resume`] restores the latest
 //! snapshot; a killed-and-resumed run is bit-identical to an uninterrupted
 //! one. Independently, the loop recovers from a panicking background
 //! sampler (inline fallback), non-finite losses (rollback to the last good
@@ -49,7 +50,7 @@ mod recipes;
 mod report;
 
 pub use error::TrainError;
-pub use pipeline::{epoch_seed, train, BatchLoss, TrainOptions, TrainStep};
+pub use pipeline::{epoch_seed, train, Artefact, BatchLoss, TrainOptions, TrainStep};
 pub use recipes::{edge_batches, pair_batches, EdgeBatch, PairExample};
 pub use report::{
     pair_budget, EarlyStopper, RecoveryCounters, StopDecision, TimingBreakdown, TrainReport,

@@ -62,41 +62,52 @@ pub struct BatchLoss {
     pub denom: usize,
 }
 
+/// What a model's validation pass produces and the loop keeps as the best
+/// snapshot: the scoring tables the fitted model answers queries from.
+///
+/// The loop writes the best artefact into every snapshot it takes — the
+/// on-disk checkpoint and the in-memory rollback anchor — through this
+/// trait, under the artefact's own fixed keys (conventionally `model/…`).
+pub trait Artefact: Sized {
+    /// Serialises `best` into `dict`. `None` — no validation pass committed
+    /// yet — has an encoding of its own.
+    fn export_state(best: Option<&Self>, dict: &mut StateDict);
+
+    /// Restores what [`Artefact::export_state`] wrote.
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError>;
+}
+
 /// The per-model half of the pipeline: one optimizer step per minibatch,
-/// plus the validation/snapshot hooks the Validator stage drives.
+/// plus the validation pass the Validator stage drives.
 ///
 /// Contract: [`TrainStep::eval`] scores the *current* parameters on the
-/// validation set and stages a snapshot candidate; [`TrainStep::promote`]
-/// commits the staged candidate as the model's final artefact (called only
-/// when validation improved); [`TrainStep::is_fitted`] reports whether a
-/// final artefact exists. The pipeline guarantees `promote` is called at
-/// least once per `fit`, so `is_fitted` holds on return from [`train`].
+/// validation set and returns the metric (ROC-AUC) with the artefact those
+/// parameters produce. The pipeline keeps the artefact of the best
+/// validation pass (the first pass always counts as best) and returns it
+/// from [`train`]; a step holds no snapshot of its own.
 ///
 /// [`TrainStep::export_state`] / [`TrainStep::import_state`] serialise
-/// everything the model owns that training mutates — parameters, optimizer
-/// moments, the committed artefact — under the model's own key prefix
-/// (conventionally `model/…`). Restoring an export and continuing must be
-/// bit-identical to never having stopped; this is what checkpoint/resume
-/// and divergence rollback are built on.
+/// everything the step owns that training mutates — parameters and
+/// optimizer moments — under the model's own key prefix (conventionally
+/// `model/…`). Restoring an export and continuing must be bit-identical to
+/// never having stopped; this is what checkpoint/resume and divergence
+/// rollback are built on.
 pub trait TrainStep {
     /// One epoch's minibatch unit, produced by the sampling recipe.
     /// `Send` so batches can cross from the prefetch worker thread.
     type Batch: Send;
 
+    /// The best-snapshot artefact [`TrainStep::eval`] produces.
+    type Artefact: Artefact;
+
     /// Performs one forward/backward/optimizer step on `batch`.
     fn step(&mut self, batch: Self::Batch, rng: &mut StdRng) -> BatchLoss;
 
-    /// Evaluates the current parameters on the validation set, staging a
-    /// snapshot candidate; returns the validation metric (ROC-AUC).
-    fn eval(&mut self, rng: &mut StdRng) -> f64;
+    /// Evaluates the current parameters on the validation set; returns the
+    /// validation metric (ROC-AUC) and the artefact it was measured on.
+    fn eval(&mut self, rng: &mut StdRng) -> (f64, Self::Artefact);
 
-    /// Commits the candidate staged by the last [`TrainStep::eval`] call.
-    fn promote(&mut self);
-
-    /// Whether a final artefact has been committed.
-    fn is_fitted(&self) -> bool;
-
-    /// Serialises all training-mutable model state into `dict`.
+    /// Serialises all training-mutable step state into `dict`.
     fn export_state(&self, dict: &mut StateDict);
 
     /// Restores state exported by [`TrainStep::export_state`].
@@ -125,7 +136,7 @@ const MAX_NAN_ROLLBACKS: usize = 4;
 const SNAPSHOT_FORMAT: u64 = 1;
 
 /// Everything the epoch loop itself owns; model state lives in the step.
-struct LoopState {
+struct LoopState<A> {
     /// Base seed all per-epoch sampler seeds derive from.
     base: u64,
     /// Next epoch to run (== completed epoch count).
@@ -134,11 +145,18 @@ struct LoopState {
     stopper: EarlyStopper,
     /// Early stopping fired; persisted so a resumed run does not continue.
     stopped: bool,
+    /// The artefact of the best validation pass so far.
+    best: Option<A>,
 }
 
-/// Captures the complete pipeline state (loop + RNG + model) after a
-/// completed epoch boundary.
-fn snapshot<T: TrainStep>(st: &LoopState, rng: &StdRng, step: &T) -> StateDict {
+/// Captures the complete pipeline state (loop + RNG + model + `best`)
+/// after a completed epoch boundary.
+fn snapshot<T: TrainStep>(
+    st: &LoopState<T::Artefact>,
+    best: Option<&T::Artefact>,
+    rng: &StdRng,
+    step: &T,
+) -> StateDict {
     let mut dict = StateDict::new();
     dict.put_u64("loop/format", SNAPSHOT_FORMAT);
     dict.put_u64("loop/base", st.base);
@@ -157,13 +175,14 @@ fn snapshot<T: TrainStep>(st: &LoopState, rng: &StdRng, step: &T) -> StateDict {
     dict.put_f64("loop/report/compute_ms", st.report.timing.compute_ms);
     dict.put_f64("loop/report/eval_ms", st.report.timing.eval_ms);
     step.export_state(&mut dict);
+    T::Artefact::export_state(best, &mut dict);
     dict
 }
 
 /// Restores a [`snapshot`]; the restored state is authoritative over
 /// whatever the caller had (base seed, RNG stream, model parameters).
 fn restore<T: TrainStep>(
-    st: &mut LoopState,
+    st: &mut LoopState<T::Artefact>,
     rng: &mut StdRng,
     step: &mut T,
     dict: &StateDict,
@@ -192,6 +211,7 @@ fn restore<T: TrainStep>(
     st.report.timing.compute_ms = dict.f64("loop/report/compute_ms")?;
     st.report.timing.eval_ms = dict.f64("loop/report/eval_ms")?;
     step.import_state(dict)?;
+    st.best = T::Artefact::import_state(dict)?;
     Ok(())
 }
 
@@ -216,7 +236,7 @@ enum EpochOutcome {
 /// double-buffered on a background thread per `opts.background`), steps
 /// `step` over the produced batches, validates, early-stops, checkpoints at
 /// the configured cadence, and returns a uniformly initialized and
-/// finalized [`TrainReport`].
+/// finalized [`TrainReport`] with the artefact of the best validation pass.
 ///
 /// `sample(epoch, rng)` receives an RNG seeded by [`epoch_seed`] from a
 /// base drawn once from `rng`; `step` hooks receive `rng` itself. The two
@@ -238,7 +258,7 @@ pub fn train<S, T>(
     sample: S,
     step: &mut T,
     rng: &mut StdRng,
-) -> Result<TrainReport, TrainError>
+) -> Result<(TrainReport, T::Artefact), TrainError>
 where
     T: TrainStep,
     S: Fn(usize, &mut StdRng) -> Result<Vec<T::Batch>, SampleError> + Sync,
@@ -251,6 +271,7 @@ where
         report: TrainReport::default(),
         stopper: EarlyStopper::new(opts.patience),
         stopped: false,
+        best: None,
     };
     let mut recovery = RecoveryCounters::default();
 
@@ -274,7 +295,7 @@ where
 
     // In-memory rollback anchor for divergence recovery; refreshed at the
     // checkpoint cadence so it works with or without a checkpoint dir.
-    let mut last_good = snapshot(&st, rng, step);
+    let mut last_good = snapshot(&st, st.best.as_ref(), rng, step);
     let mut last_saved: Option<usize> = None;
     let mut background = opts.background;
 
@@ -354,17 +375,21 @@ where
         }
     }
 
-    if !step.is_fitted() {
-        // 0-epoch runs: still produce the final artefact and a real
-        // validation score from the initial parameters, so every report is
-        // finalized the same way. (With ≥ 1 epoch the first eval always
-        // improves on −∞ and promotes.)
-        let span = opts.obs.span("train/eval");
-        let auc = step.eval(rng);
-        st.report.timing.eval_ms += span.stop_ms();
-        st.stopper.update(auc);
-        step.promote();
-    }
+    let best = match st.best.take() {
+        Some(best) => best,
+        None => {
+            // 0-epoch runs (and runs whose every validation AUC was NaN):
+            // still produce the final artefact and a real validation score
+            // from the current parameters, so every report is finalized the
+            // same way. (Otherwise the first eval improves on −∞ and is
+            // kept.)
+            let span = opts.obs.span("train/eval");
+            let (auc, artefact) = step.eval(rng);
+            st.report.timing.eval_ms += span.stop_ms();
+            st.stopper.update(auc);
+            artefact
+        }
+    };
     st.report.best_val_auc = st.stopper.best();
     if let Some(c) = &ckpt {
         // Final checkpoint so a finished run resumes as a no-op; skipped if
@@ -372,7 +397,7 @@ where
         // snapshot runs after the stopped flag is set, so it never misses
         // an early stop).
         if last_saved != Some(st.epoch) {
-            let snap = snapshot(&st, rng, step);
+            let snap = snapshot(&st, Some(&best), rng, step);
             let span = opts.obs.span("train/ckpt");
             c.save(st.epoch, &snap)?;
             span.stop_ms();
@@ -400,7 +425,7 @@ where
             ),
         ],
     );
-    Ok(st.report)
+    Ok((st.report, best))
 }
 
 /// Runs epochs from `st.epoch` until the budget, early stopping, or a
@@ -412,7 +437,7 @@ fn run_span<S, T>(
     sample: &S,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
+    st: &mut LoopState<T::Artefact>,
     background: bool,
     ckpt: Option<&Checkpointer>,
     last_good: &mut StateDict,
@@ -499,7 +524,7 @@ fn pump<T: TrainStep>(
     opts: &TrainOptions,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
+    st: &mut LoopState<T::Artefact>,
     ckpt: Option<&Checkpointer>,
     last_good: &mut StateDict,
     last_saved: &mut Option<usize>,
@@ -516,7 +541,7 @@ fn pump<T: TrainStep>(
             EpochOutcome::Committed | EpochOutcome::Stopped => {
                 let completed = st.epoch;
                 if opts.checkpoint_every > 0 && completed.is_multiple_of(opts.checkpoint_every) {
-                    let snap = snapshot(st, rng, step);
+                    let snap = snapshot(st, st.best.as_ref(), rng, step);
                     if let Some(c) = ckpt {
                         let span = opts.obs.span("train/ckpt");
                         c.save(completed, &snap)?;
@@ -538,9 +563,10 @@ fn pump<T: TrainStep>(
     Ok(SpanExit::Finished)
 }
 
-/// Steps one epoch's batches, validates, and commits the epoch — unless
-/// the epoch loss comes out non-finite, in which case nothing is committed
-/// and the caller rolls back.
+/// Steps one epoch's batches, validates, and commits the epoch (keeping the
+/// validation artefact if it is the best so far) — unless the epoch loss
+/// comes out non-finite, in which case nothing is committed and the caller
+/// rolls back.
 ///
 /// All per-epoch timing flows through `obs` spans (satellite of the
 /// `TimingBreakdown` contract): the histogram record and the
@@ -549,7 +575,7 @@ fn drive_epoch<T: TrainStep>(
     obs: &Obs,
     step: &mut T,
     rng: &mut StdRng,
-    st: &mut LoopState,
+    st: &mut LoopState<T::Artefact>,
     batches: Vec<T::Batch>,
     sample_ns: u64,
 ) -> EpochOutcome {
@@ -583,7 +609,7 @@ fn drive_epoch<T: TrainStep>(
     st.epoch += 1;
 
     let eval_span = obs.span("train/eval");
-    let auc = step.eval(rng);
+    let (auc, artefact) = step.eval(rng);
     let eval_ms = eval_span.stop_ms();
     st.report.timing.eval_ms += eval_ms;
 
@@ -611,7 +637,7 @@ fn drive_epoch<T: TrainStep>(
     );
     match st.stopper.update(auc) {
         StopDecision::Improved => {
-            step.promote();
+            st.best = Some(artefact);
             EpochOutcome::Committed
         }
         StopDecision::Continue => EpochOutcome::Committed,
@@ -650,12 +676,12 @@ mod tests {
     struct CountingStep {
         steps: usize,
         evals: usize,
-        promoted: usize,
-        fitted: bool,
         peak: usize,
         trace: Vec<u64>,
         /// When set, every epoch loss comes out NaN (real divergence).
         diverge: bool,
+        /// When set, every validation AUC comes out NaN.
+        nan_auc: bool,
     }
 
     impl CountingStep {
@@ -663,17 +689,32 @@ mod tests {
             Self {
                 steps: 0,
                 evals: 0,
-                promoted: 0,
-                fitted: false,
                 peak,
                 trace: Vec::new(),
                 diverge: false,
+                nan_auc: false,
             }
+        }
+    }
+
+    /// The toy artefact: the 1-based index of the eval that produced it.
+    #[derive(Debug, PartialEq)]
+    struct EvalIndex(u64);
+
+    impl Artefact for EvalIndex {
+        fn export_state(best: Option<&Self>, dict: &mut StateDict) {
+            dict.put_u64("model/best", best.map_or(0, |b| b.0));
+        }
+
+        fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+            let index = dict.u64("model/best")?;
+            Ok((index != 0).then_some(Self(index)))
         }
     }
 
     impl TrainStep for CountingStep {
         type Batch = Vec<u64>;
+        type Artefact = EvalIndex;
 
         fn step(&mut self, batch: Vec<u64>, _rng: &mut StdRng) -> BatchLoss {
             self.steps += 1;
@@ -688,33 +729,25 @@ mod tests {
             }
         }
 
-        fn eval(&mut self, _rng: &mut StdRng) -> f64 {
+        fn eval(&mut self, _rng: &mut StdRng) -> (f64, EvalIndex) {
             self.evals += 1;
-            self.evals.min(self.peak) as f64
-        }
-
-        fn promote(&mut self) {
-            self.promoted += 1;
-            self.fitted = true;
-        }
-
-        fn is_fitted(&self) -> bool {
-            self.fitted
+            let auc = if self.nan_auc {
+                f64::NAN
+            } else {
+                self.evals.min(self.peak) as f64
+            };
+            (auc, EvalIndex(self.evals as u64))
         }
 
         fn export_state(&self, dict: &mut StateDict) {
             dict.put_u64("model/steps", self.steps as u64);
             dict.put_u64("model/evals", self.evals as u64);
-            dict.put_u64("model/promoted", self.promoted as u64);
-            dict.put_u64("model/fitted", u64::from(self.fitted));
             dict.put_u64s("model/trace", self.trace.clone());
         }
 
         fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
             self.steps = dict.u64("model/steps")? as usize;
             self.evals = dict.u64("model/evals")? as usize;
-            self.promoted = dict.u64("model/promoted")? as usize;
-            self.fitted = dict.u64("model/fitted")? != 0;
             self.trace = dict.u64s("model/trace")?.to_vec();
             Ok(())
         }
@@ -741,32 +774,27 @@ mod tests {
         }
     }
 
-    fn run(background: bool, epochs: usize, peak: usize) -> (TrainReport, CountingStep) {
-        let mut step = CountingStep::new(peak);
-        let mut rng = StdRng::seed_from_u64(7);
-        let report = train(&opts(background, epochs), recipe, &mut step, &mut rng)
-            .expect("clean run must succeed");
-        (report, step)
+    type Run = (TrainReport, CountingStep, EvalIndex);
+
+    fn run(background: bool, epochs: usize, peak: usize) -> Run {
+        run_with(&opts(background, epochs), peak, 7).expect("clean run must succeed")
     }
 
-    fn run_with(
-        o: &TrainOptions,
-        peak: usize,
-        seed: u64,
-    ) -> Result<(TrainReport, CountingStep), TrainError> {
+    fn run_with(o: &TrainOptions, peak: usize, seed: u64) -> Result<Run, TrainError> {
         let mut step = CountingStep::new(peak);
         let mut rng = StdRng::seed_from_u64(seed);
-        let report = train(o, recipe, &mut step, &mut rng)?;
-        Ok((report, step))
+        let (report, best) = train(o, recipe, &mut step, &mut rng)?;
+        Ok((report, step, best))
     }
 
     #[test]
     fn background_matches_inline_exactly() {
         let _g = faults_guard();
         mhg_faults::clear();
-        let (r_in, s_in) = run(false, 6, 10);
-        let (r_bg, s_bg) = run(true, 6, 10);
+        let (r_in, s_in, best_in) = run(false, 6, 10);
+        let (r_bg, s_bg, best_bg) = run(true, 6, 10);
         assert_eq!(s_in.trace, s_bg.trace, "batch streams must be identical");
+        assert_eq!(best_in, best_bg);
         assert_eq!(r_in.epochs_run, r_bg.epochs_run);
         assert_eq!(r_in.final_loss, r_bg.final_loss);
         assert_eq!(r_in.best_val_auc, r_bg.best_val_auc);
@@ -776,12 +804,14 @@ mod tests {
     fn early_stopping_cuts_the_run() {
         let _g = faults_guard();
         mhg_faults::clear();
-        // Improves for 3 epochs, patience 2 → stops at epoch 5.
-        let (report, step) = run(false, 30, 3);
+        // Improves for 3 epochs, patience 2 → stops at epoch 5, keeping
+        // the artefact of the third eval, not of the last.
+        let (report, step, best) = run(false, 30, 3);
         assert_eq!(report.epochs_run, 5);
-        assert_eq!(step.promoted, 3);
+        assert_eq!(step.evals, 5);
+        assert_eq!(best, EvalIndex(3));
         assert!((report.best_val_auc - 3.0).abs() < 1e-12);
-        let (report_bg, _) = run(true, 30, 3);
+        let (report_bg, _, _) = run(true, 30, 3);
         assert_eq!(report_bg.epochs_run, 5);
     }
 
@@ -790,15 +820,45 @@ mod tests {
         let _g = faults_guard();
         mhg_faults::clear();
         for background in [false, true] {
-            let (report, step) = run(background, 0, 10);
+            let (report, step, best) = run(background, 0, 10);
             assert_eq!(report.epochs_run, 0);
             assert_eq!(report.final_loss, 0.0);
-            // Still evaluated and promoted once from initial parameters.
+            // Still evaluated once from initial parameters, and that
+            // artefact is returned.
             assert_eq!(step.evals, 1);
-            assert_eq!(step.promoted, 1);
-            assert!(step.is_fitted());
+            assert_eq!(best, EvalIndex(1));
             assert!((report.best_val_auc - 1.0).abs() < 1e-12);
         }
+    }
+
+    /// A run whose every validation AUC is NaN never improves on −∞: it
+    /// early-stops, then returns the artefact of one final eval; resuming
+    /// it evaluates nothing more.
+    #[test]
+    fn all_nan_auc_run_returns_its_final_eval() {
+        let _g = faults_guard();
+        mhg_faults::clear();
+        let dir = fresh_dir("nan_auc");
+        let mut o = opts(false, 30);
+        o.checkpoint_dir = Some(dir.clone());
+        let run_nan = |o: &TrainOptions| {
+            let mut step = CountingStep::new(10);
+            step.nan_auc = true;
+            let mut rng = StdRng::seed_from_u64(7);
+            let (report, best) = train(o, recipe, &mut step, &mut rng).expect("NaN AUC run");
+            (report, step, best)
+        };
+        let (report, step, best) = run_nan(&o);
+        // Patience 2: two non-improving epochs, then the final eval.
+        assert_eq!(report.epochs_run, 2);
+        assert_eq!(step.evals, 3);
+        assert_eq!(best, EvalIndex(3));
+        assert_eq!(report.best_val_auc, f64::NEG_INFINITY);
+        o.resume = true;
+        let (_, resumed_step, resumed_best) = run_nan(&o);
+        assert_eq!(resumed_step.evals, 3, "no extra evaluation");
+        assert_eq!(resumed_best, EvalIndex(3));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -812,7 +872,7 @@ mod tests {
     fn timing_is_accumulated() {
         let _g = faults_guard();
         mhg_faults::clear();
-        let (report, _) = run(false, 3, 10);
+        let (report, _, _) = run(false, 3, 10);
         // Totals are non-negative and finite; exact values are wall-clock.
         assert!(report.timing.sample_ms >= 0.0);
         assert!(report.timing.compute_ms >= 0.0);
@@ -832,7 +892,7 @@ mod tests {
         let _g = faults_guard();
         mhg_faults::clear();
         for background in [false, true] {
-            let (full_report, full_step) = run(background, 6, 10);
+            let (full_report, full_step, full_best) = run(background, 6, 10);
 
             let dir = fresh_dir(if background { "split_bg" } else { "split_in" });
             let mut part1 = opts(background, 3);
@@ -846,11 +906,12 @@ mod tests {
             part2.checkpoint_every = 1;
             part2.checkpoint_dir = Some(dir.clone());
             part2.resume = true;
-            let (resumed_report, resumed_step) =
+            let (resumed_report, resumed_step, resumed_best) =
                 run_with(&part2, 10, 999).expect("resumed run must succeed");
 
             assert_eq!(resumed_report.recovery.resumed_from, Some(3));
             assert_eq!(full_step.trace, resumed_step.trace);
+            assert_eq!(full_best, resumed_best);
             assert_eq!(full_report.epochs_run, resumed_report.epochs_run);
             assert_eq!(full_report.final_loss, resumed_report.final_loss);
             assert_eq!(full_report.best_val_auc, resumed_report.best_val_auc);
@@ -867,12 +928,13 @@ mod tests {
         let dir = fresh_dir("finished");
         let mut o = opts(false, 4);
         o.checkpoint_dir = Some(dir.clone());
-        let (first, step1) = run_with(&o, 10, 7).expect("first run");
+        let (first, step1, best1) = run_with(&o, 10, 7).expect("first run");
         o.resume = true;
-        let (second, step2) = run_with(&o, 10, 123).expect("resume");
+        let (second, step2, best2) = run_with(&o, 10, 123).expect("resume");
         assert_eq!(second.recovery.resumed_from, Some(4));
         assert_eq!(step1.steps, step2.steps, "no epochs may re-run");
         assert_eq!(step1.evals, step2.evals, "no extra evaluation");
+        assert_eq!(best1, best2);
         assert_eq!(first.epochs_run, second.epochs_run);
         assert_eq!(first.best_val_auc, second.best_val_auc);
         std::fs::remove_dir_all(&dir).ok();
@@ -887,14 +949,15 @@ mod tests {
         let dir = fresh_dir("stopped");
         let mut o = opts(false, 30);
         o.checkpoint_dir = Some(dir.clone());
-        let (first, _) = run_with(&o, 3, 7).expect("first run");
+        let (first, _, _) = run_with(&o, 3, 7).expect("first run");
         assert_eq!(first.epochs_run, 5, "peak 3 + patience 2");
         let mut o2 = opts(false, 100);
         o2.checkpoint_dir = Some(dir.clone());
         o2.resume = true;
-        let (second, step2) = run_with(&o2, 3, 7).expect("resume");
+        let (second, step2, best2) = run_with(&o2, 3, 7).expect("resume");
         assert_eq!(second.epochs_run, 5, "stopped flag must hold");
         assert_eq!(step2.steps, 10, "restored steps only, no new ones");
+        assert_eq!(best2, EvalIndex(3), "the best eval, not the last");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -903,7 +966,7 @@ mod tests {
     #[test]
     fn injected_nan_loss_rolls_back_and_replays_bit_identically() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 5, 10)
         };
@@ -911,10 +974,12 @@ mod tests {
         mhg_faults::install(plan);
         let mut o = opts(false, 5);
         o.checkpoint_every = 1; // refresh the rollback anchor every epoch
-        let (faulted_report, faulted_step) = run_with(&o, 10, 7).expect("must recover");
+        let (faulted_report, faulted_step, faulted_best) =
+            run_with(&o, 10, 7).expect("must recover");
         mhg_faults::clear();
         assert_eq!(faulted_report.recovery.nan_rollbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.epochs_run, faulted_report.epochs_run);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         assert_eq!(clean_report.best_val_auc, faulted_report.best_val_auc);
@@ -924,17 +989,18 @@ mod tests {
     #[test]
     fn nan_rollback_to_run_start_still_recovers() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 4, 10)
         };
         let plan = mhg_faults::FaultPlan::new().inject(FaultSite::NanLoss, 2);
         mhg_faults::install(plan);
-        let (faulted_report, faulted_step) =
+        let (faulted_report, faulted_step, faulted_best) =
             run_with(&opts(false, 4), 10, 7).expect("must recover");
         mhg_faults::clear();
         assert_eq!(faulted_report.recovery.nan_rollbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
     }
 
@@ -963,7 +1029,7 @@ mod tests {
     #[test]
     fn sampler_panic_falls_back_inline_bit_identically() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(true, 5, 10)
         };
@@ -974,9 +1040,10 @@ mod tests {
         let result = run_with(&opts(true, 5), 10, 7);
         std::panic::set_hook(prev_hook);
         mhg_faults::clear();
-        let (faulted_report, faulted_step) = result.expect("must fall back");
+        let (faulted_report, faulted_step, faulted_best) = result.expect("must fall back");
         assert_eq!(faulted_report.recovery.sampler_fallbacks, 1);
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.epochs_run, faulted_report.epochs_run);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         assert_eq!(clean_report.best_val_auc, faulted_report.best_val_auc);
@@ -1026,7 +1093,7 @@ mod tests {
     #[test]
     fn checkpoint_io_faults_are_retried_transparently() {
         let _g = faults_guard();
-        let (clean_report, clean_step) = {
+        let (clean_report, clean_step, clean_best) = {
             mhg_faults::clear();
             run(false, 4, 10)
         };
@@ -1040,8 +1107,10 @@ mod tests {
         o.checkpoint_dir = Some(dir.clone());
         let result = run_with(&o, 10, 7);
         mhg_faults::clear();
-        let (faulted_report, faulted_step) = result.expect("retries must absorb IO faults");
+        let (faulted_report, faulted_step, faulted_best) =
+            result.expect("retries must absorb IO faults");
         assert_eq!(clean_step.trace, faulted_step.trace);
+        assert_eq!(clean_best, faulted_best);
         assert_eq!(clean_report.final_loss, faulted_report.final_loss);
         // The checkpoints landed despite the injected write failures.
         assert!(Path::new(&dir).join("ckpt-000004.mhgc").exists());

@@ -12,7 +12,7 @@
 use mhg_ckpt::{CkptError, StateDict};
 use mhg_obs::{MetricValue, Obs};
 use mhg_sampling::SampleError;
-use mhg_train::{train, BatchLoss, TrainOptions, TrainStep};
+use mhg_train::{train, Artefact, BatchLoss, TrainOptions, TrainStep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,11 +25,25 @@ const BATCHES: u64 = 2;
 /// stopping interferes with the epoch count).
 struct TickStep {
     evals: usize,
-    fitted: bool,
+}
+
+/// The artefact of [`TickStep`]: the 1-based index of its eval.
+struct EvalIndex(u64);
+
+impl Artefact for EvalIndex {
+    fn export_state(best: Option<&Self>, dict: &mut StateDict) {
+        dict.put_u64("model/best", best.map_or(0, |b| b.0));
+    }
+
+    fn import_state(dict: &StateDict) -> Result<Option<Self>, CkptError> {
+        let index = dict.u64("model/best")?;
+        Ok((index != 0).then_some(Self(index)))
+    }
 }
 
 impl TrainStep for TickStep {
     type Batch = Vec<u64>;
+    type Artefact = EvalIndex;
 
     fn step(&mut self, batch: Vec<u64>, _rng: &mut StdRng) -> BatchLoss {
         BatchLoss {
@@ -38,27 +52,17 @@ impl TrainStep for TickStep {
         }
     }
 
-    fn eval(&mut self, _rng: &mut StdRng) -> f64 {
+    fn eval(&mut self, _rng: &mut StdRng) -> (f64, EvalIndex) {
         self.evals += 1;
-        self.evals as f64
-    }
-
-    fn promote(&mut self) {
-        self.fitted = true;
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.fitted
+        (self.evals as f64, EvalIndex(self.evals as u64))
     }
 
     fn export_state(&self, dict: &mut StateDict) {
         dict.put_u64("model/evals", self.evals as u64);
-        dict.put_u64("model/fitted", u64::from(self.fitted));
     }
 
     fn import_state(&mut self, dict: &StateDict) -> Result<(), CkptError> {
         self.evals = dict.u64("model/evals")? as usize;
-        self.fitted = dict.u64("model/fitted")? != 0;
         Ok(())
     }
 }
@@ -83,12 +87,9 @@ fn run(background: bool, epochs: usize) -> (Obs, mhg_train::TrainReport) {
         resume: false,
         obs: obs.clone(),
     };
-    let mut step = TickStep {
-        evals: 0,
-        fitted: false,
-    };
+    let mut step = TickStep { evals: 0 };
     let mut rng = StdRng::seed_from_u64(11);
-    let report = train(&opts, recipe, &mut step, &mut rng).expect("train");
+    let (report, _) = train(&opts, recipe, &mut step, &mut rng).expect("train");
     (obs, report)
 }
 
@@ -155,13 +156,10 @@ fn stage_spans_sum_within_external_run_measurement() {
         resume: false,
         obs: obs.clone(),
     };
-    let mut step = TickStep {
-        evals: 0,
-        fitted: false,
-    };
+    let mut step = TickStep { evals: 0 };
     let mut rng = StdRng::seed_from_u64(11);
     let t0 = obs.now_ns();
-    let report = train(&opts, recipe, &mut step, &mut rng).expect("train");
+    let (report, _) = train(&opts, recipe, &mut step, &mut rng).expect("train");
     let total_ms = (obs.now_ns() - t0) as f64 / 1e6;
     let stages = report.timing.sample_ms + report.timing.compute_ms + report.timing.eval_ms;
     assert!(

@@ -185,6 +185,11 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
+    let resume: bool = parsed(flags, "resume", false)?;
+    if resume && checkpoint_dir.is_none() {
+        return Err("--resume true needs --checkpoint-dir: the directory to resume from".into());
+    }
     let graph = load_graph(flags)?;
     let out: PathBuf = required(flags, "out")?.into();
     let seed: u64 = parsed(flags, "seed", 42)?;
@@ -207,8 +212,8 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     config.common.epochs = epochs;
     config.common.dim = dim;
     config.common.checkpoint_every = parsed(flags, "checkpoint-every", 0)?;
-    config.common.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
-    config.common.resume = parsed(flags, "resume", false)?;
+    config.common.checkpoint_dir = checkpoint_dir;
+    config.common.resume = resume;
     if config.common.checkpoint_dir.is_some() && config.common.checkpoint_every == 0 {
         config.common.checkpoint_every = 1;
     }

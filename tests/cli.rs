@@ -192,6 +192,44 @@ fn unknown_and_valueless_flags_are_rejected() {
     std::fs::remove_file(graph_path).ok();
 }
 
+/// `train --resume true` with no checkpoint directory has nothing to
+/// resume from; it exits 1 naming both flags instead of silently training
+/// from scratch.
+#[test]
+fn resume_without_a_checkpoint_dir_is_rejected() {
+    let graph_path = temp_path("resume.mhg");
+    let model_path = temp_path("resume.emb");
+    std::fs::remove_file(&model_path).ok();
+    let out = cli()
+        .args([
+            "generate",
+            "--dataset",
+            "amazon",
+            "--scale",
+            "0.005",
+            "--out",
+        ])
+        .arg(&graph_path)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let out = cli()
+        .args(["train", "--graph"])
+        .arg(&graph_path)
+        .args(["--epochs", "1", "--dim", "8", "--resume", "true", "--out"])
+        .arg(&model_path)
+        .output()
+        .expect("run train");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--resume") && stderr.contains("--checkpoint-dir"),
+        "{stderr}"
+    );
+    assert!(!model_path.exists(), "nothing may be trained");
+    std::fs::remove_file(graph_path).ok();
+}
+
 #[test]
 fn recommend_rejects_a_non_finite_embedding_file() {
     use hybridgnn_repro::graph::{persist, RelationId};
