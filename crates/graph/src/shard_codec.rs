@@ -180,8 +180,8 @@ pub(crate) fn decode_block(
 
 /// Fills `targets` with `raw` in one bulk copy, then range-checks them in
 /// one branch-free scan: the largest target bounds every other one.
-/// `reserve_exact` keeps a recycled page buffer from growing past the
-/// largest page it has held.
+/// `reserve_exact` keeps the pager's per-thread decode buffer at the size
+/// of the largest block it has held.
 fn decode_targets(
     raw: impl ExactSizeIterator<Item = u32>,
     num_nodes: usize,

@@ -7,10 +7,11 @@
 //! files. Each shard covers a *contiguous node range*, so every neighbor
 //! list lives entirely inside one shard. The pager's unit is a block of
 //! [`BLOCK_TARGETS`] targets of one shard: a miss reads just that block
-//! with one positioned read, checks it against its manifest sum and caches
-//! it in a byte-budgeted FIFO. A list inside one block is served as a slice
-//! of the cached page; a list that straddles blocks is stitched into a
-//! scratch buffer.
+//! with one positioned read, checks it against its manifest sum and copies
+//! it into a frame of one fixed arena, evicting frames in FIFO order. Every
+//! access copies its list out of the frames, under the lock, into a
+//! per-thread scratch buffer, and runs the caller's closure on that copy
+//! with the lock released.
 //!
 //! Building never materialises the whole graph: [`ShardedCsr::build`]
 //! consumes a re-streamable [`EdgeSource`] in waves. Pass A streams the
@@ -27,9 +28,10 @@
 //! `derive_seed`-derived streams produce byte-identical walks over either
 //! backend (pinned by `crates/sampling/tests/store_parity.rs`).
 
-use std::collections::VecDeque;
+use std::cell::Cell;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mhg_ckpt::frame::{size_u16, size_u32};
 
@@ -45,8 +47,9 @@ pub struct ShardedCsrOptions {
     /// number of files, not the cost of a miss: a miss reads one block of
     /// at most [`BLOCK_TARGETS`] targets whatever the shard size.
     pub shard_target_cap: usize,
-    /// Byte budget of the page cache. A page is one block of at most
-    /// 4 KiB; at least one page is always kept, so a budget below that
+    /// Byte budget of the page cache. It is cut into frames the size of
+    /// the store's largest block (at most 4 KiB), rounded down to whole
+    /// frames; at least one frame is always kept, so a budget below that
     /// still loads.
     pub page_budget_bytes: usize,
     /// Byte budget of the build-time wave buffers (directed-edge staging).
@@ -106,11 +109,10 @@ impl EdgeSource for MultiplexGraph {
 
 /// Page-cache counters, exposed for the memory-bound tests and the graph
 /// benchmark. A page is one block of [`BLOCK_TARGETS`] targets (the last
-/// block of a shard may be shorter). All byte figures count target payloads
-/// (4 bytes per entry) of cached pages. A neighbor list that straddles
-/// blocks counts one hit or load per block it touches. Up to four evicted
-/// page buffers (`SPARE_PAGES`) are kept for reuse by the next miss; they
-/// are not counted in `resident_bytes` or `peak_bytes`.
+/// block of a shard may be shorter), held in one frame of the pager's
+/// arena. Byte figures count whole frames (4 bytes per target a frame
+/// holds), whatever the block inside is. A neighbor list that straddles
+/// blocks counts one hit or load per block it touches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageStats {
     /// Blocks read and decoded from disk.
@@ -125,121 +127,138 @@ pub struct PageStats {
     pub peak_bytes: usize,
 }
 
-/// Most evicted page buffers the pager keeps for reuse. A miss that
-/// refills a spare skips an allocation and a cross-thread free; that makes
-/// `walks-10m-sharded` ≈7% faster and its high-water mark after a long run
-/// ≈3 MiB lower (DESIGN.md §2.14, "Page buffers are recycled").
-const SPARE_PAGES: usize = 4;
+/// The empty entry of both pager tables: no frame, or no block.
+const EMPTY: u32 = u32::MAX;
 
 struct PagerState {
-    /// The resident page of each block, indexed by global block id.
-    slots: Vec<Option<Arc<Vec<NodeId>>>>,
-    fifo: VecDeque<usize>,
-    /// Evicted page buffers no reader still held, for the next miss.
-    spare: Vec<Vec<NodeId>>,
+    /// Targets per frame: the store's largest block.
+    frame_len: usize,
+    /// The frames, back to back, `frame_len` targets each. Capacity for
+    /// every frame is reserved up front; a frame is written, and its memory
+    /// touched, only when it is first used.
+    arena: Vec<NodeId>,
+    /// The frame holding each block, indexed by global block id.
+    block_frame: Vec<u32>,
+    /// The block held by each frame.
+    frame_block: Vec<u32>,
+    /// The next frame to fill. Frames fill in ring order, so the frame at
+    /// the hand holds the oldest resident block: evicting it is FIFO.
+    hand: usize,
     stats: PageStats,
 }
 
 impl PagerState {
-    /// Keeps `buf` for the next miss while the spare list has room.
-    fn recycle(&mut self, buf: Vec<NodeId>) {
-        if self.spare.len() < SPARE_PAGES {
-            self.spare.push(buf);
+    /// The frame holding block `id`, if it is resident.
+    fn frame_of(&self, id: usize) -> Option<usize> {
+        let frame = self.block_frame[id];
+        (frame != EMPTY).then_some(frame as usize)
+    }
+
+    /// Copies `block` into the frame at the hand, evicting the block there,
+    /// and advances the hand. A block never outgrows a frame: `open` sizes
+    /// frames to the largest block the manifest lists.
+    fn insert(&mut self, id: usize, block: &[NodeId]) -> usize {
+        let frame = self.hand;
+        self.hand = (frame + 1) % self.frame_block.len();
+        let old = self.frame_block[frame];
+        if old != EMPTY {
+            self.block_frame[old as usize] = EMPTY;
+            self.stats.evictions += 1;
         }
+        let at = frame * self.frame_len;
+        if self.arena.len() == at {
+            // First use of this frame: the ring fills frames in order.
+            self.arena.resize(at + self.frame_len, NodeId(0));
+            self.stats.resident_bytes = self.arena.len().saturating_mul(4);
+            self.stats.peak_bytes = self.stats.resident_bytes;
+        }
+        self.arena[at..at + self.frame_len][..block.len()].copy_from_slice(block);
+        // `ShardedCsr::open` keeps every block id below `EMPTY`.
+        self.frame_block[frame] = id as u32;
+        self.block_frame[id] = frame as u32;
+        frame
     }
 }
 
-/// Byte-budgeted FIFO page cache over the blocks of every shard file: a
-/// flat slot table indexed by global block id, under one mutex.
-struct Pager {
-    budget: usize,
-    state: Mutex<PagerState>,
-}
+/// FIFO page cache over the blocks of every shard file: one arena cut into
+/// equal frames, and two tables mapping block id → frame and frame → block,
+/// under one mutex.
+struct Pager(Mutex<PagerState>);
 
 impl Pager {
-    fn new(budget: usize, num_blocks: usize) -> Self {
-        Self {
-            budget: budget.max(1),
-            state: Mutex::new(PagerState {
-                slots: vec![None; num_blocks],
-                fifo: VecDeque::new(),
-                spare: Vec::new(),
-                stats: PageStats::default(),
-            }),
-        }
+    /// A pager of `budget / (4 * frame_len)` frames, at least one and at
+    /// most one per block.
+    fn new(budget: usize, frame_len: usize, num_blocks: usize) -> Self {
+        let frame_len = frame_len.max(1);
+        let frames = (budget / frame_len.saturating_mul(4)).clamp(1, num_blocks.max(1));
+        Self(Mutex::new(PagerState {
+            frame_len,
+            arena: Vec::with_capacity(frames.saturating_mul(frame_len)),
+            block_frame: vec![EMPTY; num_blocks],
+            frame_block: vec![EMPTY; frames],
+            hand: 0,
+            stats: PageStats::default(),
+        }))
     }
 
-    /// Fetches the page of global block `block`. On a miss, `load` fills a
-    /// buffer taken from the spare list (or a new one), and pages are
-    /// evicted oldest-first past the byte budget.
-    fn get(
+    /// Recovers the lock even if a panic poisoned it: the guarded state is
+    /// a cache plus counters, both safe to reuse after an unwound access.
+    fn lock(&self) -> MutexGuard<'_, PagerState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `part` of global block `id` to `out`, copied out of the
+    /// block's frame under the lock. A miss has `load` decode the block into
+    /// `buf` with the lock released, then copies it into the frame at the
+    /// hand.
+    fn read(
         &self,
-        block: usize,
+        id: usize,
+        part: Range<usize>,
+        out: &mut Vec<NodeId>,
+        buf: &mut Vec<NodeId>,
         load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
-    ) -> Result<Arc<Vec<NodeId>>, ShardError> {
-        let mut st = lock_pager(&self.state);
-        if let Some(page) = st.slots[block].as_ref().map(Arc::clone) {
+    ) -> Result<(), ShardError> {
+        let mut st = self.lock();
+        let frame = if let Some(frame) = st.frame_of(id) {
             st.stats.hits += 1;
-            return Ok(page);
-        }
-        let mut buf = st.spare.pop().unwrap_or_default();
-        drop(st);
-        // Load outside the lock: a slow disk read must not serialize hits
-        // on other pages.
-        load(&mut buf)?;
-        let bytes = buf.len().saturating_mul(4);
-        let mut st = lock_pager(&self.state);
-        st.stats.loads += 1;
-        // A racing thread loaded the same page meanwhile: serve its copy,
-        // evict nothing and keep this buffer for the next miss.
-        if let Some(page) = st.slots[block].as_ref().map(Arc::clone) {
-            st.recycle(buf);
-            return Ok(page);
-        }
-        // Make room first, so resident_bytes (and its high-water mark) never
-        // exceeds the budget unless a single page is itself oversized.
-        while st.stats.resident_bytes.saturating_add(bytes) > self.budget {
-            let Some(old) = st.fifo.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = st.slots[old].take() {
-                let freed = evicted.len().saturating_mul(4);
-                st.stats.resident_bytes = st.stats.resident_bytes.saturating_sub(freed);
-                st.stats.evictions += 1;
-                // A page some reader still holds is freed by that reader.
-                if let Ok(spare) = Arc::try_unwrap(evicted) {
-                    st.recycle(spare);
-                }
+            frame
+        } else {
+            drop(st);
+            // Load outside the lock: a slow disk read must not serialize
+            // hits on other blocks.
+            load(buf)?;
+            st = self.lock();
+            st.stats.loads += 1;
+            // A racing thread loaded the same block meanwhile: serve its
+            // frame and evict nothing.
+            match st.frame_of(id) {
+                Some(frame) => frame,
+                None => st.insert(id, buf),
             }
-        }
-        let page = Arc::new(buf);
-        st.slots[block] = Some(Arc::clone(&page));
-        st.fifo.push_back(block);
-        st.stats.resident_bytes = st.stats.resident_bytes.saturating_add(bytes);
-        st.stats.peak_bytes = st.stats.peak_bytes.max(st.stats.resident_bytes);
-        Ok(page)
-    }
-
-    fn stats(&self) -> PageStats {
-        lock_pager(&self.state).stats
+        };
+        // `part` lies inside the block: its list's offsets were checked
+        // against the shard's target count.
+        let at = frame * st.frame_len;
+        out.extend_from_slice(&st.arena[at..at + st.frame_len][part]);
+        Ok(())
     }
 }
 
-/// Recovers the pager mutex even if a panic poisoned it: the guarded state
-/// is a cache plus counters, both safe to reuse after an unwound access.
-fn lock_pager(m: &Mutex<PagerState>) -> std::sync::MutexGuard<'_, PagerState> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+thread_local! {
+    /// This thread's copy-out buffers: the neighbor list handed to `f`, and
+    /// the block a miss decodes. A call takes them and puts them back, so a
+    /// call nested inside `f` gets buffers of its own.
+    static SCRATCH: Cell<(Vec<NodeId>, Vec<NodeId>)> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// A sharded, chunk-paged CSR multiplex graph store.
 ///
-/// Resident memory: schema + 2 bytes/node (types) + 4 bytes/node/relation
-/// (offsets) + shard tables + 16 bytes/block (its checksum and page slot).
-/// Target arrays are paged through a byte-budgeted cache, so graphs larger
-/// than RAM stream through walk generation.
+/// Resident memory: schema + 2 bytes/node (types) + 4 bytes/node (the
+/// per-type node lists) + 4 bytes/node/relation (offsets) + shard tables +
+/// 12 bytes/block (its checksum and frame entry) + 4 bytes/frame (its block
+/// entry). Target arrays are paged through a byte-budgeted frame arena, so
+/// graphs larger than RAM stream through walk generation.
 pub struct ShardedCsr {
     pub(crate) dir: PathBuf,
     schema: Schema,
@@ -354,13 +373,11 @@ impl ShardedCsr {
                 // Counting-sort staging: local offsets from the upper-bound
                 // degrees, then a second stream drops each target in place.
                 let span = node_end - node_start;
-                let mut local_off = Vec::with_capacity(span + 1);
-                local_off.push(0u64);
-                for &c in &counts[node_start..node_end] {
-                    let last = *local_off.last().unwrap_or(&0);
-                    local_off.push(last + u64::from(c));
+                let mut local_off = vec![0u64; span + 1];
+                for (i, &c) in counts[node_start..node_end].iter().enumerate() {
+                    local_off[i + 1] = local_off[i] + u64::from(c);
                 }
-                let total = usize::try_from(*local_off.last().unwrap_or(&0))
+                let total = usize::try_from(local_off[span])
                     .map_err(|_| ShardError::Inconsistent("wave too large"))?;
                 let mut staging = vec![NodeId(0); total];
                 let mut cursor: Vec<u64> = local_off[..span].to_vec();
@@ -389,38 +406,30 @@ impl ShardedCsr {
                 for local in 0..span {
                     let (s, e) = (local_off[local] as usize, cursor[local] as usize);
                     staging[s..e].sort_unstable();
-                    let mut prev: Option<NodeId> = None;
                     let mut w = compact;
                     for idx in s..e {
-                        let t = staging[idx];
-                        if prev != Some(t) {
-                            staging[w] = t;
+                        // The list is sorted: a duplicate follows its twin.
+                        if w == compact || staging[w - 1] != staging[idx] {
+                            staging[w] = staging[idx];
                             w += 1;
-                            prev = Some(t);
                         }
                     }
-                    let deg = w - compact;
-                    compact = w;
-                    let node = node_start + local;
                     let prev_off = *offsets[rel].last().unwrap_or(&0);
-                    let deg32 = u32::try_from(deg)
+                    let next_off = u32::try_from(w - compact)
                         .ok()
                         .and_then(|d| prev_off.checked_add(d))
                         .ok_or(ShardError::Inconsistent("offsets overflow u32"))?;
-                    offsets[rel].push(deg32);
-                    if node + 1 == table[si].end as usize {
+                    offsets[rel].push(next_off);
+                    compact = w;
+                    if node_start + local + 1 == table[si].end as usize {
                         shard_bounds.push((si, shard_base, compact));
                         shard_base = compact;
                         si += 1;
                     }
                 }
                 for (shard_idx, lo, hi) in shard_bounds {
-                    let meta = ShardMeta {
-                        start: table[shard_idx].start,
-                        end: table[shard_idx].end,
-                        num_targets: size_u32(hi - lo, "shard target count"),
-                    };
-                    table[shard_idx] = meta;
+                    table[shard_idx].num_targets = size_u32(hi - lo, "shard target count");
+                    let meta = table[shard_idx];
                     let bytes = shard_codec::encode_shard(
                         size_u16(rel, "relation id"),
                         size_u32(shard_idx, "shard index"),
@@ -434,9 +443,7 @@ impl ShardedCsr {
             // Nodes past the last shard (or all nodes of an edgeless
             // relation) have zero degree.
             let tail = *offsets[rel].last().unwrap_or(&0);
-            while offsets[rel].len() < num_nodes + 1 {
-                offsets[rel].push(tail);
-            }
+            offsets[rel].resize(num_nodes + 1, tail);
         }
 
         // Node types are collected last (2 bytes/node, resident anyway).
@@ -470,20 +477,21 @@ impl ShardedCsr {
             nodes_by_type[ty.index()].push(NodeId(i as u32));
         }
         let mut block_base = Vec::with_capacity(m.shards.len());
-        let mut next = 0usize;
+        // Global block ids, and the pager's frame: the largest block.
+        let (mut next, mut frame_len) = (0usize, 0);
         for table in &m.shards {
-            block_base.push(
-                table
-                    .iter()
-                    .map(|meta| {
-                        let base = next;
-                        next += shard_codec::num_blocks(meta.num_targets);
-                        base
-                    })
-                    .collect(),
-            );
+            let mut bases = Vec::with_capacity(table.len());
+            for meta in table {
+                bases.push(next);
+                next += shard_codec::num_blocks(meta.num_targets);
+                frame_len = frame_len.max((meta.num_targets as usize).min(BLOCK_TARGETS));
+            }
+            block_base.push(bases);
         }
-        let block_sums: Vec<u64> = m.block_sums.concat();
+        // The pager's `u32` tables reserve `EMPTY`.
+        if next >= EMPTY as usize {
+            return Err(ShardError::Inconsistent("too many blocks to page"));
+        }
         Ok(Self {
             dir,
             schema: m.schema,
@@ -491,9 +499,9 @@ impl ShardedCsr {
             nodes_by_type,
             shards: m.shards,
             offsets: m.offsets,
-            pager: Pager::new(opts.page_budget_bytes, block_sums.len()),
+            pager: Pager::new(opts.page_budget_bytes, frame_len, next),
             block_base,
-            block_sums,
+            block_sums: m.block_sums.concat(),
             heal: HealState::new(),
         })
     }
@@ -505,23 +513,23 @@ impl ShardedCsr {
 
     /// Current page-cache counters.
     pub fn page_stats(&self) -> PageStats {
-        self.pager.stats()
+        self.pager.lock().stats
     }
 
-    /// Bytes of metadata held resident (node types, offsets, shard tables,
-    /// block checksums and the pager's slot table).
+    /// Bytes of metadata held resident (node types, per-type node lists,
+    /// offsets, shard tables, block checksums and the pager's two tables).
     pub fn resident_metadata_bytes(&self) -> usize {
         let offs: usize = self.offsets.iter().map(|o| o.len().saturating_mul(4)).sum();
-        let tables: usize = self.shards.iter().map(|t| t.len().saturating_mul(12)).sum();
-        let bases: usize = self
-            .block_base
-            .iter()
-            .map(|b| b.len().saturating_mul(8))
-            .sum();
-        // Per block: its checksum and its pager slot.
-        let slot = std::mem::size_of::<Option<Arc<Vec<NodeId>>>>();
-        let blocks = self.block_sums.len().saturating_mul(8 + slot);
-        self.node_types.len().saturating_mul(2) + offs + tables + bases + blocks
+        let shards: usize = self.shards.iter().map(Vec::len).sum();
+        let frames = self.pager.lock().frame_block.len();
+        // Per node: its type and its entry in its type's node list. Per
+        // shard: its table entry and first block id. Per block: its checksum
+        // and frame. Per frame: its block.
+        self.node_types.len().saturating_mul(2 + 4)
+            + offs
+            + shards.saturating_mul(12 + 8)
+            + self.block_sums.len().saturating_mul(8 + 4)
+            + frames.saturating_mul(4)
     }
 
     /// Total size of the on-disk files (manifest + shards), in bytes.
@@ -562,9 +570,9 @@ impl ShardedCsr {
         self.block_sums[self.block_base[relation as usize][shard as usize] + block]
     }
 
-    /// Fallible neighbor access: `f` runs over the sorted neighbor slice,
-    /// or a typed error surfaces if the backing shard is missing or
-    /// corrupt.
+    /// Fallible neighbor access: `f` runs over a copy of the sorted
+    /// neighbor list, or a typed error surfaces if the backing shard is
+    /// missing or corrupt.
     pub fn try_with_neighbors<T>(
         &self,
         v: NodeId,
@@ -587,44 +595,29 @@ impl ShardedCsr {
             return Err(ShardError::Inconsistent("offsets exceed shard payload"));
         }
         let (first, last) = (lo / BLOCK_TARGETS, (hi - 1) / BLOCK_TARGETS);
-        // Each block's part of `lo..hi`, relative to the block's start.
-        let part = |b: usize| {
+        let shard_base = self.block_base[r.index()][si];
+        let (mut list, mut buf) = SCRATCH.take();
+        list.clear();
+        let read = (first..=last).try_for_each(|b| {
+            // The block's part of `lo..hi`, relative to the block's start.
             let at = b * BLOCK_TARGETS;
-            lo.max(at) - at..hi.min(at + BLOCK_TARGETS) - at
-        };
-        let short = || ShardError::Inconsistent("offsets exceed block payload");
-        if first == last {
-            let page = self.load_block(r.0, si as u32, meta, first)?;
-            return Ok(f(page.get(part(first)).ok_or_else(short)?));
-        }
-        let mut stitched = Vec::with_capacity(hi - lo);
-        for b in first..=last {
-            let page = self.load_block(r.0, si as u32, meta, b)?;
-            stitched.extend_from_slice(page.get(part(b)).ok_or_else(short)?);
-        }
-        Ok(f(&stitched))
+            let part = lo.max(at) - at..hi.min(at + BLOCK_TARGETS) - at;
+            // A miss runs the self-healing ladder: retries with backoff, a
+            // rebuild from source, then quarantine (see `heal.rs`).
+            self.pager
+                .read(shard_base + b, part, &mut list, &mut buf, |buf| {
+                    self.load_healing(r.0, si as u32, meta, Some(b), buf)
+                })
+        });
+        let out = read.map(|()| f(&list));
+        SCRATCH.set((list, buf));
+        out
     }
 
     /// Index of the shard whose node range holds `v` under `r` (the first
     /// shard ending past `v`; shard ranges are contiguous and sorted).
     fn shard_slot(&self, v: NodeId, r: RelationId) -> usize {
         self.shards[r.index()].partition_point(|m| m.end <= v.0)
-    }
-
-    fn load_block(
-        &self,
-        relation: u16,
-        shard: u32,
-        meta: &ShardMeta,
-        block: usize,
-    ) -> Result<Arc<Vec<NodeId>>, ShardError> {
-        let id = self.block_base[relation as usize][shard as usize] + block;
-        // A page-in on a cache miss runs the full self-healing ladder:
-        // bounded retries with backoff, rebuild-from-source repair, and
-        // quarantine on exhaustion (see `heal.rs`).
-        self.pager.get(id, |buf| {
-            self.load_healing(relation, shard, meta, Some(block), buf)
-        })
     }
 }
 
@@ -710,73 +703,70 @@ impl GraphStore for ShardedCsr {
 mod tests {
     use super::*;
 
-    /// A load that fills the buffer with `n` targets, as `decode_block`
-    /// does: cleared first, so a recycled buffer's contents never leak.
-    fn fill(n: u32) -> impl Fn(&mut Vec<NodeId>) -> Result<(), ShardError> + Copy {
+    /// A load that fills the buffer with `targets`, as `decode_block` does:
+    /// cleared first, so a reused buffer's contents never leak.
+    fn fill(targets: &[u32]) -> impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError> + '_ {
         move |buf| {
             buf.clear();
-            buf.extend((0..n).map(NodeId));
+            buf.extend(targets.iter().map(|&t| NodeId(t)));
             Ok(())
         }
     }
 
+    /// Reads all of block `id`, a block of two targets.
+    fn read(
+        pager: &Pager,
+        id: usize,
+        load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
+    ) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        pager
+            .read(id, 0..2, &mut out, &mut Vec::new(), load)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn a_duplicate_load_serves_the_resident_page() {
-        // The budget holds exactly one two-target page.
-        let pager = Pager::new(8, 1);
-        let key = 0;
+        // The budget holds exactly one frame of two targets.
+        let pager = Pager::new(8, 2, 1);
         // The outer miss loads with the lock released; inside it a second
-        // reader misses the same page and inserts it first.
-        let outer = pager
-            .get(key, |buf| {
-                let inner = pager.get(key, fill(2))?;
-                assert_eq!(*inner, [NodeId(0), NodeId(1)]);
-                fill(2)(buf)
-            })
-            .unwrap();
-        let stats = pager.stats();
-        assert_eq!(stats.loads, 2);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.resident_bytes, 8);
-        let again = pager.get(key, |_| panic!("resident")).unwrap();
-        assert!(Arc::ptr_eq(&outer, &again), "the resident page is served");
-        assert_eq!(lock_pager(&pager.state).spare.len(), 1);
+        // reader misses the same block and inserts it first.
+        let outer = read(&pager, 0, |buf| {
+            assert_eq!(read(&pager, 0, fill(&[7, 8])), [NodeId(7), NodeId(8)]);
+            fill(&[0, 1])(buf)
+        });
+        assert_eq!(
+            outer,
+            [NodeId(7), NodeId(8)],
+            "the resident frame is served"
+        );
+        let stats = pager.lock().stats;
+        assert_eq!(
+            (stats.loads, stats.evictions, stats.resident_bytes),
+            (2, 0, 8)
+        );
+        assert_eq!(read(&pager, 0, |_| panic!("resident")), outer);
+        assert_eq!(pager.lock().stats.hits, 1);
     }
 
     #[test]
     fn the_oldest_block_is_evicted_and_its_slot_emptied() {
-        // The budget holds two two-target pages.
-        let pager = Pager::new(16, 3);
+        // The budget holds two frames of two targets.
+        let pager = Pager::new(16, 2, 4);
         for block in 0..3 {
-            drop(pager.get(block, fill(2)).unwrap());
+            read(&pager, block, fill(&[0, 1]));
         }
-        let st = lock_pager(&pager.state);
-        let resident: Vec<bool> = st.slots.iter().map(Option::is_some).collect();
-        assert_eq!(resident, [false, true, true]);
-        assert_eq!(st.fifo, [1, 2]);
-        assert_eq!((st.stats.evictions, st.stats.resident_bytes), (1, 16));
-    }
-
-    #[test]
-    fn only_unheld_evicted_pages_are_recycled_up_to_the_bound() {
-        let pager = Pager::new(6 * 8, 8);
-        let held = pager.get(0, fill(2)).unwrap();
-        for block in 1..6 {
-            drop(pager.get(block, fill(2)).unwrap());
+        {
+            let st = pager.lock();
+            // Block 2 took block 0's frame; the hand now points at block 1.
+            assert_eq!(st.block_frame, [EMPTY, 1, 0, EMPTY]);
+            assert_eq!((st.frame_block.as_slice(), st.hand), ([2, 1].as_slice(), 1));
+            assert_eq!((st.stats.evictions, st.stats.resident_bytes), (1, 16));
         }
-        // A page the size of the whole budget evicts all six.
-        drop(pager.get(6, fill(12)).unwrap());
-        let stats = pager.stats();
-        assert_eq!((stats.evictions, stats.resident_bytes), (6, 48));
-        // Five were unheld, but the spare list keeps only its bound; the
-        // held page stays with its reader.
-        assert_eq!(lock_pager(&pager.state).spare.len(), SPARE_PAGES);
-        assert_eq!(Arc::strong_count(&held), 1);
-        // The next miss loads into a spare instead of a new buffer.
-        let reused = pager.get(7, |buf| {
-            assert!(buf.capacity() >= 2, "a fresh buffer, not a spare");
-            fill(1)(buf)
-        });
-        assert_eq!(*reused.unwrap(), [NodeId(0)]);
+        read(&pager, 3, fill(&[0, 1]));
+        let st = pager.lock();
+        assert_eq!(st.block_frame, [EMPTY, EMPTY, 0, 1]);
+        assert_eq!((st.stats.evictions, st.stats.peak_bytes), (2, 16));
     }
 }

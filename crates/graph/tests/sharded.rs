@@ -157,6 +157,54 @@ fn paging_stays_inside_budget_and_evicts() {
 }
 
 #[test]
+fn a_nested_read_that_evicts_the_outer_frame_leaves_its_list_intact() {
+    let _guard = mhg_faults::test_guard();
+    let ram = fixture();
+    let dir = fresh_dir("one_frame");
+    // A budget below one frame still keeps exactly one.
+    let opts = ShardedCsrOptions {
+        page_budget_bytes: 1,
+        ..small_opts()
+    };
+    let sharded = ShardedCsr::build(&ram, &dir, opts).unwrap();
+    // Lists of different relations live in different blocks.
+    let (outer, buy) = (NodeId(0), RelationId(0));
+    let (inner, view) = (NodeId(12), RelationId(1));
+    sharded.with_neighbors(outer, buy, |ns| {
+        let evictions = sharded.page_stats().evictions;
+        let nested = sharded.with_neighbors(inner, view, |ns| ns.to_vec());
+        assert_eq!(nested, ram.neighbors(inner, view));
+        assert_eq!(
+            sharded.page_stats().evictions,
+            evictions + 1,
+            "the nested read took the outer list's frame"
+        );
+        assert_eq!(ns, ram.neighbors(outer, buy));
+    });
+}
+
+#[test]
+fn resident_metadata_counts_every_per_node_table() {
+    let _guard = mhg_faults::test_guard();
+    // Many nodes and one edge: the per-node tables dominate the metadata.
+    let mut schema = Schema::new();
+    let user = schema.add_node_type("user");
+    schema.add_relation("follow");
+    let mut b = GraphBuilder::new(schema);
+    b.add_nodes(user, 1000);
+    b.add_edge(NodeId(0), NodeId(1), RelationId(0));
+    let sharded = ShardedCsr::build(&b.build(), fresh_dir("metadata"), small_opts()).unwrap();
+    // Per node: a 2-byte type, a 4-byte entry in its type's node list and
+    // a 4-byte offset per relation.
+    let per_node = 2 + 4 + 4;
+    let metadata = sharded.resident_metadata_bytes();
+    assert!(
+        metadata >= 1000 * per_node,
+        "{metadata} B of metadata leaves out a per-node table"
+    );
+}
+
+#[test]
 fn every_bit_flip_is_detected() {
     let _guard = mhg_faults::test_guard();
     let ram = fixture();

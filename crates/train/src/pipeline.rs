@@ -189,8 +189,10 @@ fn restore<T: TrainStep>(
 ) -> Result<(), CkptError> {
     let format = dict.u64("loop/format")?;
     if format != SNAPSHOT_FORMAT {
+        // A format past `u16` saturates rather than wrapping onto a
+        // supported version number.
         return Err(CkptError::Frame(FrameError::UnsupportedVersion(
-            format as u16,
+            u16::try_from(format).unwrap_or(u16::MAX),
         )));
     }
     let rng_state = dict.u64s("loop/rng")?;
@@ -1143,5 +1145,32 @@ mod tests {
             "got {err}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_of_another_format_is_rejected_with_its_number() {
+        let mut step = CountingStep::new(1);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut st = LoopState {
+            base: 0,
+            epoch: 0,
+            report: TrainReport::default(),
+            stopper: EarlyStopper::new(2),
+            stopped: false,
+            best: None,
+        };
+        let mut dict = snapshot(&st, None, &rng, &step);
+        // 65,537 would wrap onto the supported format 1.
+        for (format, reported) in [(2, 2), (65_537, u16::MAX)] {
+            dict.put_u64("loop/format", format);
+            let err = restore(&mut st, &mut rng, &mut step, &dict).expect_err("format mismatch");
+            assert!(
+                matches!(
+                    err,
+                    CkptError::Frame(FrameError::UnsupportedVersion(v)) if v == reported
+                ),
+                "format {format}: got {err}"
+            );
+        }
     }
 }
