@@ -104,18 +104,6 @@ pub fn read_file(path: impl AsRef<Path>) -> io::Result<Vec<u8>> {
     fs::read(path)
 }
 
-/// Reads exactly `buf.len()` bytes of the file at `path`, starting at byte
-/// `offset`, with one positioned read (`pread`) and no other allocation.
-/// A file that ends before the range does is an
-/// [`io::ErrorKind::UnexpectedEof`]. Subject to [`FaultSite::IoRead`]
-/// injection, like [`read_file`].
-pub fn read_file_at(path: impl AsRef<Path>, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    let path = path.as_ref();
-    mhg_faults::io_error_if_scheduled(FaultSite::IoRead, path.display())?;
-    fs::File::open(path)?.read_exact_at(buf, offset)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,25 +138,6 @@ mod tests {
         atomic_write(&path, b"old").unwrap();
         atomic_write(&path, b"new").unwrap();
         assert_eq!(read_file(&path).unwrap(), b"new");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn positioned_reads_return_exactly_the_range() {
-        let _g = faults_guard();
-        mhg_faults::clear();
-        let path = tmp_dir("read_at").join("f.bin");
-        atomic_write(&path, b"0123456789").unwrap();
-        let mut buf = [0u8; 4];
-        read_file_at(&path, 3, &mut buf).unwrap();
-        assert_eq!(&buf, b"3456");
-        let err = read_file_at(&path, 8, &mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        mhg_faults::install(FaultPlan::new().inject(FaultSite::IoRead, 1));
-        let err = read_file_at(&path, 0, &mut buf).unwrap_err();
-        mhg_faults::clear();
-        assert!(err.to_string().contains("injected fault"));
-        assert!(err.to_string().contains("f.bin"), "{err}");
         fs::remove_file(&path).ok();
     }
 

@@ -16,6 +16,11 @@
 //! body layout of each format is tabled in DESIGN.md §2.11 ("Persisted
 //! formats").
 //!
+//! A frame too large to hold whole is read through a [`StreamReader`]: it
+//! hands out plain [`Reader`]s over a bounded window, hashes the body with
+//! [`Xxh64`] as it streams past, and reports errors with the same
+//! precedence as [`Reader::open`] and [`Reader::finish`].
+//!
 //! The trailer is [`checksum`]: XXH64 with seed 0, four independent 8-byte
 //! lanes per 32-byte stripe, so it runs at memory speed where the
 //! byte-serial [`fnv1a64`] it replaced did not. A trailer change bumps the
@@ -24,6 +29,8 @@
 //! [`fnv1a64`] stays as the output hash of the golden tests.
 
 use std::fmt;
+use std::io;
+use std::marker::PhantomData;
 
 /// Bytes of the frame header: 4-byte magic plus `u16` version.
 const HEADER_LEN: usize = 6;
@@ -114,55 +121,115 @@ fn le_u64(b: &[u8]) -> u64 {
 /// [`Reader::open`] checks it, and a test that edits a frame re-signs it
 /// with this function.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let stripes = bytes.chunks_exact(32);
-    let tail = stripes.remainder();
-    let mut h = if bytes.len() >= 32 {
-        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-        for stripe in stripes {
-            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = round(*lane, le_u64(word));
+    let mut sum = Xxh64::new();
+    sum.update(bytes);
+    sum.digest()
+}
+
+/// [`checksum`] computed over bytes that arrive in pieces: feeding a frame
+/// in any split gives the same digest as hashing it whole.
+#[derive(Clone, Debug)]
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    /// Bytes of a stripe not yet complete.
+    pending: [u8; 32],
+    pending_len: usize,
+    /// Bytes hashed so far.
+    len: u64,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Xxh64 {
+    /// A hasher that has seen no bytes.
+    pub fn new() -> Self {
+        Self {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            pending: [0; 32],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+
+    fn stripe(&mut self, stripe: &[u8]) {
+        for (lane, word) in self.lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, le_u64(word));
+        }
+    }
+
+    /// Hashes the next `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
             }
+            let stripe = self.pending;
+            self.stripe(&stripe);
+            self.pending_len = 0;
         }
-        let mut h = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        for lane in v {
-            h = merge(h, lane);
+        let stripes = bytes.chunks_exact(32);
+        let tail = stripes.remainder();
+        for stripe in stripes {
+            self.stripe(stripe);
         }
-        h
-    } else {
-        P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let words = tail.chunks_exact(8);
-    let mut rest = words.remainder();
-    for word in words {
-        h = (h ^ round(0, le_u64(word)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
     }
-    if rest.len() >= 4 {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(&rest[..4]);
-        h = (h ^ u64::from(u32::from_le_bytes(a)).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        rest = &rest[4..];
+
+    /// The XXH64 of every byte hashed so far.
+    pub fn digest(&self) -> u64 {
+        let mut h = if self.len >= 32 {
+            let v = self.lanes;
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h = merge(h, lane);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.len);
+        let words = self.pending[..self.pending_len].chunks_exact(8);
+        let mut rest = words.remainder();
+        for word in words {
+            h = (h ^ round(0, le_u64(word)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+        if rest.len() >= 4 {
+            let mut a = [0u8; 4];
+            a.copy_from_slice(&rest[..4]);
+            h = (h ^ u64::from(u32::from_le_bytes(a)).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 /// Checked narrowing of a size to a `u32` wire field: a count that does not
@@ -429,9 +496,183 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes of the window a [`StreamReader`] reads through. It holds the
+/// longest field a frame reads in one piece, a string of `u16` length.
+pub const STREAM_WINDOW: usize = 1 << 16;
+
+/// Reads a frame from an [`io::Read`] through a window of at most
+/// [`STREAM_WINDOW`] bytes, so a frame of any size decodes without being
+/// held whole. Its checks are [`Reader::open`]'s, with the same precedence:
+/// length, magic and version when it opens; then, in
+/// [`StreamReader::finish`], the trailer, hashed as the body streams past,
+/// ahead of whatever the decoder found; last, any bytes left unread.
+///
+/// Fields are read with a plain [`Reader`] over the next bytes
+/// ([`StreamReader::take`]), and long runs a window at a time
+/// ([`StreamReader::runs`]). `E` is the caller's error type, so a failed
+/// read of `src` and a bad frame come out as one error.
+pub struct StreamReader<R, E> {
+    src: R,
+    /// Bytes read from `src` but not yet taken are `window[pos..]`.
+    window: Vec<u8>,
+    pos: usize,
+    /// The window's size: [`STREAM_WINDOW`], or the whole body if smaller.
+    cap: usize,
+    /// Body bytes not yet read from `src`.
+    unread: u64,
+    sum: Xxh64,
+    /// A read of `src` failed; its error is the result.
+    broken: bool,
+    _error: PhantomData<fn() -> E>,
+}
+
+impl<R: io::Read, E: From<FrameError> + From<io::Error>> StreamReader<R, E> {
+    /// Starts reading a frame of `len` bytes from `src`: checks the length,
+    /// then reads and checks the magic and the version.
+    pub fn open(mut src: R, len: u64, magic: &[u8; 4], version: u16) -> Result<Self, E> {
+        let body = len
+            .checked_sub((HEADER_LEN + TRAILER_LEN) as u64)
+            .ok_or(FrameError::Truncated)?;
+        let mut header = [0u8; HEADER_LEN];
+        src.read_exact(&mut header)?;
+        let mut r = Reader::plain(&header);
+        if r.bytes(magic.len())? != magic {
+            return Err(FrameError::BadMagic.into());
+        }
+        let found = r.u16()?;
+        if found != version {
+            return Err(FrameError::UnsupportedVersion(found).into());
+        }
+        let mut sum = Xxh64::new();
+        sum.update(&header);
+        let cap = usize::try_from(body).map_or(STREAM_WINDOW, |b| b.min(STREAM_WINDOW));
+        Ok(Self {
+            src,
+            window: Vec::with_capacity(cap),
+            pos: 0,
+            cap,
+            unread: body,
+            sum,
+            broken: false,
+            _error: PhantomData,
+        })
+    }
+
+    /// Body bytes not yet taken.
+    fn remaining(&self) -> u64 {
+        (self.window.len() - self.pos) as u64 + self.unread
+    }
+
+    /// Moves the bytes not yet taken to the front of the window and fills
+    /// the rest of it from `src`, so that at least `n` are in hand.
+    fn fill(&mut self, n: usize) -> Result<(), E> {
+        let have = self.window.len() - self.pos;
+        if self.broken || n > self.cap || (n - have) as u64 > self.unread {
+            return Err(FrameError::Truncated.into());
+        }
+        self.window.drain(..self.pos);
+        self.pos = 0;
+        let more = (self.cap - have).min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        self.window.resize(have + more, 0);
+        if let Err(e) = self.src.read_exact(&mut self.window[have..]) {
+            self.broken = true;
+            return Err(e.into());
+        }
+        self.sum.update(&self.window[have..]);
+        self.unread -= more as u64;
+        Ok(())
+    }
+
+    /// The next `n` bytes of the body, as a plain [`Reader`]. `n` is at
+    /// most [`STREAM_WINDOW`].
+    pub fn take(&mut self, n: usize) -> Result<Reader<'_>, E> {
+        if n > self.window.len() - self.pos {
+            self.fill(n)?;
+        }
+        let at = self.pos;
+        self.pos += n;
+        Ok(Reader::plain(&self.window[at..at + n]))
+    }
+
+    /// Checks a count read from the wire, as [`Reader::count`] does: `n`
+    /// items of at least `min_item_bytes` each must fit in the body bytes
+    /// not yet taken.
+    pub fn count(&self, n: u64, min_item_bytes: usize) -> Result<usize, E> {
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(min_item_bytes)
+                    .is_some_and(|need| need as u64 <= self.remaining())
+            })
+            .ok_or_else(|| FrameError::Truncated.into())
+    }
+
+    /// Reads `n` items of `item_bytes` each (at most [`STREAM_WINDOW`]),
+    /// failing before any is read if they are not all present. `f` gets a
+    /// plain [`Reader`] over the next `k` items and `k`, a window at a time.
+    pub fn runs(
+        &mut self,
+        n: usize,
+        item_bytes: usize,
+        mut f: impl FnMut(Reader<'_>, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.count(n as u64, item_bytes)?;
+        let per_window = (self.cap / item_bytes.max(1)).max(1);
+        let mut left = n;
+        while left > 0 {
+            let k = left.min(per_window);
+            f(self.take(k.saturating_mul(item_bytes))?, k)?;
+            left -= k;
+        }
+        Ok(())
+    }
+
+    /// Reads a string list written by [`Writer::str_list`].
+    pub fn str_list(&mut self) -> Result<Vec<String>, E> {
+        let n = self.take(2)?.u16()?;
+        // Every entry needs at least its 2-byte length prefix.
+        let mut out = Vec::with_capacity(self.count(n.into(), 2)?);
+        for _ in 0..n {
+            let len = self.take(2)?.u16()?;
+            out.push(self.take(len.into())?.str(len.into())?);
+        }
+        Ok(out)
+    }
+
+    /// Ends the read, given the decoder's result `body`. A failed read of
+    /// `src` stands as it is. Otherwise the rest of the body is read
+    /// through the checksum and the trailer checked: a mismatch outranks
+    /// `body`, as [`Reader::open`] checks the trailer before any field is
+    /// decoded. Then `body` stands, and last every byte of the body must
+    /// have been taken.
+    pub fn finish<T>(mut self, body: Result<T, E>) -> Result<T, E> {
+        if self.broken {
+            return body;
+        }
+        let left = self.remaining();
+        while self.unread > 0 {
+            self.pos = self.window.len();
+            self.fill(1)?;
+        }
+        let mut trailer = [0u8; TRAILER_LEN];
+        self.src.read_exact(&mut trailer)?;
+        let stored = u64::from_le_bytes(trailer);
+        let computed = self.sum.digest();
+        if stored != computed {
+            return Err(FrameError::ChecksumMismatch { stored, computed }.into());
+        }
+        let out = body?;
+        if left != 0 {
+            return Err(FrameError::Truncated.into());
+        }
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CkptError;
 
     fn sample() -> Vec<u8> {
         let mut w = Writer::new(b"TEST", 3, 0);
@@ -526,6 +767,146 @@ mod tests {
         let mut r = Reader::plain(&bytes);
         assert_eq!(r.u64().unwrap(), 5);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn the_streamed_checksum_matches_in_any_split() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 3, 31, 32, 33, 64, 200] {
+            let data = &bytes[..len];
+            for cut in 0..=len {
+                let mut sum = Xxh64::new();
+                sum.update(&data[..cut]);
+                // A second split inside the tail, byte by byte.
+                for b in data[cut..].chunks(1) {
+                    sum.update(b);
+                }
+                assert_eq!(sum.digest(), checksum(data), "len {len} cut {cut}");
+            }
+        }
+    }
+
+    /// An `io::Read` that hands out at most 7 bytes per call, then fails
+    /// once `fail_at` bytes have been read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        fail_at: usize,
+        read: usize,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.read >= self.fail_at {
+                return Err(io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(7).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// A frame of a string list and a run of `u32`s longer than the window.
+    fn long_frame(n: u32) -> Vec<u8> {
+        let mut w = Writer::new(b"LONG", 1, 0);
+        w.str_list(&["ab".to_string(), "µ".to_string()]);
+        w.u32(n);
+        w.u32s(0..n);
+        w.finish()
+    }
+
+    fn read_long(bytes: &[u8], fail_at: usize) -> Result<(Vec<String>, Vec<u32>), CkptError> {
+        let src = Trickle {
+            bytes,
+            fail_at,
+            read: 0,
+        };
+        let mut s = StreamReader::open(src, bytes.len() as u64, b"LONG", 1)?;
+        let mut body = || -> Result<_, CkptError> {
+            let names = s.str_list()?;
+            let n = s.take(4)?.u32()?;
+            let mut xs = Vec::with_capacity(s.count(n.into(), 4)?);
+            s.runs(n as usize, 4, |mut r, k| {
+                xs.extend(r.u32s(k)?);
+                Ok(())
+            })?;
+            Ok((names, xs))
+        };
+        let body = body();
+        s.finish(body)
+    }
+
+    fn frame_error<T>(r: Result<T, CkptError>) -> Option<FrameError> {
+        match r {
+            Err(CkptError::Frame(e)) => Some(e),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_streamed_frame_reads_like_a_slice() {
+        let n = 3 * STREAM_WINDOW as u32 / 4 + 5;
+        let bytes = long_frame(n);
+        let (names, xs) = read_long(&bytes, usize::MAX).unwrap();
+        assert_eq!(names, ["ab", "µ"]);
+        assert_eq!(xs, (0..n).collect::<Vec<_>>());
+
+        // The header checks run first, as `Reader::open`'s do.
+        assert_eq!(
+            frame_error(read_long(&bytes[..13], usize::MAX)),
+            Some(FrameError::Truncated)
+        );
+        let mut magic = bytes.clone();
+        magic[0] ^= 1;
+        assert_eq!(
+            frame_error(read_long(&magic, usize::MAX)),
+            Some(FrameError::BadMagic)
+        );
+        let mut version = bytes.clone();
+        version[4] = 2;
+        assert_eq!(
+            frame_error(read_long(&version, usize::MAX)),
+            Some(FrameError::UnsupportedVersion(2))
+        );
+        // A forged count fails the decoder, but the trailer outranks it.
+        let mut forged = bytes.clone();
+        forged[HEADER_LEN + 10..HEADER_LEN + 14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            frame_error(read_long(&forged, usize::MAX)),
+            Some(FrameError::ChecksumMismatch { .. })
+        ));
+        // Re-signed, the forged count itself is the error.
+        let body = forged.len() - TRAILER_LEN;
+        let sum = checksum(&forged[..body]);
+        forged[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            frame_error(read_long(&forged, usize::MAX)),
+            Some(FrameError::Truncated)
+        );
+        // A flip past the decoded fields, and bytes left unread.
+        let mut flipped = bytes.clone();
+        flipped[body - 1] ^= 1;
+        assert!(matches!(
+            frame_error(read_long(&flipped, usize::MAX)),
+            Some(FrameError::ChecksumMismatch { .. })
+        ));
+        let mut trailing = long_frame(n);
+        trailing.truncate(body);
+        trailing.extend_from_slice(&[0; 4]);
+        let sum = checksum(&trailing);
+        trailing.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            frame_error(read_long(&trailing, usize::MAX)),
+            Some(FrameError::Truncated)
+        );
+        // A failed read is an IO error, mid-body or in the trailer.
+        for fail_at in [3, body / 2, body + 2] {
+            assert!(
+                matches!(read_long(&bytes, fail_at), Err(CkptError::Io(_))),
+                "failure at byte {fail_at}"
+            );
+        }
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!   (bit flips, truncation, hostile length fields, version skew) always
 //!   yields a typed [`CkptError`], never a panic or an unbounded
 //!   allocation.
-//! * [`atomic_write`] / [`atomic_write_retry`] / [`read_file`] /
-//!   [`read_file_at`] — durable file IO: write-tmp + fsync + rename, with a
-//!   bounded retry whose decisions depend only on the attempt count
-//!   (deterministic under fault injection; see `mhg-faults`), and whole-file
-//!   or positioned reads.
+//! * [`atomic_write`] / [`atomic_write_retry`] / [`read_file`] — durable
+//!   file IO: write-tmp + fsync + rename, with a bounded retry whose
+//!   decisions depend only on the attempt count (deterministic under fault
+//!   injection; see `mhg-faults`), and whole-file reads.
 //! * [`Checkpointer`] — epoch-indexed checkpoint files in a directory,
 //!   with newest-checkpoint discovery for resume.
 //!
@@ -32,8 +31,7 @@ mod error;
 pub mod frame;
 
 pub use atomic::{
-    atomic_write, atomic_write_retry, read_file, read_file_at, write_retries,
-    DEFAULT_WRITE_ATTEMPTS,
+    atomic_write, atomic_write_retry, read_file, write_retries, DEFAULT_WRITE_ATTEMPTS,
 };
 pub use checkpoint::Checkpointer;
 pub use codec::{decode, encode, StateDict, Value};

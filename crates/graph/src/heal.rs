@@ -318,8 +318,21 @@ impl ShardedCsr {
     /// 0 also checks the shard header. The per-block
     /// `ShardRead`/`ShardDecode` fault sites fire here, on the page-in path
     /// only, so a scheduled page fault cannot masquerade as a failed
-    /// repair or fsck.
+    /// repair or fsck. A failure closes the shard's cached file, so the
+    /// ladder's next attempt reopens the path.
     fn read_block_once(
+        &self,
+        relation: u16,
+        shard: u32,
+        meta: &ShardMeta,
+        block: usize,
+        targets: &mut Vec<NodeId>,
+    ) -> Result<(), ShardError> {
+        self.read_block_from_file(relation, shard, meta, block, targets)
+            .inspect_err(|_| self.close_shard_file(relation, shard))
+    }
+
+    fn read_block_from_file(
         &self,
         relation: u16,
         shard: u32,
@@ -337,8 +350,9 @@ impl ShardedCsr {
         let header = if block == 0 { SHARD_HEADER_BYTES } else { 0 };
         let mut buf = [0u8; SHARD_HEADER_BYTES + BLOCK_TARGETS * 4];
         let read = &mut buf[..header + len * 4];
-        mhg_ckpt::read_file_at(
-            shard_file(&self.dir, relation, shard),
+        self.read_shard_at(
+            relation,
+            shard,
             shard_codec::block_offset(block) - header as u64,
             read,
         )?;
@@ -472,11 +486,14 @@ impl ShardedCsr {
             ));
         }
         let path = shard_file(&self.dir, relation, shard);
-        if let Err(e) = mhg_ckpt::atomic_write_retry(
+        let written = mhg_ckpt::atomic_write_retry(
             &path,
             &bytes,
             self.heal.policy.repair_write_attempts.max(1),
-        ) {
+        );
+        // A cached file is the old inode, damaged or unlinked by the rename.
+        self.close_shard_file(relation, shard);
+        if let Err(e) = written {
             return Err(fail(&self.heal, ShardError::Io(e)));
         }
         // Re-verify from disk (retried, since the read itself can fault)

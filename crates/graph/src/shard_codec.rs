@@ -3,8 +3,11 @@
 //! Two [`mhg_ckpt::frame`] formats, laid out in the "Persisted formats"
 //! table of DESIGN.md §2.11: the manifest (`manifest.mhgs`, magic `MHGS`)
 //! and one file per shard (`r{R}-s{S}.shard`, magic `MHSH`). Writes go
-//! through `mhg_ckpt::atomic_write`; reads through `mhg_ckpt::read_file`
-//! (which carries the `mhg-faults` io_read injection site).
+//! through `mhg_ckpt::atomic_write`. The manifest is streamed through a
+//! [`StreamReader`] (`read_manifest`), so the 18 MB manifest of the
+//! 10M-edge tier is never held whole; whole shard files are read through
+//! `mhg_ckpt::read_file`. Every read the store makes carries the
+//! `mhg-faults` io_read injection site.
 //!
 //! The frame owns the byte mechanics. This module owns the semantic
 //! cross-checks: manifest table validation, and shard identity, node range
@@ -19,7 +22,9 @@
 //! (`decode_block`); a whole-frame read checks the trailer and then every
 //! block sum (`check_block_sums`).
 
-use mhg_ckpt::frame::{self, FrameError, Reader, Writer, TRAILER_LEN};
+use std::io::Read;
+
+use mhg_ckpt::frame::{self, FrameError, Reader, StreamReader, Writer, TRAILER_LEN};
 
 use crate::{NodeId, NodeTypeId, Schema};
 
@@ -223,11 +228,24 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     w.finish()
 }
 
-/// Deserialises and validates a manifest.
+/// Deserialises and validates a manifest held in memory.
 pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
-    let mut r = Reader::open(data, MANIFEST_MAGIC, VERSION)?;
-    let node_type_names = r.str_list()?;
-    let relation_names = r.str_list()?;
+    read_manifest(data, data.len() as u64)
+}
+
+/// Reads and validates a manifest of `len` bytes from `src` through a
+/// [`StreamReader`]: only the decoded tables and one bounded window are
+/// held, never the whole file. The trailer is checked as the bytes stream
+/// past, and a mismatch outranks any error the fields raised.
+pub(crate) fn read_manifest(src: impl Read, len: u64) -> Result<Manifest, ShardError> {
+    let mut s = StreamReader::open(src, len, MANIFEST_MAGIC, VERSION)?;
+    let body = manifest_body(&mut s);
+    s.finish(body)
+}
+
+fn manifest_body(s: &mut StreamReader<impl Read, ShardError>) -> Result<Manifest, ShardError> {
+    let node_type_names = s.str_list()?;
+    let relation_names = s.str_list()?;
     let mut schema = Schema::new();
     for n in &node_type_names {
         schema.add_node_type(n);
@@ -242,39 +260,56 @@ pub fn decode_manifest(data: &[u8]) -> Result<Manifest, ShardError> {
         return Err(ShardError::Inconsistent("duplicate schema names"));
     }
 
-    let num_nodes = r.u32()? as usize;
-    let raw_types = r.u16s(num_nodes)?;
-    let mut node_types = Vec::with_capacity(raw_types.len());
-    for t in raw_types {
-        if t as usize >= schema.num_node_types() {
-            return Err(ShardError::Inconsistent("node type out of range"));
+    let num_nodes = s.take(4)?.u32()? as usize;
+    let num_types = schema.num_node_types();
+    let mut node_types = Vec::with_capacity(s.count(num_nodes as u64, 2)?);
+    s.runs(num_nodes, 2, |mut r, k| {
+        for t in r.u16s(k)? {
+            if t as usize >= num_types {
+                return Err(ShardError::Inconsistent("node type out of range"));
+            }
+            node_types.push(NodeTypeId(t));
         }
-        node_types.push(NodeTypeId(t));
-    }
+        Ok(())
+    })?;
 
     let mut shards = Vec::with_capacity(schema.num_relations());
     let mut offsets = Vec::with_capacity(schema.num_relations());
     let mut block_sums = Vec::with_capacity(schema.num_relations());
     for _ in 0..schema.num_relations() {
-        let n_shards = r.u32()?;
-        let mut table = Vec::with_capacity(r.count(n_shards.into(), 12)?);
-        for _ in 0..n_shards {
-            table.push(ShardMeta {
-                start: r.u32()?,
-                end: r.u32()?,
-                num_targets: r.u32()?,
-            });
-        }
-        let off: Vec<u32> = r.u32s(num_nodes + 1)?.collect();
+        let n_shards = s.take(4)?.u32()?;
+        let mut table = Vec::with_capacity(s.count(n_shards.into(), 12)?);
+        s.runs(n_shards as usize, 12, |mut r, k| {
+            for _ in 0..k {
+                table.push(ShardMeta {
+                    start: r.u32()?,
+                    end: r.u32()?,
+                    num_targets: r.u32()?,
+                });
+            }
+            Ok(())
+        })?;
+        let mut off = Vec::with_capacity(s.count(num_nodes as u64 + 1, 4)?);
+        s.runs(num_nodes + 1, 4, |mut r, k| {
+            off.extend(r.u32s(k)?);
+            Ok(())
+        })?;
         validate_relation(num_nodes, &table, &off)?;
-        // The validated target counts fix the number of sums; `u64s`
+        // The validated target counts fix the number of sums; `count`
         // checks that many are present before any is collected.
-        let n_sums = table.iter().map(|s| num_blocks(s.num_targets)).sum();
-        block_sums.push(r.u64s(n_sums)?.collect());
+        let n_sums = table
+            .iter()
+            .map(|s| num_blocks(s.num_targets))
+            .sum::<usize>();
+        let mut sums = Vec::with_capacity(s.count(n_sums as u64, 8)?);
+        s.runs(n_sums, 8, |mut r, k| {
+            sums.extend(r.u64s(k)?);
+            Ok(())
+        })?;
+        block_sums.push(sums);
         shards.push(table);
         offsets.push(off);
     }
-    r.finish()?;
 
     Ok(Manifest {
         schema,

@@ -7,11 +7,14 @@
 //! files. Each shard covers a *contiguous node range*, so every neighbor
 //! list lives entirely inside one shard. The pager's unit is a block of
 //! [`BLOCK_TARGETS`] targets of one shard: a miss reads just that block
-//! with one positioned read, checks it against its manifest sum and copies
-//! it into a frame of one fixed arena, evicting frames in FIFO order. Every
-//! access copies its list out of the frames, under the lock, into a
-//! per-thread scratch buffer, and runs the caller's closure on that copy
-//! with the lock released.
+//! with one positioned read on the shard's cached open file, checks it
+//! against its manifest sum and copies it into a frame of a fixed arena,
+//! evicting frames in FIFO order. The page cache is cut into up to 16
+//! stripes, each a pager with its own arena and lock, and block `b` lives
+//! in stripe `b % n`. Every access copies its list out of the frames, under
+//! the stripe's lock, into a per-thread scratch buffer, and runs the
+//! caller's closure on that copy with the lock released. `open` streams the
+//! manifest through a bounded window instead of reading it whole.
 //!
 //! Building never materialises the whole graph: [`ShardedCsr::build`]
 //! consumes a re-streamable [`EdgeSource`] in waves. Pass A streams the
@@ -29,11 +32,16 @@
 //! backend (pinned by `crates/sampling/tests/store_parity.rs`).
 
 use std::cell::Cell;
+use std::fs::File;
+use std::io;
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mhg_ckpt::frame::{size_u16, size_u32};
+use mhg_faults::FaultSite;
 
 use crate::heal::HealState;
 use crate::shard_codec::{self, Manifest, ShardError, ShardMeta, BLOCK_TARGETS};
@@ -49,8 +57,8 @@ pub struct ShardedCsrOptions {
     pub shard_target_cap: usize,
     /// Byte budget of the page cache. It is cut into frames the size of
     /// the store's largest block (at most 4 KiB), rounded down to whole
-    /// frames; at least one frame is always kept, so a budget below that
-    /// still loads.
+    /// frames and dealt out to the cache's stripes; at least one frame is
+    /// always kept, so a budget below that still loads.
     pub page_budget_bytes: usize,
     /// Byte budget of the build-time wave buffers (directed-edge staging).
     pub build_budget_bytes: usize,
@@ -108,11 +116,12 @@ impl EdgeSource for MultiplexGraph {
 }
 
 /// Page-cache counters, exposed for the memory-bound tests and the graph
-/// benchmark. A page is one block of [`BLOCK_TARGETS`] targets (the last
-/// block of a shard may be shorter), held in one frame of the pager's
-/// arena. Byte figures count whole frames (4 bytes per target a frame
-/// holds), whatever the block inside is. A neighbor list that straddles
-/// blocks counts one hit or load per block it touches.
+/// benchmark, summed over the cache's stripes. A page is one block of
+/// [`BLOCK_TARGETS`] targets (the last block of a shard may be shorter),
+/// held in one frame of its stripe's arena. Byte figures count whole
+/// frames (4 bytes per target a frame holds), whatever the block inside
+/// is. A neighbor list that straddles blocks counts one hit or load per
+/// block it touches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PageStats {
     /// Blocks read and decoded from disk.
@@ -127,8 +136,19 @@ pub struct PageStats {
     pub peak_bytes: usize,
 }
 
-/// The empty entry of both pager tables: no frame, or no block.
+/// The empty entry of every pager and file table: no frame, no block, no
+/// open file.
 const EMPTY: u32 = u32::MAX;
+
+/// The most stripes the page cache is cut into. Every stripe is a pager of
+/// its own under its own lock, so walker threads that hit different blocks
+/// do not contend for one lock and its cache line.
+const STRIPES: usize = 16;
+
+/// The most shard files a store keeps open: above the shard count of every
+/// benchmark store (≈305 on the 10M-edge tier), well below the usual
+/// 1,024-descriptor limit. Past it, files are closed in ring order.
+const MAX_OPEN_SHARDS: usize = 512;
 
 struct PagerState {
     /// Targets per frame: the store's largest block.
@@ -137,14 +157,13 @@ struct PagerState {
     /// every frame is reserved up front; a frame is written, and its memory
     /// touched, only when it is first used.
     arena: Vec<NodeId>,
-    /// The frame holding each block, indexed by global block id.
+    /// The frame holding each block, indexed by the pager's block id.
     block_frame: Vec<u32>,
     /// The block held by each frame.
     frame_block: Vec<u32>,
     /// The next frame to fill. Frames fill in ring order, so the frame at
     /// the hand holds the oldest resident block: evicting it is FIFO.
     hand: usize,
-    stats: PageStats,
 }
 
 impl PagerState {
@@ -155,35 +174,55 @@ impl PagerState {
     }
 
     /// Copies `block` into the frame at the hand, evicting the block there,
-    /// and advances the hand. A block never outgrows a frame: `open` sizes
-    /// frames to the largest block the manifest lists.
-    fn insert(&mut self, id: usize, block: &[NodeId]) -> usize {
+    /// and advances the hand. Returns the frame and whether a block was
+    /// evicted. A block never outgrows a frame: `open` sizes frames to the
+    /// largest block the manifest lists.
+    fn insert(&mut self, id: usize, block: &[NodeId]) -> (usize, bool) {
         let frame = self.hand;
         self.hand = (frame + 1) % self.frame_block.len();
         let old = self.frame_block[frame];
         if old != EMPTY {
             self.block_frame[old as usize] = EMPTY;
-            self.stats.evictions += 1;
         }
         let at = frame * self.frame_len;
         if self.arena.len() == at {
             // First use of this frame: the ring fills frames in order.
             self.arena.resize(at + self.frame_len, NodeId(0));
-            self.stats.resident_bytes = self.arena.len().saturating_mul(4);
-            self.stats.peak_bytes = self.stats.resident_bytes;
         }
         self.arena[at..at + self.frame_len][..block.len()].copy_from_slice(block);
         // `ShardedCsr::open` keeps every block id below `EMPTY`.
         self.frame_block[frame] = id as u32;
         self.block_frame[id] = frame as u32;
-        frame
+        (frame, old != EMPTY)
     }
 }
 
-/// FIFO page cache over the blocks of every shard file: one arena cut into
-/// equal frames, and two tables mapping block id → frame and frame → block,
-/// under one mutex.
-struct Pager(Mutex<PagerState>);
+/// A pager's counters. Only the holder of the pager's lock writes them, so
+/// each write is a plain load and store, not a locked read-modify-write;
+/// they are atomics so that [`ShardedCsr::page_stats`] can sum the stripes
+/// without taking their locks.
+#[derive(Default)]
+struct Counters {
+    loads: AtomicU64,
+    hits: AtomicU64,
+    evictions: AtomicU64,
+    /// Bytes of the frames written so far. The arena never shrinks, so this
+    /// is also the high-water mark.
+    resident_bytes: AtomicUsize,
+}
+
+/// Adds one to a counter written only under its pager's lock.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// FIFO page cache over a set of blocks: one arena cut into equal frames,
+/// and two tables mapping block id → frame and frame → block, under one
+/// mutex.
+struct Pager {
+    state: Mutex<PagerState>,
+    counters: Counters,
+}
 
 impl Pager {
     /// A pager of `budget / (4 * frame_len)` frames, at least one and at
@@ -191,26 +230,40 @@ impl Pager {
     fn new(budget: usize, frame_len: usize, num_blocks: usize) -> Self {
         let frame_len = frame_len.max(1);
         let frames = (budget / frame_len.saturating_mul(4)).clamp(1, num_blocks.max(1));
-        Self(Mutex::new(PagerState {
-            frame_len,
-            arena: Vec::with_capacity(frames.saturating_mul(frame_len)),
-            block_frame: vec![EMPTY; num_blocks],
-            frame_block: vec![EMPTY; frames],
-            hand: 0,
-            stats: PageStats::default(),
-        }))
+        Self {
+            state: Mutex::new(PagerState {
+                frame_len,
+                arena: Vec::with_capacity(frames.saturating_mul(frame_len)),
+                block_frame: vec![EMPTY; num_blocks],
+                frame_block: vec![EMPTY; frames],
+                hand: 0,
+            }),
+            counters: Counters::default(),
+        }
     }
 
     /// Recovers the lock even if a panic poisoned it: the guarded state is
-    /// a cache plus counters, both safe to reuse after an unwound access.
+    /// a cache, safe to reuse after an unwound access.
     fn lock(&self) -> MutexGuard<'_, PagerState> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends `part` of global block `id` to `out`, copied out of the
-    /// block's frame under the lock. A miss has `load` decode the block into
-    /// `buf` with the lock released, then copies it into the frame at the
-    /// hand.
+    /// This pager's counters.
+    fn stats(&self) -> PageStats {
+        let c = &self.counters;
+        let resident = c.resident_bytes.load(Ordering::Relaxed);
+        PageStats {
+            loads: c.loads.load(Ordering::Relaxed),
+            hits: c.hits.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            resident_bytes: resident,
+            peak_bytes: resident,
+        }
+    }
+
+    /// Appends `part` of block `id` to `out`, copied out of the block's
+    /// frame under the lock. A miss has `load` decode the block into `buf`
+    /// with the lock released, then copies it into the frame at the hand.
     fn read(
         &self,
         id: usize,
@@ -219,9 +272,10 @@ impl Pager {
         buf: &mut Vec<NodeId>,
         load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
     ) -> Result<(), ShardError> {
+        let c = &self.counters;
         let mut st = self.lock();
         let frame = if let Some(frame) = st.frame_of(id) {
-            st.stats.hits += 1;
+            bump(&c.hits);
             frame
         } else {
             drop(st);
@@ -229,12 +283,20 @@ impl Pager {
             // hits on other blocks.
             load(buf)?;
             st = self.lock();
-            st.stats.loads += 1;
+            bump(&c.loads);
             // A racing thread loaded the same block meanwhile: serve its
             // frame and evict nothing.
             match st.frame_of(id) {
                 Some(frame) => frame,
-                None => st.insert(id, buf),
+                None => {
+                    let (frame, evicted) = st.insert(id, buf);
+                    if evicted {
+                        bump(&c.evictions);
+                    }
+                    let bytes = st.arena.len().saturating_mul(4);
+                    c.resident_bytes.store(bytes, Ordering::Relaxed);
+                    frame
+                }
             }
         };
         // `part` lies inside the block: its list's offsets were checked
@@ -242,6 +304,141 @@ impl Pager {
         let at = frame * st.frame_len;
         out.extend_from_slice(&st.arena[at..at + st.frame_len][part]);
         Ok(())
+    }
+}
+
+/// The page cache of a store: `n = min(STRIPES, frames)` pagers that split
+/// the frames and the blocks between them. Block `b` lives in stripe
+/// `b % n` under local id `b / n`, so together the stripes' tables hold one
+/// entry per block and one per frame, as one pager's would.
+struct PageCache {
+    stripes: Vec<Pager>,
+}
+
+impl PageCache {
+    /// `max(1, budget / (4 * frame_len))` frames, at most one per block,
+    /// dealt out as evenly as the blocks are.
+    fn new(budget: usize, frame_len: usize, num_blocks: usize) -> Self {
+        let frame_bytes = frame_len.max(1).saturating_mul(4);
+        let frames = (budget / frame_bytes).clamp(1, num_blocks.max(1));
+        let n = frames.min(STRIPES);
+        let share = |total: usize, i: usize| total / n + usize::from(i < total % n);
+        let stripes = (0..n)
+            .map(|i| {
+                let budget = share(frames, i).saturating_mul(frame_bytes);
+                Pager::new(budget, frame_len, share(num_blocks, i))
+            })
+            .collect();
+        Self { stripes }
+    }
+
+    /// [`Pager::read`] of global block `id`, in its stripe.
+    fn read(
+        &self,
+        id: usize,
+        part: Range<usize>,
+        out: &mut Vec<NodeId>,
+        buf: &mut Vec<NodeId>,
+        load: impl FnOnce(&mut Vec<NodeId>) -> Result<(), ShardError>,
+    ) -> Result<(), ShardError> {
+        let n = self.stripes.len();
+        self.stripes[id % n].read(id / n, part, out, buf, load)
+    }
+
+    /// The stripes' counters, summed.
+    fn stats(&self) -> PageStats {
+        self.stripes
+            .iter()
+            .map(Pager::stats)
+            .fold(PageStats::default(), |sum, s| PageStats {
+                loads: sum.loads + s.loads,
+                hits: sum.hits + s.hits,
+                evictions: sum.evictions + s.evictions,
+                resident_bytes: sum.resident_bytes + s.resident_bytes,
+                peak_bytes: sum.peak_bytes + s.peak_bytes,
+            })
+    }
+
+    /// Entries of the stripes' tables: one per block plus one per frame.
+    fn table_entries(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|p| {
+                let st = p.lock();
+                st.block_frame.len() + st.frame_block.len()
+            })
+            .sum()
+    }
+}
+
+/// The open shard files of a store, at most `slots.len()` of them. A shard
+/// file is opened on its first miss and kept; past the bound, the file
+/// opened longest ago is closed (ring order, like the pager's frames).
+struct OpenFiles {
+    /// The slot holding each shard's file, indexed by global shard id.
+    shard_slot: Vec<u32>,
+    /// Each slot's shard and its file. A reader clones the `Arc` and reads
+    /// with the lock released; a file closed here stays open until its
+    /// last reader is done.
+    slots: Vec<Option<(u32, Arc<File>)>>,
+    /// The next slot to fill.
+    hand: usize,
+}
+
+/// Whether `e` says the process or the system is out of file descriptors
+/// (`EMFILE`, `ENFILE`): a shortage, not damage to the file being opened.
+fn out_of_descriptors(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
+}
+
+impl OpenFiles {
+    fn new(num_shards: usize, max_open: usize) -> Self {
+        Self {
+            shard_slot: vec![EMPTY; num_shards],
+            slots: vec![None; num_shards.min(max_open).max(1)],
+            hand: 0,
+        }
+    }
+
+    /// The open file of shard `id`, opened with `open` if it has none. If
+    /// the process is out of descriptors, every cached file is closed and
+    /// the open tried once more, so the cache's own descriptors never fail
+    /// a read.
+    fn get(&mut self, id: usize, open: impl Fn() -> io::Result<File>) -> io::Result<Arc<File>> {
+        let slot = self.shard_slot[id];
+        if let Some(Some((_, file))) = self.slots.get(slot as usize) {
+            return Ok(Arc::clone(file));
+        }
+        let file = match open() {
+            Err(e) if out_of_descriptors(&e) => {
+                self.close_all();
+                open()?
+            }
+            opened => opened?,
+        };
+        let file = Arc::new(file);
+        let slot = self.hand;
+        self.hand = (slot + 1) % self.slots.len();
+        if let Some((old, _)) = self.slots[slot].take() {
+            self.shard_slot[old as usize] = EMPTY;
+        }
+        // `ShardedCsr::open` keeps every shard id below `EMPTY`.
+        self.slots[slot] = Some((id as u32, Arc::clone(&file)));
+        self.shard_slot[id] = slot as u32;
+        Ok(file)
+    }
+
+    /// Closes shard `id`'s file, if it is open.
+    fn close(&mut self, id: usize) {
+        let slot = std::mem::replace(&mut self.shard_slot[id], EMPTY);
+        if let Some(entry) = self.slots.get_mut(slot as usize) {
+            *entry = None;
+        }
+    }
+
+    fn close_all(&mut self) {
+        self.slots.fill(None);
+        self.shard_slot.fill(EMPTY);
     }
 }
 
@@ -255,10 +452,12 @@ thread_local! {
 /// A sharded, chunk-paged CSR multiplex graph store.
 ///
 /// Resident memory: schema + 2 bytes/node (types) + 4 bytes/node (the
-/// per-type node lists) + 4 bytes/node/relation (offsets) + shard tables +
-/// 12 bytes/block (its checksum and frame entry) + 4 bytes/frame (its block
-/// entry). Target arrays are paged through a byte-budgeted frame arena, so
-/// graphs larger than RAM stream through walk generation.
+/// per-type node lists) + 4 bytes/node/relation (offsets) + 24 bytes/shard
+/// (its table entry, first block id and open-file entry) + 12 bytes/block
+/// (its checksum and frame entry) + 4 bytes/frame (its block entry) + one
+/// open-file slot per shard, at most 512. Target arrays are paged through
+/// byte-budgeted frame arenas, so graphs larger than RAM stream through
+/// walk generation.
 pub struct ShardedCsr {
     pub(crate) dir: PathBuf,
     schema: Schema,
@@ -269,9 +468,13 @@ pub struct ShardedCsr {
     /// Per relation, the global block id of each shard's first block; a
     /// shard's blocks have consecutive ids.
     block_base: Vec<Vec<usize>>,
+    /// Per relation, the global id of its first shard; a relation's shards
+    /// have consecutive ids.
+    shard_base: Vec<usize>,
     /// The manifest checksum of every block, indexed by global block id.
     block_sums: Vec<u64>,
-    pager: Pager,
+    pages: PageCache,
+    files: Mutex<OpenFiles>,
     pub(crate) heal: HealState,
 }
 
@@ -464,22 +667,34 @@ impl ShardedCsr {
         Self::open(dir, opts)
     }
 
-    /// Opens an existing sharded store. The manifest is read through
-    /// `mhg_ckpt::read_file` (the `mhg-faults` io_read site) and fully
-    /// validated; each block is checked against its manifest sum when it is
-    /// paged in.
+    /// Opens an existing sharded store. The manifest is streamed through a
+    /// bounded window (`shard_codec::read_manifest`; opening it is an
+    /// `IoRead` fault site) and fully validated; each block is checked
+    /// against its manifest sum when it is paged in.
     pub fn open(dir: impl AsRef<Path>, opts: ShardedCsrOptions) -> Result<Self, ShardError> {
         let dir = dir.as_ref().to_path_buf();
-        let bytes = mhg_ckpt::read_file(dir.join(MANIFEST_FILE))?;
-        let m = shard_codec::decode_manifest(&bytes)?;
-        let mut nodes_by_type = vec![Vec::new(); m.schema.num_node_types()];
+        let path = dir.join(MANIFEST_FILE);
+        mhg_faults::io_error_if_scheduled(FaultSite::IoRead, path.display())?;
+        let file = File::open(&path)?;
+        let m = shard_codec::read_manifest(&file, file.metadata()?.len())?;
+        // Count first, so each node list is allocated once at its size.
+        let mut counts = vec![0usize; m.schema.num_node_types()];
+        for ty in &m.node_types {
+            counts[ty.index()] += 1;
+        }
+        let mut nodes_by_type: Vec<Vec<NodeId>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
         for (i, &ty) in m.node_types.iter().enumerate() {
             nodes_by_type[ty.index()].push(NodeId(i as u32));
         }
         let mut block_base = Vec::with_capacity(m.shards.len());
-        // Global block ids, and the pager's frame: the largest block.
-        let (mut next, mut frame_len) = (0usize, 0);
+        let mut shard_base = Vec::with_capacity(m.shards.len());
+        // Global shard and block ids, and the pager's frame: the largest
+        // block.
+        let (mut next, mut frame_len, mut num_shards) = (0usize, 0, 0usize);
         for table in &m.shards {
+            shard_base.push(num_shards);
+            num_shards += table.len();
             let mut bases = Vec::with_capacity(table.len());
             for meta in table {
                 bases.push(next);
@@ -488,8 +703,8 @@ impl ShardedCsr {
             }
             block_base.push(bases);
         }
-        // The pager's `u32` tables reserve `EMPTY`.
-        if next >= EMPTY as usize {
+        // The pager's and the file cache's `u32` tables reserve `EMPTY`.
+        if next >= EMPTY as usize || num_shards >= EMPTY as usize {
             return Err(ShardError::Inconsistent("too many blocks to page"));
         }
         Ok(Self {
@@ -499,8 +714,10 @@ impl ShardedCsr {
             nodes_by_type,
             shards: m.shards,
             offsets: m.offsets,
-            pager: Pager::new(opts.page_budget_bytes, frame_len, next),
+            pages: PageCache::new(opts.page_budget_bytes, frame_len, next),
+            files: Mutex::new(OpenFiles::new(num_shards, MAX_OPEN_SHARDS)),
             block_base,
+            shard_base,
             block_sums: m.block_sums.concat(),
             heal: HealState::new(),
         })
@@ -511,25 +728,69 @@ impl ShardedCsr {
         &self.dir
     }
 
-    /// Current page-cache counters.
+    /// Current page-cache counters, summed over the stripes without
+    /// taking their locks.
     pub fn page_stats(&self) -> PageStats {
-        self.pager.lock().stats
+        self.pages.stats()
     }
 
     /// Bytes of metadata held resident (node types, per-type node lists,
-    /// offsets, shard tables, block checksums and the pager's two tables).
+    /// offsets, shard tables, block checksums, the pagers' tables and the
+    /// open-file table).
     pub fn resident_metadata_bytes(&self) -> usize {
         let offs: usize = self.offsets.iter().map(|o| o.len().saturating_mul(4)).sum();
         let shards: usize = self.shards.iter().map(Vec::len).sum();
-        let frames = self.pager.lock().frame_block.len();
+        let file_slots = self.lock_files().slots.len();
         // Per node: its type and its entry in its type's node list. Per
-        // shard: its table entry and first block id. Per block: its checksum
-        // and frame. Per frame: its block.
+        // relation: its first shard id. Per shard: its table entry, first
+        // block id and file slot. Per block and per frame: the pagers' table
+        // entries, plus each block's checksum. Per file slot: its shard and
+        // file.
         self.node_types.len().saturating_mul(2 + 4)
             + offs
-            + shards.saturating_mul(12 + 8)
-            + self.block_sums.len().saturating_mul(8 + 4)
-            + frames.saturating_mul(4)
+            + self.shard_base.len().saturating_mul(8)
+            + shards.saturating_mul(12 + 8 + 4)
+            + self.pages.table_entries().saturating_mul(4)
+            + self.block_sums.len().saturating_mul(8)
+            + file_slots.saturating_mul(std::mem::size_of::<Option<(u32, Arc<File>)>>())
+    }
+
+    /// Recovers the file cache's lock even if a panic poisoned it: the
+    /// guarded state is a cache of open files, safe to reuse.
+    fn lock_files(&self) -> MutexGuard<'_, OpenFiles> {
+        self.files.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The global id of a shard: its index among every relation's shards.
+    fn shard_id(&self, relation: u16, shard: u32) -> usize {
+        self.shard_base[relation as usize] + shard as usize
+    }
+
+    /// Reads exactly `buf.len()` bytes of one shard file at `offset`, with
+    /// one positioned read on the shard's cached file (opened on its first
+    /// read). Every call is one occurrence of the `IoRead` fault site,
+    /// whether or not the file is open yet.
+    pub(crate) fn read_shard_at(
+        &self,
+        relation: u16,
+        shard: u32,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> io::Result<()> {
+        mhg_faults::io_error_if_scheduled(
+            FaultSite::IoRead,
+            format_args!("{}/r{relation}-s{shard}.shard", self.dir.display()),
+        )?;
+        let file = self.lock_files().get(self.shard_id(relation, shard), || {
+            File::open(shard_file(&self.dir, relation, shard))
+        })?;
+        file.read_exact_at(buf, offset)
+    }
+
+    /// Closes a shard's cached file, so the next read reopens its path:
+    /// after a failed read, and after a rebuild renamed a new file over it.
+    pub(crate) fn close_shard_file(&self, relation: u16, shard: u32) {
+        self.lock_files().close(self.shard_id(relation, shard));
     }
 
     /// Total size of the on-disk files (manifest + shards), in bytes.
@@ -572,14 +833,20 @@ impl ShardedCsr {
 
     /// Fallible neighbor access: `f` runs over a copy of the sorted
     /// neighbor list, or a typed error surfaces if the backing shard is
-    /// missing or corrupt.
+    /// missing or corrupt, or if `v` or `r` is out of range.
     pub fn try_with_neighbors<T>(
         &self,
         v: NodeId,
         r: RelationId,
         f: impl FnOnce(&[NodeId]) -> T,
     ) -> Result<T, ShardError> {
-        let off = &self.offsets[r.index()];
+        let Some(off) = self
+            .offsets
+            .get(r.index())
+            .filter(|off| v.index() + 1 < off.len())
+        else {
+            return Err(ShardError::Inconsistent("node or relation out of range"));
+        };
         let (s, e) = (off[v.index()] as usize, off[v.index() + 1] as usize);
         if s == e {
             return Ok(f(&[]));
@@ -604,7 +871,7 @@ impl ShardedCsr {
             let part = lo.max(at) - at..hi.min(at + BLOCK_TARGETS) - at;
             // A miss runs the self-healing ladder: retries with backoff, a
             // rebuild from source, then quarantine (see `heal.rs`).
-            self.pager
+            self.pages
                 .read(shard_base + b, part, &mut list, &mut buf, |buf| {
                     self.load_healing(r.0, si as u32, meta, Some(b), buf)
                 })
@@ -616,8 +883,11 @@ impl ShardedCsr {
 
     /// Index of the shard whose node range holds `v` under `r` (the first
     /// shard ending past `v`; shard ranges are contiguous and sorted).
+    /// An unknown relation has no shards: slot 0.
     fn shard_slot(&self, v: NodeId, r: RelationId) -> usize {
-        self.shards[r.index()].partition_point(|m| m.end <= v.0)
+        self.shards
+            .get(r.index())
+            .map_or(0, |table| table.partition_point(|m| m.end <= v.0))
     }
 }
 
@@ -741,13 +1011,13 @@ mod tests {
             [NodeId(7), NodeId(8)],
             "the resident frame is served"
         );
-        let stats = pager.lock().stats;
+        let stats = pager.stats();
         assert_eq!(
             (stats.loads, stats.evictions, stats.resident_bytes),
             (2, 0, 8)
         );
         assert_eq!(read(&pager, 0, |_| panic!("resident")), outer);
-        assert_eq!(pager.lock().stats.hits, 1);
+        assert_eq!(pager.stats().hits, 1);
     }
 
     #[test]
@@ -762,11 +1032,100 @@ mod tests {
             // Block 2 took block 0's frame; the hand now points at block 1.
             assert_eq!(st.block_frame, [EMPTY, 1, 0, EMPTY]);
             assert_eq!((st.frame_block.as_slice(), st.hand), ([2, 1].as_slice(), 1));
-            assert_eq!((st.stats.evictions, st.stats.resident_bytes), (1, 16));
+            let stats = pager.stats();
+            assert_eq!((stats.evictions, stats.resident_bytes), (1, 16));
         }
         read(&pager, 3, fill(&[0, 1]));
-        let st = pager.lock();
-        assert_eq!(st.block_frame, [EMPTY, EMPTY, 0, 1]);
-        assert_eq!((st.stats.evictions, st.stats.peak_bytes), (2, 16));
+        assert_eq!(pager.lock().block_frame, [EMPTY, EMPTY, 0, 1]);
+        let stats = pager.stats();
+        assert_eq!((stats.evictions, stats.peak_bytes), (2, 16));
+    }
+
+    #[test]
+    fn stripes_keep_the_budget_and_their_counters_sum() {
+        // Frames of two targets (8 bytes): (budget in frames, blocks).
+        for (frames, blocks) in [(1, 10), (5, 50), (STRIPES + 21, 100), (1000, 20)] {
+            let budget = frames * 8;
+            let cache = PageCache::new(budget, 2, blocks);
+            let kept = frames.min(blocks);
+            assert_eq!(cache.stripes.len(), kept.min(STRIPES), "{frames} frames");
+            assert_eq!(cache.table_entries(), blocks + kept);
+            // Two passes, the second in reverse, each block holding [b, b+1].
+            let order: Vec<usize> = (0..blocks).chain((0..blocks).rev()).collect();
+            for &b in &order {
+                let mut out = Vec::new();
+                let block = [b as u32, b as u32 + 1];
+                cache
+                    .read(b, 0..2, &mut out, &mut Vec::new(), fill(&block))
+                    .unwrap();
+                assert_eq!(out, [NodeId(block[0]), NodeId(block[1])]);
+            }
+            let stats = cache.stats();
+            assert!(
+                stats.peak_bytes <= budget,
+                "{frames} frames: {stats:?} over {budget} bytes"
+            );
+            assert_eq!(stats.peak_bytes, kept * 8);
+            assert_eq!(stats.loads + stats.hits, order.len() as u64);
+            let mut sum = PageStats::default();
+            for stripe in &cache.stripes {
+                let s = stripe.stats();
+                sum.loads += s.loads;
+                sum.hits += s.hits;
+                sum.evictions += s.evictions;
+                sum.resident_bytes += s.resident_bytes;
+                sum.peak_bytes += s.peak_bytes;
+            }
+            assert_eq!(stats, sum);
+        }
+    }
+
+    /// An opener of a real file that counts its calls.
+    fn opener(calls: &Cell<usize>) -> impl Fn() -> io::Result<File> + '_ {
+        move || {
+            calls.set(calls.get() + 1);
+            File::open(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"))
+        }
+    }
+
+    #[test]
+    fn open_files_are_bounded_and_closed_in_ring_order() {
+        let calls = Cell::new(0);
+        let mut files = OpenFiles::new(3, 2);
+        files.get(0, opener(&calls)).unwrap();
+        files.get(1, opener(&calls)).unwrap();
+        files.get(0, opener(&calls)).unwrap();
+        assert_eq!(calls.get(), 2, "a cached file is not reopened");
+        // Shard 2 takes the slot of shard 0, the file opened longest ago.
+        files.get(2, opener(&calls)).unwrap();
+        assert_eq!(files.shard_slot, [EMPTY, 1, 0]);
+        files.get(1, opener(&calls)).unwrap();
+        assert_eq!(calls.get(), 3);
+        // A closed file is reopened on its next read.
+        files.close(1);
+        assert_eq!(files.shard_slot, [EMPTY, EMPTY, 0]);
+        files.get(1, opener(&calls)).unwrap();
+        assert_eq!(calls.get(), 4);
+    }
+
+    #[test]
+    fn running_out_of_descriptors_closes_the_cache_and_retries() {
+        let calls = Cell::new(0);
+        let mut files = OpenFiles::new(3, 3);
+        files.get(0, opener(&calls)).unwrap();
+        let emfile_once = || {
+            if calls.get() == 1 {
+                calls.set(2);
+                return Err(io::Error::from_raw_os_error(24));
+            }
+            opener(&calls)()
+        };
+        files.get(1, emfile_once).unwrap();
+        assert_eq!(calls.get(), 3, "the open is retried once");
+        assert_eq!(files.shard_slot[0], EMPTY, "the cached file was closed");
+        // Any other error is the file's own, and returned as it is.
+        let missing = || File::open("/nonexistent/shard");
+        assert!(files.get(2, missing).is_err());
+        assert_ne!(files.shard_slot[1], EMPTY, "the cache stays intact");
     }
 }

@@ -331,3 +331,99 @@ fn backoff_is_deterministic_on_a_fake_clock_and_counted() {
         "retry counter missing from metrics: {jsonl}"
     );
 }
+
+/// One relation whose single shard spans three blocks: user 0 follows
+/// users 1..=1500, so user 0's list fills block 0 and part of block 1, and
+/// the 1,500 one-target lists of the others fill the rest.
+fn three_block_star() -> MultiplexGraph {
+    let mut schema = Schema::new();
+    let user = schema.add_node_type("user");
+    schema.add_relation("follow");
+    let mut b = GraphBuilder::new(schema);
+    b.add_nodes(user, 1501);
+    for v in 1..=1500 {
+        b.add_edge(NodeId(0), NodeId(v), RelationId(0));
+    }
+    b.build()
+}
+
+/// A cached shard file is dropped when a read of it fails and when a
+/// rebuild renames a new file over it; without either, a stale descriptor
+/// keeps reading the damaged inode and every later miss costs retries.
+#[test]
+fn a_cached_shard_file_is_dropped_after_a_failed_read_and_a_rebuild() {
+    let _guard = mhg_faults::test_guard();
+    mhg_faults::clear();
+    let ram = three_block_star();
+    let dir = fresh_dir("fd_cache");
+    // One frame: every block read below that is not the last one read is a
+    // miss.
+    let opts = ShardedCsrOptions {
+        shard_target_cap: 1 << 16,
+        page_budget_bytes: 4096,
+        build_budget_bytes: 1 << 20,
+    };
+    drop(ShardedCsr::build(&ram, &dir, opts).unwrap());
+    let store = ShardedCsr::open(&dir, opts)
+        .unwrap()
+        .with_heal_source(Arc::new(ram.clone()))
+        .with_heal_policy(fast_policy());
+    let files = shard_files(&dir);
+    assert_eq!(files.len(), 1);
+    let file = &files[0];
+    let pristine = std::fs::read(file).unwrap();
+    let follow = RelationId(0);
+    // User 1's list lies in block 1, user 1500's in block 2.
+    let (in_block_1, in_block_2) = (NodeId(1), NodeId(1500));
+    let read = |v: NodeId| {
+        let got = store.with_neighbors(v, follow, |ns| ns.to_vec());
+        assert_eq!(got, ram.neighbors(v, follow), "node {v:?}");
+    };
+    let truncate_in_place = || {
+        let f = std::fs::OpenOptions::new().write(true).open(file).unwrap();
+        f.set_len(100).unwrap();
+    };
+
+    // A miss in block 1 opens the shard file and keeps it open. Truncated in
+    // place, the same inode loses block 2: the ladder retries, rebuilds and
+    // reads the new file.
+    read(in_block_1);
+    truncate_in_place();
+    read(in_block_2);
+    let healed = store.heal_stats();
+    assert_eq!((healed.retries, healed.repairs), (2, 1));
+    // Every other miss reads the new file, not the truncated inode.
+    for v in ram.nodes() {
+        read(v);
+    }
+    assert_eq!(store.heal_stats(), healed, "a miss read a stale file");
+
+    // The file is cached again; an fsck repair renames a new one over it.
+    read(in_block_1);
+    truncate_in_place();
+    let report = store.repair();
+    assert_eq!((report.repaired.len(), report.failed.len()), (1, 0));
+    read(in_block_2);
+    let repaired = store.heal_stats();
+    assert_eq!(
+        (repaired.retries, repaired.repairs),
+        (healed.retries, 2),
+        "the miss after the rename read the renamed-over file"
+    );
+
+    // The cached inode is truncated while the path is restored behind it:
+    // one failed read drops the file, and the retry reopens the path.
+    read(in_block_1);
+    truncate_in_place();
+    let tmp = dir.join("restore.tmp");
+    std::fs::write(&tmp, &pristine).unwrap();
+    std::fs::rename(&tmp, file).unwrap();
+    read(in_block_2);
+    let restored = store.heal_stats();
+    assert_eq!(
+        (restored.retries, restored.repairs),
+        (repaired.retries + 1, repaired.repairs),
+        "one retry reopens the restored path"
+    );
+    assert!(store.verify_all().is_clean());
+}

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use mhg_graph::{
     persist, GraphBuilder, GraphStore, HealPolicy, MultiplexGraph, NodeId, RelationId, Schema,
-    ShardError, ShardedCsr, ShardedCsrOptions, MANIFEST_FILE,
+    ShardError, ShardedCsr, ShardedCsrOptions, StoreFailure, MANIFEST_FILE,
 };
 
 /// 12 users, 6 items, 2 relations populated by arithmetic rules.
@@ -181,6 +181,31 @@ fn a_nested_read_that_evicts_the_outer_frame_leaves_its_list_intact() {
         );
         assert_eq!(ns, ram.neighbors(outer, buy));
     });
+}
+
+#[test]
+fn out_of_range_ids_are_typed_errors() {
+    let _guard = mhg_faults::test_guard();
+    let ram = fixture();
+    let sharded = ShardedCsr::build(&ram, fresh_dir("out_of_range"), small_opts()).unwrap();
+    let past_last_node = NodeId(ram.num_nodes() as u32);
+    for (v, r) in [
+        (past_last_node, RelationId(0)),
+        (NodeId(0), RelationId(2)),
+        (NodeId(u32::MAX), RelationId(u16::MAX)),
+    ] {
+        let got = sharded.try_with_neighbors(v, r, |ns| ns.len());
+        assert!(
+            matches!(got, Err(ShardError::Inconsistent(_))),
+            "{v:?} {r:?}: {got:?}"
+        );
+        // The infallible API raises the same error as a typed payload.
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sharded.with_neighbors(v, r, |ns| ns.len())
+        }))
+        .unwrap_err();
+        assert!(payload.downcast_ref::<StoreFailure>().is_some());
+    }
 }
 
 #[test]
