@@ -20,6 +20,7 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
 use hybridgnn_repro::ckpt::{self, Checkpointer, CkptError, FrameError, StateDict};
+use hybridgnn_repro::datasets::{DatasetKind, SyntheticTier};
 use hybridgnn_repro::graph::shard_codec::{self, Manifest, ShardError, ShardMeta};
 use hybridgnn_repro::graph::{
     persist, GraphBuilder, MultiplexGraph, NodeId, NodeTypeId, Schema, ShardedCsr,
@@ -521,4 +522,64 @@ fn a_v1_checkpoint_is_rejected_on_resume() {
         "{res:?}"
     );
     let _ = std::fs::remove_dir_all(ck.dir());
+}
+
+/// FNV-1a over every file of a store directory in name order: each file's
+/// name, a zero byte, its length as a little-endian `u64`, then its bytes.
+/// Returns the hash and the number of shard files of relation 0.
+fn store_hash(dir: &Path) -> (u64, usize) {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut stream = Vec::new();
+    for name in &names {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        stream.extend_from_slice(name.as_bytes());
+        stream.push(0);
+        stream.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        stream.extend_from_slice(&bytes);
+    }
+    let r0_shards = names.iter().filter(|n| n.starts_with("r0-s")).count();
+    (ckpt::fnv1a64(&stream), r0_shards)
+}
+
+/// The bytes a build writes, manifest and shard files alike, are pinned for
+/// a streamed tier and an in-RAM graph. The build's strategy (how often it
+/// streams the source, how it stages and scatters) may change; what it
+/// writes may not.
+#[test]
+fn built_store_bytes_are_pinned() {
+    // A tier whose view relation spans several shards and, under a 16 KiB
+    // staging budget, several waves: its 2 × 6,400 directed candidate
+    // targets are over three times the 4,096-target budget, and the cap
+    // keeps every shard, and so every wave, within that budget.
+    let tier = SyntheticTier::taobao(0.001, 2022);
+    let opts = ShardedCsrOptions {
+        shard_target_cap: 1_024,
+        page_budget_bytes: 64 << 10,
+        build_budget_bytes: 16 << 10,
+    };
+    let budget_targets = opts.build_budget_bytes / 4;
+    assert!(opts.shard_target_cap <= budget_targets);
+    assert!(2 * tier.edges_per_relation()[0] > 3 * budget_targets);
+    let dir = fresh_dir("pinned_tier");
+    drop(ShardedCsr::build(&tier, &dir, opts).unwrap());
+    let (hash, r0_shards) = store_hash(&dir);
+    assert!(r0_shards >= 4, "{r0_shards} shards");
+    assert_eq!(hash, 0xdad8_17ab_a7c9_dff9, "tier store: {hash:#018x}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let graph = DatasetKind::Amazon.generate(0.05, 2022).graph;
+    let opts = ShardedCsrOptions {
+        shard_target_cap: 512,
+        ..ShardedCsrOptions::default()
+    };
+    let dir = fresh_dir("pinned_graph");
+    drop(ShardedCsr::build(&graph, &dir, opts).unwrap());
+    let (hash, r0_shards) = store_hash(&dir);
+    assert!(r0_shards >= 4, "{r0_shards} shards");
+    assert_eq!(hash, 0x6fd5_cf52_6572_7c44, "graph store: {hash:#018x}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
