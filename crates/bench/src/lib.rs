@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use hybridgnn::{HybridConfig, HybridGnn};
 use mhg_datasets::{Dataset, DatasetKind, EdgeSplit};
 use mhg_eval::{topk_metrics, TopKMetrics};
-use mhg_graph::{persist, MultiplexGraph, ShardedCsr, ShardedCsrOptions};
 use mhg_models::{
     evaluate, ranking_queries, CommonConfig, DeepWalk, EventValue, FitData, Gatne, Gcn, GraphSage,
     Han, Line, LinkPredictor, Magnn, ModelMetrics, Node2Vec, Obs, ObsConfig, RGcn, TrainError,
@@ -36,39 +35,12 @@ pub const MODEL_NAMES: [&str; 10] = [
     "HybridGNN",
 ];
 
-/// Which graph-store backend the experiment exercises (`--graph-store`).
-///
-/// Models always train against the in-RAM [`MultiplexGraph`] — the backend
-/// choice controls whether [`prepare`] additionally builds a sharded,
-/// chunk-paged mirror of each training graph and proves it byte-identical
-/// (via the canonical MHG1 encoding) before any model sees the data. That
-/// keeps every exp_* binary able to regression-test the `ShardedCsr`
-/// substrate without forking the experiment pipeline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GraphStoreKind {
-    /// In-RAM CSR only (the default).
-    Ram,
-    /// Build + verify a sharded on-disk mirror of every training graph.
-    Sharded,
-}
-
-impl GraphStoreKind {
-    /// Parses the `--graph-store` vocabulary (`ram` / `sharded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ram" => Some(Self::Ram),
-            "sharded" => Some(Self::Sharded),
-            _ => None,
-        }
-    }
-}
-
 /// Common experiment options, parsed from `std::env::args`.
 ///
 /// Flags: `--scale <f64>`, `--seed <u64>`, `--epochs <usize>`,
 /// `--dim <usize>`, `--runs <usize>`, `--k <usize>`, `--datasets a,b,c`,
 /// `--models a,b,c`, `--resume-dir <path>`, `--checkpoint-every <n>`,
-/// `--metrics-out <path>`, `--graph-store ram|sharded`.
+/// `--metrics-out <path>`.
 #[derive(Clone, Debug)]
 pub struct ExpConfig {
     /// Dataset scale relative to the paper's published sizes.
@@ -107,8 +79,6 @@ pub struct ExpConfig {
     /// README's "Reading metrics.jsonl"). Merged into — and overriding —
     /// whatever `MHG_OBS` configures.
     pub metrics_out: Option<PathBuf>,
-    /// Graph-store backend under test (see [`GraphStoreKind`]).
-    pub graph_store: GraphStoreKind,
     /// Observability handle shared by every model run of the experiment.
     /// Built by [`ExpConfig::from_args`] from `MHG_OBS` + `--metrics-out`,
     /// with stderr progress notes always on (this is a human harness).
@@ -132,7 +102,6 @@ impl Default for ExpConfig {
             checkpoint_every: 0,
             cell_checkpoint_dir: None,
             metrics_out: None,
-            graph_store: GraphStoreKind::Ram,
             obs: harness_obs(None),
         }
     }
@@ -198,12 +167,6 @@ impl ExpConfig {
                         value.as_ref().expect("--metrics-out requires a path"),
                     ));
                 }
-                "--graph-store" => {
-                    cfg.graph_store = value
-                        .as_ref()
-                        .and_then(|s| GraphStoreKind::parse(s))
-                        .unwrap_or_else(|| panic!("unknown graph store {value:?} (ram|sharded)"));
-                }
                 "--datasets" => {
                     cfg.datasets = value
                         .as_ref()
@@ -232,8 +195,7 @@ impl ExpConfig {
                     println!(
                         "flags: --scale f --seed n --epochs n --dim n --runs n --k n \
                          --pool n --max-queries n --datasets a,b,c --models a,b,c \
-                         --resume-dir path --checkpoint-every n --metrics-out path \
-                         --graph-store ram|sharded\n\
+                         --resume-dir path --checkpoint-every n --metrics-out path\n\
                          models: {}",
                         MODEL_NAMES.join(",")
                     );
@@ -337,59 +299,11 @@ pub struct FullMetrics {
 }
 
 /// Generates a dataset and its split, deterministically.
-///
-/// Under `--graph-store sharded` this additionally round-trips the training
-/// graph through the chunk-paged [`ShardedCsr`] backend and aborts the
-/// experiment unless the mirror verifies and encodes byte-identically — see
-/// [`GraphStoreKind`].
 pub fn prepare(kind: DatasetKind, cfg: &ExpConfig, run: usize) -> (Dataset, EdgeSplit) {
     let dataset = kind.generate(cfg.scale, cfg.seed + run as u64);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5151 ^ run as u64);
     let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
-    if cfg.graph_store == GraphStoreKind::Sharded {
-        mirror_sharded(kind, cfg, run, &split.train_graph);
-    }
     (dataset, split)
-}
-
-/// Builds a sharded on-disk mirror of `graph`, verifies every shard
-/// checksum, and proves backend parity by comparing the canonical MHG1
-/// encodings. The mirror lives in a per-process temp directory and is
-/// removed on success; any failure aborts the experiment — publishing
-/// numbers from a store that disagrees with the in-RAM graph would poison
-/// every downstream comparison.
-#[expect(
-    clippy::panic,
-    reason = "the mirror is a correctness gate: a store that fails to build or verify \
-              aborts the experiment rather than let models train on unproven data"
-)]
-fn mirror_sharded(kind: DatasetKind, cfg: &ExpConfig, run: usize, graph: &MultiplexGraph) {
-    let dir = std::env::temp_dir().join(format!(
-        "mhg-exp-store-{}-{}-run{run}",
-        std::process::id(),
-        kind.name()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let sharded = ShardedCsr::build(graph, &dir, ShardedCsrOptions::default())
-        .unwrap_or_else(|e| panic!("sharded mirror build for {} failed: {e}", kind.name()));
-    sharded
-        .verify()
-        .unwrap_or_else(|e| panic!("sharded mirror verify for {} failed: {e}", kind.name()));
-    assert_eq!(
-        persist::encode(graph),
-        persist::encode(&sharded),
-        "sharded mirror of {} run {run} diverged from the in-RAM graph",
-        kind.name()
-    );
-    let on_disk = sharded.on_disk_bytes().unwrap_or(0);
-    cfg.obs.note(&format!(
-        "  {} run {run}: sharded mirror verified ({} nodes, {} edges, {on_disk} bytes on disk)",
-        kind.name(),
-        graph.num_nodes(),
-        graph.num_edges(),
-    ));
-    drop(sharded);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Trains one model and evaluates the full metric set.

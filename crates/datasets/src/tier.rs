@@ -7,7 +7,9 @@
 //! `(seed, relation, chunk, draw)`, so the stream can be replayed any
 //! number of times at a fixed cost of O(1) memory. That is exactly the
 //! [`EdgeSource`] contract the sharded store's wave builder needs — it
-//! re-streams the source once per wave instead of spilling edges to disk.
+//! re-streams one relation per wave instead of spilling edges to disk, and
+//! each relation is its own seeded stream, so a pass over one relation
+//! generates no edge of another.
 //!
 //! The planted structure mirrors `synth.rs` in spirit with arithmetic in
 //! place of tables: node `i` of a group belongs to community `i mod k`, and
@@ -104,15 +106,12 @@ impl SyntheticTier {
         for _ in 0..self.num_items {
             b.add_node(item);
         }
-        self.for_each_edge(&mut |r, u, v| {
-            b.add_edge(u, v, r);
-        });
+        for r in self.schema.relations() {
+            self.for_each_edge_of(r, &mut |u, v| {
+                b.add_edge(u, v, r);
+            });
+        }
         b.build()
-    }
-
-    /// Items with local index ≡ `c` (mod `k`): `ceil((num_items − c) / k)`.
-    fn items_in_community(&self, c: usize) -> usize {
-        (self.num_items - c).div_ceil(self.num_communities)
     }
 }
 
@@ -133,35 +132,37 @@ impl EdgeSource for SyntheticTier {
         }
     }
 
-    fn for_each_edge(&self, f: &mut dyn FnMut(RelationId, NodeId, NodeId)) {
+    fn for_each_edge_of(&self, relation: RelationId, f: &mut dyn FnMut(NodeId, NodeId)) {
+        let ri = relation.index();
+        let (Some(&count), Some(&noise)) = (
+            self.edges_per_relation.get(ri),
+            self.noise_per_relation.get(ri),
+        ) else {
+            return;
+        };
         let k = self.num_communities;
-        for (ri, (&count, &noise)) in self
-            .edges_per_relation
-            .iter()
-            .zip(&self.noise_per_relation)
-            .enumerate()
-        {
-            let r = RelationId(ri as u16);
-            let rel_seed = derive_seed(self.seed, ri as u64);
-            let chunks = count.div_ceil(EDGE_CHUNK);
-            for chunk in 0..chunks {
-                let mut rng = StdRng::seed_from_u64(derive_seed(rel_seed, chunk as u64));
-                let lo = chunk * EDGE_CHUNK;
-                let hi = (lo + EDGE_CHUNK).min(count);
-                for _ in lo..hi {
-                    let u_local = rng.gen_range(0..self.num_users);
-                    let c = u_local % k;
-                    let v_local = if rng.gen::<f32>() < noise {
-                        rng.gen_range(0..self.num_items)
-                    } else {
-                        c + rng.gen_range(0..self.items_in_community(c)) * k
-                    };
-                    f(
-                        r,
-                        NodeId(u_local as u32),
-                        NodeId((self.num_users + v_local) as u32),
-                    );
-                }
+        // Items with local index ≡ `c` (mod `k`), `ceil((num_items − c) / k)`,
+        // without a division per edge: `q + 1` for the first `rem` residues
+        // and `q` for the rest.
+        let (q, rem) = (self.num_items / k, self.num_items % k);
+        let rel_seed = derive_seed(self.seed, ri as u64);
+        let chunks = count.div_ceil(EDGE_CHUNK);
+        for chunk in 0..chunks {
+            let mut rng = StdRng::seed_from_u64(derive_seed(rel_seed, chunk as u64));
+            let lo = chunk * EDGE_CHUNK;
+            let hi = (lo + EDGE_CHUNK).min(count);
+            for _ in lo..hi {
+                let u_local = rng.gen_range(0..self.num_users);
+                let c = u_local % k;
+                let v_local = if rng.gen::<f32>() < noise {
+                    rng.gen_range(0..self.num_items)
+                } else {
+                    c + rng.gen_range(0..q + usize::from(c < rem)) * k
+                };
+                f(
+                    NodeId(u_local as u32),
+                    NodeId((self.num_users + v_local) as u32),
+                );
             }
         }
     }
@@ -171,15 +172,56 @@ impl EdgeSource for SyntheticTier {
 mod tests {
     use super::*;
 
+    type Edge = (RelationId, NodeId, NodeId);
+
+    /// Every edge of `source`, relation by relation.
+    fn edges_of(source: &dyn EdgeSource) -> Vec<Edge> {
+        let mut out = Vec::new();
+        for r in source.schema().relations() {
+            source.for_each_edge_of(r, &mut |u, v| out.push((r, u, v)));
+        }
+        out
+    }
+
+    /// FNV-1a 64 over each edge's relation (`u16`) and endpoints (`u32`),
+    /// little-endian.
+    fn stream_hash(edges: &[Edge]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(r, u, v) in edges {
+            let bytes = r.0.to_le_bytes().into_iter();
+            for b in bytes.chain(u.0.to_le_bytes()).chain(v.0.to_le_bytes()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
     #[test]
     fn stream_is_replayable_bit_identically() {
         let tier = SyntheticTier::taobao(0.001, 7);
-        let mut a = Vec::new();
-        tier.for_each_edge(&mut |r, u, v| a.push((r, u, v)));
-        let mut b = Vec::new();
-        tier.for_each_edge(&mut |r, u, v| b.push((r, u, v)));
-        assert_eq!(a, b);
+        let a = edges_of(&tier);
+        assert_eq!(a, edges_of(&tier));
         assert_eq!(a.len(), tier.total_edges());
+        for (ri, &count) in tier.edges_per_relation().iter().enumerate() {
+            let r = RelationId(ri as u16);
+            assert_eq!(a.iter().filter(|e| e.0 == r).count(), count);
+        }
+        // Taken in relation order, the per-relation streams of the tier and
+        // of its materialised graph replay the whole-graph sequences that
+        // the single-stream source yielded, pinned by their hashes.
+        assert_eq!(stream_hash(&a), 0x7e47_9122_76b6_7bc5);
+        let g = edges_of(&tier.materialize());
+        assert_eq!(g.len(), 9_170);
+        assert_eq!(stream_hash(&g), 0xf532_00f7_0394_a1ce);
+    }
+
+    #[test]
+    fn a_relation_outside_the_schema_streams_nothing() {
+        let tier = SyntheticTier::taobao(0.001, 7);
+        let mut n = 0usize;
+        tier.for_each_edge_of(RelationId(4), &mut |_, _| n += 1);
+        assert_eq!(n, 0);
     }
 
     #[test]
@@ -187,13 +229,13 @@ mod tests {
         let tier = SyntheticTier::taobao(0.001, 7);
         let users = tier.num_users;
         let total = tier.num_nodes();
-        tier.for_each_edge(&mut |_, u, v| {
+        for (_, u, v) in edges_of(&tier) {
             assert!(u.index() < users, "left endpoint must be a user");
             assert!(
                 (users..total).contains(&v.index()),
                 "right endpoint must be an item"
             );
-        });
+        }
         assert_eq!(tier.node_type_of(NodeId(0)), NodeTypeId(0));
         assert_eq!(tier.node_type_of(NodeId(users as u32)), NodeTypeId(1));
     }
@@ -219,19 +261,15 @@ mod tests {
         // than the 1/k chance level.
         let tier = SyntheticTier::taobao(0.001, 13);
         let k = tier.num_communities;
-        let mut same = 0usize;
-        let mut total = 0usize;
-        tier.for_each_edge(&mut |_, u, v| {
-            let cu = u.index() % k;
-            let cv = (v.index() - tier.num_users) % k;
-            total += 1;
-            if cu == cv {
-                same += 1;
-            }
-        });
+        let edges = edges_of(&tier);
+        let same = edges
+            .iter()
+            .filter(|&&(_, u, v)| u.index() % k == (v.index() - tier.num_users) % k)
+            .count();
         assert!(
-            same as f64 / total as f64 > 0.5,
-            "community correlation lost: {same}/{total}"
+            same as f64 / edges.len() as f64 > 0.5,
+            "community correlation lost: {same}/{}",
+            edges.len()
         );
     }
 
@@ -239,10 +277,6 @@ mod tests {
     fn different_seeds_differ() {
         let a = SyntheticTier::taobao(0.001, 1);
         let b = SyntheticTier::taobao(0.001, 2);
-        let mut ea = Vec::new();
-        a.for_each_edge(&mut |r, u, v| ea.push((r, u, v)));
-        let mut eb = Vec::new();
-        b.for_each_edge(&mut |r, u, v| eb.push((r, u, v)));
-        assert_ne!(ea, eb);
+        assert_ne!(edges_of(&a), edges_of(&b));
     }
 }

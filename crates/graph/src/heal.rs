@@ -436,10 +436,7 @@ impl ShardedCsr {
         // sorting by (source, target) and deduplicating reproduces the
         // `Csr::from_directed_edges` per-node sort + dedup semantics.
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        source.for_each_edge(&mut |r, u, v| {
-            if r != rel {
-                return;
-            }
+        source.for_each_edge_of(rel, &mut |u, v| {
             for (src, dst) in [(u, v), (v, u)] {
                 let i = src.index();
                 if i >= lo && i < hi {

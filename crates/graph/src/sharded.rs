@@ -17,14 +17,15 @@
 //! manifest through a bounded window instead of reading it whole.
 //!
 //! Building never materialises the whole graph: [`ShardedCsr::build`]
-//! consumes a re-streamable [`EdgeSource`] in waves. Pass A streams the
-//! edges once to count per-node degree upper bounds and plan shard
-//! boundaries; each wave then re-streams the edges, collects only the
-//! directed edges landing in the wave's node ranges, sorts + dedups each
-//! neighbor list with exactly the semantics of `Csr::from_directed_edges`,
-//! and atomically writes the finished shard files. Peak memory is bounded
-//! by the wave budget plus the resident metadata — independent of the
-//! graph's total edge count.
+//! consumes a re-streamable [`EdgeSource`] one relation at a time, in
+//! waves. Pass A streams the relation once to count per-node degree upper
+//! bounds and plan its shard boundaries; each wave then re-streams the
+//! relation, scatters the directed edges landing in the wave's node ranges
+//! in batches into a counting-sort buffer, sorts + dedups each neighbor
+//! list with exactly the semantics of `Csr::from_directed_edges`, and
+//! atomically writes the finished shard files. Peak memory is bounded by
+//! the wave budget plus one row of counts and the resident metadata —
+//! independent of the graph's total edge count.
 //!
 //! Determinism: neighbor lists are bit-identical to the in-RAM
 //! [`MultiplexGraph`] built from the same edges, so samplers driven by
@@ -40,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mhg_ckpt::frame::{size_u16, size_u32};
+use mhg_ckpt::frame::size_u32;
 use mhg_faults::FaultSite;
 
 use crate::heal::HealState;
@@ -75,12 +76,15 @@ impl Default for ShardedCsrOptions {
     }
 }
 
-/// A streamable, repeatable source of undirected multiplex edges.
+/// A streamable, repeatable source of undirected multiplex edges, one
+/// relation at a time.
 ///
-/// `for_each_edge` must be deterministic: the builder streams the source
-/// several times (once to count, once per wave) and every pass must observe
-/// the same edges. Duplicate edges are fine — they are deduplicated per
-/// neighbor list exactly as `GraphBuilder::build` does.
+/// Each call of `for_each_edge_of(r, f)` yields exactly relation `r`'s
+/// edges, in a deterministic order, and may be replayed any number of
+/// times: the builder streams a relation once to count and once per wave,
+/// and a shard rebuild streams just the damaged shard's relation, so every
+/// pass must observe the same edges. Duplicate edges are fine — they are
+/// deduplicated per neighbor list exactly as `GraphBuilder::build` does.
 pub trait EdgeSource: Sync {
     /// The schema of the streamed graph.
     fn schema(&self) -> &Schema;
@@ -88,9 +92,9 @@ pub trait EdgeSource: Sync {
     fn num_nodes(&self) -> usize;
     /// The type of node `v`.
     fn node_type_of(&self, v: NodeId) -> NodeTypeId;
-    /// Streams every undirected edge `(r, u, v)` exactly once per call, in
-    /// a deterministic order.
-    fn for_each_edge(&self, f: &mut dyn FnMut(RelationId, NodeId, NodeId));
+    /// Streams every undirected edge `(u, v)` of `relation` exactly once per
+    /// call, in a deterministic order.
+    fn for_each_edge_of(&self, relation: RelationId, f: &mut dyn FnMut(NodeId, NodeId));
 }
 
 impl EdgeSource for MultiplexGraph {
@@ -106,11 +110,9 @@ impl EdgeSource for MultiplexGraph {
         self.node_type(v)
     }
 
-    fn for_each_edge(&self, f: &mut dyn FnMut(RelationId, NodeId, NodeId)) {
-        for r in self.schema().relations() {
-            for (u, v) in self.edges_in(r) {
-                f(r, u, v);
-            }
+    fn for_each_edge_of(&self, relation: RelationId, f: &mut dyn FnMut(NodeId, NodeId)) {
+        for (u, v) in self.edges_in(relation) {
+            f(u, v);
         }
     }
 }
@@ -485,6 +487,59 @@ pub(crate) fn shard_file(dir: &Path, relation: u16, shard: u32) -> PathBuf {
     dir.join(format!("r{relation}-s{shard}.shard"))
 }
 
+/// Directed `(local source, target)` pairs a wave stages before it
+/// scatters them. A write misses twice, on its cursor and then on its
+/// staging slot; with no edge generation between one write and the next,
+/// the CPU overlaps the misses of a batch. The batch lives on the stack
+/// (32 KiB): a heap buffer shifted later allocations enough to raise
+/// `hybrid-sharded`'s peak RSS by 2 MiB.
+const SCATTER_BATCH: usize = 4_096;
+
+/// Drops each target of `batch` at its source's cursor and advances the
+/// cursor. A target past the staging buffer (a source that streamed more
+/// than it counted) is dropped; the wave's replay check then fails.
+fn scatter(batch: &[(u32, NodeId)], cursor: &mut [u32], staging: &mut [NodeId]) {
+    for &(i, dst) in batch {
+        let c = &mut cursor[i as usize];
+        if let Some(slot) = staging.get_mut(*c as usize) {
+            *slot = dst;
+        }
+        *c += 1;
+    }
+}
+
+/// Plans one relation's shards from its per-node degree bounds: contiguous
+/// node ranges, each closed before its bounds would pass `cap` (a single
+/// node above `cap` gets a shard of its own). Target counts are filled in
+/// per wave. An edgeless relation has no shards.
+fn plan_shards(counts: &[u32], cap: u64) -> Vec<ShardMeta> {
+    let mut table = Vec::new();
+    let mut start = 0usize;
+    let mut acc = 0u64;
+    let mut any = false;
+    for (v, &c) in counts.iter().enumerate() {
+        if acc + u64::from(c) > cap && v > start {
+            table.push(ShardMeta {
+                start: size_u32(start, "shard start"),
+                end: size_u32(v, "shard end"),
+                num_targets: 0,
+            });
+            start = v;
+            acc = 0;
+        }
+        acc += u64::from(c);
+        any = any || c > 0;
+    }
+    if counts.len() > start && any {
+        table.push(ShardMeta {
+            start: size_u32(start, "shard start"),
+            end: size_u32(counts.len(), "shard end"),
+            num_targets: 0,
+        });
+    }
+    table
+}
+
 impl ShardedCsr {
     /// Builds a sharded store under `dir` by streaming `source`, then opens
     /// it. Existing shard files in `dir` are overwritten atomically.
@@ -498,61 +553,33 @@ impl ShardedCsr {
         let num_nodes = source.num_nodes();
         let schema = source.schema().clone();
         let num_relations = schema.num_relations();
-
-        // Pass A: stream once, counting a per-node directed-degree upper
-        // bound per relation (duplicates still counted — dedup happens at
-        // shard build, so these are upper bounds for buffer sizing).
-        let mut ub: Vec<Vec<u32>> = (0..num_relations).map(|_| vec![0u32; num_nodes]).collect();
-        source.for_each_edge(&mut |r, u, v| {
-            let c = &mut ub[r.index()];
-            c[u.index()] = c[u.index()].saturating_add(1);
-            c[v.index()] = c[v.index()].saturating_add(1);
-        });
-
-        // Plan contiguous shard ranges per relation under the target cap.
         let cap = opts.shard_target_cap.max(1) as u64;
-        let mut plan: Vec<Vec<ShardMeta>> = Vec::with_capacity(num_relations);
-        for counts in &ub {
-            let mut table = Vec::new();
-            let mut start = 0usize;
-            let mut acc = 0u64;
-            let mut any = false;
-            for (v, &c) in counts.iter().enumerate() {
-                if acc + u64::from(c) > cap && v > start {
-                    table.push(ShardMeta {
-                        start: size_u32(start, "shard start"),
-                        end: size_u32(v, "shard end"),
-                        num_targets: 0, // final count filled per wave
-                    });
-                    start = v;
-                    acc = 0;
-                }
-                acc += u64::from(c);
-                any = any || c > 0;
-            }
-            if num_nodes > start && any {
-                table.push(ShardMeta {
-                    start: size_u32(start, "shard start"),
-                    end: size_u32(num_nodes, "shard end"),
-                    num_targets: 0,
-                });
-            }
-            plan.push(table);
-        }
-
-        // Wave passes: materialise a bounded run of consecutive shards of
-        // one relation, re-streaming the source once per wave.
-        let mut offsets: Vec<Vec<u32>> = (0..num_relations)
-            .map(|_| Vec::with_capacity(num_nodes + 1))
-            .collect();
-        for off in &mut offsets {
-            off.push(0);
-        }
         let budget_targets = (opts.build_budget_bytes / 4).max(opts.shard_target_cap.max(1));
-        let mut block_sums: Vec<Vec<u64>> = vec![Vec::new(); num_relations];
-        for rel in 0..num_relations {
-            let table = &mut plan[rel];
-            let counts = &ub[rel];
+
+        let mut plan: Vec<Vec<ShardMeta>> = Vec::with_capacity(num_relations);
+        let mut offsets: Vec<Vec<u32>> = Vec::with_capacity(num_relations);
+        let mut block_sums: Vec<Vec<u64>> = Vec::with_capacity(num_relations);
+        // One relation at a time, streaming only that relation: count its
+        // degree bounds, plan its shards, then fill them in waves. One row
+        // of counts serves every relation.
+        let mut counts = vec![0u32; num_nodes];
+        let mut batch = [(0u32, NodeId(0)); SCATTER_BATCH];
+        for rel in schema.relations() {
+            // Pass A: a per-node directed-degree upper bound (duplicates
+            // still counted — dedup happens per shard, so these size the
+            // staging lists, not the stored ones).
+            counts.fill(0);
+            source.for_each_edge_of(rel, &mut |u, v| {
+                counts[u.index()] = counts[u.index()].saturating_add(1);
+                counts[v.index()] = counts[v.index()].saturating_add(1);
+            });
+            let mut table = plan_shards(&counts, cap);
+
+            // Wave passes: materialise a bounded run of consecutive shards,
+            // re-streaming the relation once per wave.
+            let mut off: Vec<u32> = Vec::with_capacity(num_nodes + 1);
+            off.push(0);
+            let mut sums: Vec<u64> = Vec::new();
             let mut next_shard = 0usize;
             while next_shard < table.len() {
                 // Extend the wave while the summed upper bounds fit.
@@ -572,57 +599,73 @@ impl ShardedCsr {
                     next_shard += 1;
                 }
                 let node_end = table[next_shard - 1].end as usize;
-
-                // Counting-sort staging: local offsets from the upper-bound
-                // degrees, then a second stream drops each target in place.
                 let span = node_end - node_start;
-                let mut local_off = vec![0u64; span + 1];
-                for (i, &c) in counts[node_start..node_end].iter().enumerate() {
-                    local_off[i + 1] = local_off[i] + u64::from(c);
+                let wave_counts = &counts[node_start..node_end];
+
+                // Counting-sort staging with one cursor per node: it starts
+                // at the node's list start, the prefix sum of the bounds.
+                let mut cursor: Vec<u32> = Vec::with_capacity(span);
+                let mut total = 0u32;
+                for &c in wave_counts {
+                    cursor.push(total);
+                    total = total
+                        .checked_add(c)
+                        .ok_or(ShardError::Inconsistent("wave too large"))?;
                 }
-                let total = usize::try_from(local_off[span])
-                    .map_err(|_| ShardError::Inconsistent("wave too large"))?;
-                let mut staging = vec![NodeId(0); total];
-                let mut cursor: Vec<u64> = local_off[..span].to_vec();
-                let rel_id = RelationId(size_u16(rel, "relation id"));
-                source.for_each_edge(&mut |r, u, v| {
-                    if r != rel_id {
-                        return;
-                    }
+                let mut staging = vec![NodeId(0); total as usize];
+                let mut len = 0usize;
+                source.for_each_edge_of(rel, &mut |u, v| {
                     for (src, dst) in [(u, v), (v, u)] {
-                        let i = src.index();
-                        if i >= node_start && i < node_end {
-                            let c = &mut cursor[i - node_start];
-                            staging[*c as usize] = dst;
-                            *c += 1;
+                        // A node below the wave wraps past `span`.
+                        let i = src.index().wrapping_sub(node_start);
+                        if i < span {
+                            batch[len] = (i as u32, dst);
+                            len += 1;
+                            if len == SCATTER_BATCH {
+                                scatter(&batch, &mut cursor, &mut staging);
+                                len = 0;
+                            }
                         }
                     }
                 });
+                scatter(&batch[..len], &mut cursor, &mut staging);
 
-                // Per node: sort + dedup (the `Csr::from_directed_edges`
-                // semantics), compacting in place and extending the global
-                // offsets; then slice out and write each finished shard.
+                // Each cursor now holds its list's end, which is the next
+                // list's start. Per node: sort + dedup (the
+                // `Csr::from_directed_edges` semantics), compacting in place
+                // and extending the global offsets; then slice out and write
+                // each finished shard.
                 let mut compact = 0usize;
                 let mut shard_bounds = Vec::with_capacity(next_shard - wave_start);
                 let mut si = wave_start;
                 let mut shard_base = 0usize;
-                for local in 0..span {
-                    let (s, e) = (local_off[local] as usize, cursor[local] as usize);
-                    staging[s..e].sort_unstable();
+                let (mut start, mut bound) = (0usize, 0usize);
+                for (local, (&end, &c)) in cursor.iter().zip(wave_counts).enumerate() {
+                    let end = end as usize;
+                    // Pass A counted this same stream, so every list fills
+                    // exactly its counted slots.
+                    bound += c as usize;
+                    if end != bound {
+                        return Err(ShardError::Inconsistent(
+                            "edge source did not replay its stream",
+                        ));
+                    }
+                    staging[start..end].sort_unstable();
                     let mut w = compact;
-                    for idx in s..e {
+                    for idx in start..end {
                         // The list is sorted: a duplicate follows its twin.
                         if w == compact || staging[w - 1] != staging[idx] {
                             staging[w] = staging[idx];
                             w += 1;
                         }
                     }
-                    let prev_off = *offsets[rel].last().unwrap_or(&0);
+                    start = end;
+                    let prev_off = *off.last().unwrap_or(&0);
                     let next_off = u32::try_from(w - compact)
                         .ok()
                         .and_then(|d| prev_off.checked_add(d))
                         .ok_or(ShardError::Inconsistent("offsets overflow u32"))?;
-                    offsets[rel].push(next_off);
+                    off.push(next_off);
                     compact = w;
                     if node_start + local + 1 == table[si].end as usize {
                         shard_bounds.push((si, shard_base, compact));
@@ -633,37 +676,36 @@ impl ShardedCsr {
                 for (shard_idx, lo, hi) in shard_bounds {
                     table[shard_idx].num_targets = size_u32(hi - lo, "shard target count");
                     let meta = table[shard_idx];
-                    let bytes = shard_codec::encode_shard(
-                        size_u16(rel, "relation id"),
-                        size_u32(shard_idx, "shard index"),
-                        &meta,
-                        &staging[lo..hi],
-                    );
-                    block_sums[rel].extend(shard_codec::block_sums(&bytes));
-                    mhg_ckpt::atomic_write(shard_file(dir, rel as u16, shard_idx as u32), &bytes)?;
+                    let shard = size_u32(shard_idx, "shard index");
+                    let bytes = shard_codec::encode_shard(rel.0, shard, &meta, &staging[lo..hi]);
+                    sums.extend(shard_codec::block_sums(&bytes));
+                    mhg_ckpt::atomic_write(shard_file(dir, rel.0, shard), &bytes)?;
                 }
             }
             // Nodes past the last shard (or all nodes of an edgeless
             // relation) have zero degree.
-            let tail = *offsets[rel].last().unwrap_or(&0);
-            offsets[rel].resize(num_nodes + 1, tail);
+            let tail = *off.last().unwrap_or(&0);
+            off.resize(num_nodes + 1, tail);
+            plan.push(table);
+            offsets.push(off);
+            block_sums.push(sums);
         }
+        drop(counts);
 
         // Node types are collected last (2 bytes/node, resident anyway).
         let node_types: Vec<NodeTypeId> = (0..num_nodes)
             .map(|i| source.node_type_of(NodeId(i as u32)))
             .collect();
-        let manifest = Manifest {
+        let bytes = shard_codec::encode_manifest(&Manifest {
             schema,
             node_types,
             shards: plan,
             offsets,
             block_sums,
-        };
-        mhg_ckpt::atomic_write(
-            dir.join(MANIFEST_FILE),
-            &shard_codec::encode_manifest(&manifest),
-        )?;
+        });
+        mhg_ckpt::atomic_write(dir.join(MANIFEST_FILE), &bytes)?;
+        // `open` reads the manifest back into tables of its own.
+        drop(bytes);
         Self::open(dir, opts)
     }
 

@@ -9,10 +9,11 @@
 #![expect(clippy::disallowed_methods, reason = "tests damage files on purpose")]
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use mhg_graph::{
-    persist, GraphBuilder, GraphStore, HealPolicy, MultiplexGraph, NodeId, RelationId, Schema,
-    ShardError, ShardedCsr, ShardedCsrOptions, StoreFailure, MANIFEST_FILE,
+    persist, EdgeSource, GraphBuilder, GraphStore, HealPolicy, MultiplexGraph, NodeId, NodeTypeId,
+    RelationId, Schema, ShardError, ShardedCsr, ShardedCsrOptions, StoreFailure, MANIFEST_FILE,
 };
 
 /// 12 users, 6 items, 2 relations populated by arithmetic rules.
@@ -109,6 +110,68 @@ fn reopen_without_build_is_identical() {
     let reopened = ShardedCsr::open(&dir, small_opts()).unwrap();
     reopened.verify().unwrap();
     assert_eq!(persist::encode(&ram), persist::encode(&reopened));
+}
+
+/// The fixture as a source whose replays of a relation differ from its
+/// first stream of it: one edge more (`extra`) or one fewer.
+struct Drifting {
+    graph: MultiplexGraph,
+    extra: bool,
+    streams: Mutex<Vec<usize>>,
+}
+
+impl EdgeSource for Drifting {
+    fn schema(&self) -> &Schema {
+        self.graph.schema()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    fn node_type_of(&self, v: NodeId) -> NodeTypeId {
+        self.graph.node_type(v)
+    }
+
+    fn for_each_edge_of(&self, relation: RelationId, f: &mut dyn FnMut(NodeId, NodeId)) {
+        let replay = {
+            let mut streams = self.streams.lock().unwrap();
+            streams[relation.index()] += 1;
+            streams[relation.index()] > 1
+        };
+        let mut edges: Vec<(NodeId, NodeId)> = self.graph.edges_in(relation).collect();
+        if replay && self.extra {
+            edges.push(edges[0]);
+        } else if replay {
+            edges.pop();
+        }
+        for (u, v) in edges {
+            f(u, v);
+        }
+    }
+}
+
+#[test]
+fn a_source_that_does_not_replay_its_stream_is_rejected() {
+    let _guard = mhg_faults::test_guard();
+    for extra in [true, false] {
+        let source = Drifting {
+            graph: fixture(),
+            extra,
+            streams: Mutex::new(vec![0; 2]),
+        };
+        let dir = fresh_dir(&format!("drifting_{extra}"));
+        let res = ShardedCsr::build(&source, &dir, small_opts()).map(drop);
+        assert!(
+            matches!(
+                res,
+                Err(ShardError::Inconsistent(
+                    "edge source did not replay its stream"
+                ))
+            ),
+            "extra {extra}: {res:?}"
+        );
+    }
 }
 
 #[test]
