@@ -4,8 +4,9 @@
 //! `cargo clippy --all-targets -- -D warnings`. The calls are harmless, so
 //! the tests also pass under plain `cargo test`.
 //!
-//! The panic lints need a test of their own:
-//! `every_library_crate_denies_the_panic_lints` below.
+//! The panic lints and the `unsafe_code` lint need tests of their own:
+//! `every_library_crate_denies_the_panic_lints` and
+//! `the_workspace_denies_unsafe_code` below.
 
 use std::path::{Path, PathBuf};
 
@@ -93,4 +94,30 @@ fn every_library_crate_denies_the_panic_lints() {
         let src = std::fs::read_to_string(&lib).expect("read lib.rs");
         assert!(src.contains(DENY), "{} must carry\n{DENY}", lib.display());
     }
+}
+
+/// `unsafe_code` is denied once, in the root manifest's
+/// `[workspace.lints.rust]`, and the one `unsafe` call (the AVX2 instance
+/// of the tiled GEMM) carries an `#[expect(unsafe_code, …)]`. That
+/// expectation raises the lint by itself, so deleting the workspace line
+/// would leave the build green while new `unsafe` slipped in anywhere.
+/// This test fails instead.
+#[test]
+fn the_workspace_denies_unsafe_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/lint sits two levels below the workspace root");
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("read Cargo.toml");
+    let section: Vec<&str> = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.lints.rust]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .map(str::trim)
+        .collect();
+    assert!(
+        section.contains(&r#"unsafe_code = "deny""#),
+        "the root Cargo.toml's [workspace.lints.rust] must carry unsafe_code = \"deny\", found {section:?}"
+    );
 }

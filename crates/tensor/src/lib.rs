@@ -29,7 +29,7 @@ mod shape;
 mod tensor;
 
 pub use init::{xavier_uniform, InitKind};
-pub use ops::{log_sigmoid, sigmoid_scalar, GEMM_MR, GEMM_NR};
+pub use ops::{log_sigmoid, sigmoid_scalar, GEMM_MR, GEMM_NR, GEMM_NR_AVX2};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -5,8 +5,12 @@
 //! under this crate's control. All three dense products (`A·B`, `A·Bᵀ`,
 //! `Aᵀ·B`) run through one GEMM core that reads `A` through a strided view
 //! and keeps a `GEMM_MR × GEMM_NR` block of outputs in registers; small
-//! shapes take a scalar loop instead. Both sum every output in ascending
-//! `k` from `0.0`, so the path never changes a bit.
+//! shapes take a scalar loop instead. On an x86-64 CPU that reports AVX2,
+//! the tiled path runs a second instance of the same code, compiled for
+//! AVX2 with a `GEMM_MR × GEMM_NR_AVX2` tile; calling it is the crate's one
+//! `unsafe`. Every path and instance sums every output in ascending `k`
+//! from `0.0`, each product rounded before its add, so neither the path
+//! nor the CPU ever changes a bit.
 //!
 //! The hot kernels (matmul, transpose, elementwise, softmax, gather/scatter)
 //! run on the `mhg-par` worker pool. Each kernel partitions its *output* into
@@ -36,9 +40,13 @@ fn guard_scalar(v: f32, _op: &str) -> f32 {
 
 /// Output rows of the GEMM register tile.
 pub const GEMM_MR: usize = 4;
-/// Output columns of the GEMM register tile: the width of one packed
-/// column panel of `B`.
+/// Output columns of the portable register tile: the width of one packed
+/// column panel of `B` in the portable instance of the tiled path. The
+/// tiled-path threshold uses it on every CPU.
 pub const GEMM_NR: usize = 8;
+/// Output columns of the AVX2 register tile: two 8-lane registers per tile
+/// row, and the panel width of the AVX2 instance of the tiled path.
+pub const GEMM_NR_AVX2: usize = 16;
 /// Smallest `k` that runs the tiled path: a tile's fixed cost (zeroing,
 /// storing, packing its rows of `A`) is repaid over its `k` steps.
 const TILED_MIN_K: usize = 16;
@@ -90,14 +98,11 @@ impl<'a> View<'a> {
 /// worker count. Only independent outputs are computed side by side; no
 /// sum is ever split or reordered.
 ///
-/// Large shapes pack `b` once into zero-padded `k × GEMM_NR` column panels
-/// and each block of `GEMM_MR` rows of `a` into a `k × GEMM_MR` strip,
-/// then keep the `GEMM_MR × GEMM_NR` outputs of each (strip, panel) pair
-/// in registers across the whole `k` loop ([`gemm_tile`]). Padding rows
-/// and columns compute outputs that are never stored. Shapes below one
-/// tile, `TILED_MIN_K` or `TILED_MIN_MACS` run a scalar loop with no
-/// allocation that walks `b` along its contiguous axis. It is inlined
-/// into each product, so the strides that product fixes fold away.
+/// Large shapes take the tiled path ([`gemm_tiled`]). Shapes below one
+/// portable tile, `TILED_MIN_K` or `TILED_MIN_MACS` run a scalar loop
+/// with no allocation that walks `b` along its contiguous axis. It is
+/// inlined into each product, so the strides that product fixes fold
+/// away. The threshold depends only on the shapes, never on the CPU.
 #[inline(always)]
 fn gemm(a: View<'_>, b: View<'_>, m: usize, k: usize, n: usize) -> Tensor {
     let mut out = Tensor::zeros(m, n);
@@ -137,48 +142,118 @@ fn gemm(a: View<'_>, b: View<'_>, m: usize, k: usize, n: usize) -> Tensor {
         });
         return out;
     }
-    let mut panels = vec![0.0; n.div_ceil(GEMM_NR) * k * GEMM_NR];
-    for (jp, panel) in panels.chunks_exact_mut(k * GEMM_NR).enumerate() {
-        let j0 = jp * GEMM_NR;
-        let w = GEMM_NR.min(n - j0);
-        for (p, row) in panel.chunks_exact_mut(GEMM_NR).enumerate() {
+    gemm_tiled(a, b, k, n, out.as_mut_slice(), true);
+    out
+}
+
+/// The tiled path: writes `a · b` into `out`, a zeroed row-major buffer
+/// with `n` columns, for `k ≥ 1`.
+///
+/// With `avx2` set, on a CPU that reports AVX2, it runs the AVX2 instance
+/// of [`tiled_rows`] (a `GEMM_MR × GEMM_NR_AVX2` tile); otherwise the
+/// portable one (`GEMM_MR × GEMM_NR`). Both give the same bits. `gemm`
+/// always sets `avx2`; the flag exists so tests can run both instances on
+/// one machine.
+fn gemm_tiled(a: View<'_>, b: View<'_>, k: usize, n: usize, out: &mut [f32], avx2: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        let panels = pack_panels::<GEMM_NR_AVX2>(b, k, n);
+        mhg_par::par_chunks_mut(out, n, 2 * k * n, |i0, rows| {
+            #[expect(
+                unsafe_code,
+                reason = "the one call into code compiled for a CPU feature, behind its runtime check"
+            )]
+            // SAFETY: `tiled_rows_avx2` is compiled for AVX2 and nothing
+            // else, and the CPU reports AVX2 (checked just above).
+            unsafe {
+                tiled_rows_avx2(a, &panels, k, n, i0, rows);
+            }
+        });
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx2;
+    let panels = pack_panels::<GEMM_NR>(b, k, n);
+    mhg_par::par_chunks_mut(out, n, 2 * k * n, |i0, rows| {
+        tiled_rows::<GEMM_NR>(a, &panels, k, n, i0, rows);
+    });
+}
+
+/// Packs the `k × n` view `b` into zero-padded `k × NR` column panels,
+/// panel after panel, each row-major.
+fn pack_panels<const NR: usize>(b: View<'_>, k: usize, n: usize) -> Vec<f32> {
+    let mut panels = vec![0.0; n.div_ceil(NR) * k * NR];
+    for (jp, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
+        let j0 = jp * NR;
+        let w = NR.min(n - j0);
+        for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
             for (jj, v) in row[..w].iter_mut().enumerate() {
                 *v = b.at(p, j0 + jj);
             }
         }
     }
-    mhg_par::par_chunks_mut(out.as_mut_slice(), n, 2 * k * n, |i0, chunk| {
-        let mut strip = vec![0.0; k * GEMM_MR];
-        for (blk, c_blk) in chunk.chunks_mut(GEMM_MR * n).enumerate() {
-            let r0 = i0 + blk * GEMM_MR;
-            let h = c_blk.len() / n;
-            for (p, col) in strip.chunks_exact_mut(GEMM_MR).enumerate() {
-                for (ii, v) in col.iter_mut().enumerate() {
-                    *v = if ii < h { a.at(r0 + ii, p) } else { 0.0 };
-                }
-            }
-            for (jp, panel) in panels.chunks_exact(k * GEMM_NR).enumerate() {
-                let tile = gemm_tile(&strip, panel);
-                let j0 = jp * GEMM_NR;
-                let w = GEMM_NR.min(n - j0);
-                for (c_row, t_row) in c_blk.chunks_exact_mut(n).zip(&tile) {
-                    c_row[j0..j0 + w].copy_from_slice(&t_row[..w]);
-                }
+    panels
+}
+
+/// One worker's share of the tiled path: output rows `i0..` into `rows`,
+/// from `b` packed by [`pack_panels`] with the same `NR`.
+///
+/// Each block of `GEMM_MR` rows of `a` is packed into a `k × GEMM_MR`
+/// strip, and the `GEMM_MR × NR` outputs of each (strip, panel) pair stay
+/// in registers across the whole `k` loop ([`gemm_tile`]). Padding rows
+/// and columns compute outputs that are never stored. Every output is its
+/// own sum in any block, so where a worker's rows start never moves a bit.
+///
+/// It is compiled twice: with `NR = GEMM_NR` for baseline x86-64 and other
+/// targets, and as [`tiled_rows_avx2`].
+#[inline(always)]
+fn tiled_rows<const NR: usize>(
+    a: View<'_>,
+    panels: &[f32],
+    k: usize,
+    n: usize,
+    i0: usize,
+    rows: &mut [f32],
+) {
+    let mut strip = vec![0.0; k * GEMM_MR];
+    for (blk, c_blk) in rows.chunks_mut(GEMM_MR * n).enumerate() {
+        let r0 = i0 + blk * GEMM_MR;
+        let h = c_blk.len() / n;
+        for (p, col) in strip.chunks_exact_mut(GEMM_MR).enumerate() {
+            for (ii, v) in col.iter_mut().enumerate() {
+                *v = if ii < h { a.at(r0 + ii, p) } else { 0.0 };
             }
         }
-    });
-    out
+        for (jp, panel) in panels.chunks_exact(k * NR).enumerate() {
+            let tile = gemm_tile::<NR>(&strip, panel);
+            let j0 = jp * NR;
+            let w = NR.min(n - j0);
+            for (c_row, t_row) in c_blk.chunks_exact_mut(n).zip(&tile) {
+                c_row[j0..j0 + w].copy_from_slice(&t_row[..w]);
+            }
+        }
+    }
+}
+
+/// [`tiled_rows`] with a `GEMM_MR × GEMM_NR_AVX2` tile, compiled for AVX2:
+/// eight 8-lane accumulators, two `B` loads and one broadcast `A` value
+/// fit the 16 vector registers. `fma` stays off, so every product is still
+/// rounded before its add.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiled_rows_avx2(a: View<'_>, panels: &[f32], k: usize, n: usize, i0: usize, rows: &mut [f32]) {
+    tiled_rows::<GEMM_NR_AVX2>(a, panels, k, n, i0, rows);
 }
 
 /// The register tile: `strip` holds `GEMM_MR` values of `A` per `k` step,
-/// `panel` holds `GEMM_NR` values of `B` per `k` step. Each of the
-/// `GEMM_MR × GEMM_NR` outputs is its own ascending-`k` sum, so the loop
+/// `panel` holds `NR` values of `B` per `k` step. Each of the
+/// `GEMM_MR × NR` outputs is its own ascending-`k` sum, so the loop
 /// vectorizes across outputs without reassociating any of them.
 #[inline(always)]
-fn gemm_tile(strip: &[f32], panel: &[f32]) -> [[f32; GEMM_NR]; GEMM_MR] {
-    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+fn gemm_tile<const NR: usize>(strip: &[f32], panel: &[f32]) -> [[f32; NR]; GEMM_MR] {
+    let mut acc = [[0.0f32; NR]; GEMM_MR];
     let (a_steps, _) = strip.as_chunks::<GEMM_MR>();
-    let (b_steps, _) = panel.as_chunks::<GEMM_NR>();
+    let (b_steps, _) = panel.as_chunks::<NR>();
     for (a_p, b_p) in a_steps.iter().zip(b_steps) {
         for (acc_row, &a_ip) in acc.iter_mut().zip(a_p) {
             for (c, &b_pj) in acc_row.iter_mut().zip(b_p) {
@@ -713,5 +788,62 @@ mod tests {
     fn row_dot() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
         assert!(approx(a.row_dot(0, &a, 1), 2.0));
+    }
+
+    /// Both instances of the tiled path, called directly (so shapes below
+    /// the threshold run tiled too), equal the naive `0.0`-seeded
+    /// ascending-`k` sum bit for bit, for `A·B`, `A·Bᵀ` and `Aᵀ·B`, at 1
+    /// and 2 threads. The shapes straddle `GEMM_MR`, both panel widths and
+    /// `TILED_MIN_K`. Without AVX2 the second pass runs the portable
+    /// instance again.
+    #[test]
+    fn both_tiled_instances_match_the_reference() {
+        use crate::InitKind;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let rows = [1, 3, 4, 5, 9, 15, 17, 67];
+        let cols = [1, 7, 8, 9, 15, 16, 17, 35, 64];
+        let depths = [1, 7, 15, 16, 33, 64];
+        let mut rng = StdRng::seed_from_u64(27);
+        for m in rows {
+            for k in depths {
+                for n in cols {
+                    let a = InitKind::Uniform { limit: 2.0 }.init(m, k, &mut rng);
+                    let b = InitKind::Uniform { limit: 2.0 }.init(k, n, &mut rng);
+                    let mut want = vec![0u32; m * n];
+                    for (i, w_row) in want.chunks_exact_mut(n).enumerate() {
+                        for (j, w) in w_row.iter_mut().enumerate() {
+                            let mut acc = 0.0f32;
+                            for p in 0..k {
+                                acc += a[(i, p)] * b[(p, j)];
+                            }
+                            *w = acc.to_bits();
+                        }
+                    }
+                    let (a_t, b_t) = (a.transpose(), b.transpose());
+                    let views = [
+                        ("A·B", View::of(&a), View::of(&b)),
+                        ("A·Bᵀ", View::of(&a), View::transposed(&b_t)),
+                        ("Aᵀ·B", View::transposed(&a_t), View::of(&b)),
+                    ];
+                    for (product, a_view, b_view) in views {
+                        for avx2 in [false, true] {
+                            for threads in [1, 2] {
+                                let mut got = vec![0.0f32; m * n];
+                                mhg_par::with_threads(threads, || {
+                                    gemm_tiled(a_view, b_view, k, n, &mut got, avx2);
+                                });
+                                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(
+                                    got, want,
+                                    "{product} {m}×{k}×{n}, avx2 {avx2}, {threads} threads"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! and `MHG_THREADS` ∈ {2, 7}, plus a fixed paper-scale case for 1 vs 4.
 //! The three dense products are held instead to a naive scalar reference,
 //! bit for bit at each of those thread counts, at shapes straddling the
-//! GEMM register tile.
+//! GEMM register tile of both instances (the AVX2 one runs wherever the CPU
+//! reports AVX2).
 
-use mhg_tensor::{InitKind, Tensor, GEMM_MR, GEMM_NR};
+use mhg_tensor::{InitKind, Tensor, GEMM_MR, GEMM_NR, GEMM_NR_AVX2};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,14 +55,17 @@ const ROWS: [usize; 8] = [
     4 * GEMM_MR + 1,
     67,
 ];
-/// Output columns on both sides of the panel width.
-const COLS: [usize; 7] = [
+/// Output columns on both sides of each instance's panel width, the
+/// portable and the AVX2 one.
+const COLS: [usize; 9] = [
     1,
     GEMM_NR - 1,
     GEMM_NR,
     GEMM_NR + 1,
-    2 * GEMM_NR + 3,
-    37,
+    GEMM_NR_AVX2 - 1,
+    GEMM_NR_AVX2,
+    GEMM_NR_AVX2 + 1,
+    35,
     64,
 ];
 /// Reduction lengths, empty included, on both sides of the tiled path's

@@ -38,6 +38,7 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+#[expect(unsafe_code, reason = "a global allocator is an `unsafe` trait")]
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's guarantees carry over. The bookkeeping only touches
 // const-initialised thread-local `Cell`s, which have no destructor and never
