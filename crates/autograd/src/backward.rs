@@ -38,6 +38,26 @@ impl Graph<'_> {
                 Op::Leaf => {}
                 Op::Param(pid) => store.accumulate_dense(*pid, g),
                 Op::Gather { pid, indices } => store.accumulate_gather(*pid, indices, &g),
+                Op::GatherSegmentMean(op) => {
+                    // One call per segment, last segment first: the calls,
+                    // and their order, of the reverse pass over a `gather` +
+                    // `mean_rows` (or `scale(·, 0.0)`) pair per segment.
+                    let cols = g.cols();
+                    let mut rows = Vec::new();
+                    for i in (0..op.centers.len()).rev() {
+                        let segment = op.segment(i);
+                        let (indices, s) = if segment.is_empty() {
+                            (std::slice::from_ref(&op.centers[i]), 0.0)
+                        } else {
+                            (segment, 1.0 / segment.len() as f32)
+                        };
+                        rows.clear();
+                        for _ in indices {
+                            rows.extend(g.row(i).iter().map(|v| v * s));
+                        }
+                        store.accumulate_gather_rows(op.pid, indices, cols, &rows);
+                    }
+                }
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, g.clone());
                     accumulate(&mut grads, *b, g);

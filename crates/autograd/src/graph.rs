@@ -9,6 +9,7 @@
 use mhg_tensor::Tensor;
 
 use crate::store::{ParamId, ParamStore};
+use crate::validate::check_segments;
 
 /// Handle to a tape node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -30,6 +31,9 @@ pub(crate) enum Op {
     Param(ParamId),
     /// Embedding-row gather from a parameter table.
     Gather { pid: ParamId, indices: Vec<u32> },
+    /// Per-segment mean of gathered table rows, boxed so that `Node` stays
+    /// the size of the other variants.
+    GatherSegmentMean(Box<SegmentMean>),
     /// Elementwise sum.
     Add(Var, Var),
     /// Elementwise difference.
@@ -64,6 +68,27 @@ pub(crate) enum Op {
     LogisticLoss { scores: Var, labels: Vec<f32> },
     /// Sum of all entries (`1 × 1`).
     SumAll(Var),
+}
+
+/// The payload of a [`Graph::gather_segment_mean`] node.
+#[derive(Debug)]
+pub(crate) struct SegmentMean {
+    pub pid: ParamId,
+    /// The table rows of every segment, back to back.
+    pub ids: Vec<u32>,
+    /// Segment `i` is `ids[offsets[i]..offsets[i + 1]]`.
+    pub offsets: Vec<usize>,
+    /// One row per segment; an empty segment `i` yields `centers[i]`'s row
+    /// times `0.0`.
+    pub centers: Vec<u32>,
+}
+
+impl SegmentMean {
+    /// The table rows of segment `i`.
+    #[inline]
+    pub fn segment(&self, i: usize) -> &[u32] {
+        &self.ids[self.offsets[i]..self.offsets[i + 1]]
+    }
 }
 
 pub(crate) struct Node {
@@ -172,6 +197,65 @@ impl<'s> Graph<'s> {
                 indices: indices.to_vec(),
             },
         )
+    }
+
+    /// One row per segment: row `i` is the mean of table rows
+    /// `ids[offsets[i]..offsets[i + 1]]` of parameter `id`, or
+    /// `centers[i]`'s row times `0.0` when that segment is empty.
+    ///
+    /// Bit-identical, forward and backward, to a [`Graph::gather`] plus a
+    /// [`Graph::mean_rows`] per segment (a `gather` of the centre and a
+    /// [`Graph::scale`] by `0.0` for an empty one) stacked by
+    /// [`Graph::concat_rows`], but recorded as a single tape node.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` starts at 0, never decreases and ends at
+    /// `ids.len()`, `centers` has one entry per segment, and every id and
+    /// centre is a row of the table.
+    pub fn gather_segment_mean(
+        &mut self,
+        id: ParamId,
+        ids: Vec<u32>,
+        offsets: Vec<usize>,
+        centers: Vec<u32>,
+    ) -> Var {
+        let table = self.store.value(id);
+        let op = SegmentMean {
+            pid: id,
+            ids,
+            offsets,
+            centers,
+        };
+        check_segments(
+            &op,
+            table.shape(),
+            "gather_segment_mean",
+            self.store.name(id),
+        );
+        let mut out = Tensor::zeros(op.centers.len(), table.cols());
+        for (i, &center) in op.centers.iter().enumerate() {
+            let dst = out.row_mut(i);
+            let segment = op.segment(i);
+            if segment.is_empty() {
+                for (o, &x) in dst.iter_mut().zip(table.row(center as usize)) {
+                    *o = x * 0.0;
+                }
+                continue;
+            }
+            // `Tensor::mean_rows`: a zero-seeded sum in segment order, then
+            // one multiply by the inverse length.
+            for &row in segment {
+                for (o, &x) in dst.iter_mut().zip(table.row(row as usize)) {
+                    *o += x;
+                }
+            }
+            let inv = 1.0 / segment.len() as f32;
+            for o in dst {
+                *o *= inv;
+            }
+        }
+        self.push(out, Op::GatherSegmentMean(Box::new(op)))
     }
 
     // ------------------------------------------------------------------
@@ -350,5 +434,18 @@ impl<'s> Graph<'s> {
         let t = self.value(v);
         assert_eq!((t.rows(), t.cols()), (1, 1), "scalar() on non-scalar");
         t.as_slice()[0]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_op_is_wider_than_a_gather() {
+        // A HybridGNN step records thousands of nodes: a variant with a
+        // wider inline payload than `Gather`'s would grow every one of them.
+        // Large payloads go behind a `Box`.
+        assert!(std::mem::size_of::<Op>() <= std::mem::size_of::<(ParamId, Vec<u32>)>());
     }
 }

@@ -242,11 +242,19 @@ impl RowGrad {
         }
     }
 
-    /// Adds `grad.row(r)` into row `indices[r]` for every `r`. Each distinct
-    /// row's contributions first sum into a partial `0.0 + g₁ + g₂ + …` in
-    /// input order; a new row stores the partial, an existing one becomes
+    /// Adds row `r` of `grad` (`indices.len()` rows of `cols`, back to
+    /// back) into row `indices[r]` for every `r`. Each distinct row's
+    /// contributions first sum into a partial `0.0 + g₁ + g₂ + …` in input
+    /// order; a new row stores the partial, an existing one becomes
     /// `existing + partial`.
-    fn add_gather(&mut self, indices: &[u32], grad: &Tensor) {
+    fn add_gather(&mut self, indices: &[u32], grad: &[f32]) {
+        assert_eq!(
+            grad.len(),
+            indices.len() * self.cols,
+            "gradient width mismatch"
+        );
+        let cols = self.cols;
+        let grad_row = |r: usize| &grad[r * cols..(r + 1) * cols];
         let mut order = std::mem::take(&mut self.order);
         let mut partial = std::mem::take(&mut self.partial);
         order.clear();
@@ -258,13 +266,13 @@ impl RowGrad {
             let (dst, fresh) = self.row_mut(group[0].0 as usize);
             if fresh {
                 for &(_, r) in group {
-                    add_into(dst, grad.row(r));
+                    add_into(dst, grad_row(r));
                 }
             } else {
                 partial.clear();
                 partial.resize(dst.len(), 0.0);
                 for &(_, r) in group {
-                    add_into(&mut partial, grad.row(r));
+                    add_into(&mut partial, grad_row(r));
                 }
                 add_into(dst, &partial);
             }
@@ -355,14 +363,29 @@ impl GradStore {
         if indices.is_empty() {
             return;
         }
+        self.accumulate_gather_rows(id, indices, grad.cols(), grad.as_slice());
+    }
+
+    /// [`GradStore::accumulate_gather`] over a borrowed row-major block of
+    /// `indices.len()` rows of `cols`, so a caller can reuse one buffer
+    /// across calls. `indices` must not be empty.
+    pub(crate) fn accumulate_gather_rows(
+        &mut self,
+        id: ParamId,
+        indices: &[u32],
+        cols: usize,
+        grad: &[f32],
+    ) {
         match self.grads.entry(id).or_insert_with(|| Grad::Rows {
-            rows: RowGrad::new(grad.cols()),
+            rows: RowGrad::new(cols),
         }) {
-            Grad::Dense(existing) => existing.scatter_add_rows(indices, grad),
-            Grad::Rows { rows } => {
-                assert_eq!(rows.cols, grad.cols(), "gradient width mismatch");
-                rows.add_gather(indices, grad);
-            }
+            // Only a table also recorded as a whole-parameter leaf lands
+            // here; it pays one copy of the block.
+            Grad::Dense(existing) => existing.scatter_add_rows(
+                indices,
+                &Tensor::from_vec(indices.len(), cols, grad.to_vec()),
+            ),
+            Grad::Rows { rows } => rows.add_gather(indices, grad),
         }
     }
 

@@ -9,8 +9,54 @@
 
 use mhg_tensor::Shape;
 
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{Graph, Op, SegmentMean, Var};
 use crate::store::{Grad, GradStore, ParamId};
+
+/// Checks the layout of a segment-mean node over a `table`-shaped
+/// parameter named `name`: `offsets` starts at 0, never decreases and ends
+/// at `ids.len()`, there is one centre per segment, and every id and centre
+/// is a row of the table.
+///
+/// # Panics
+///
+/// Panics on the first violation, with a diagnostic prefixed by `ctx`.
+pub(crate) fn check_segments(op: &SegmentMean, table: Shape, ctx: &str, name: &str) {
+    let (ids, offsets) = (&op.ids, &op.offsets);
+    assert!(
+        offsets.first() == Some(&0),
+        "{ctx}: segment offsets must start at 0, got {:?}",
+        offsets.first(),
+    );
+    for (s, w) in offsets.windows(2).enumerate() {
+        assert!(
+            w[0] <= w[1],
+            "{ctx}: segment offsets decrease at segment {s} ({} > {})",
+            w[0],
+            w[1],
+        );
+    }
+    assert!(
+        offsets.last() == Some(&ids.len()),
+        "{ctx}: segment offsets end at {:?}, not at the {} ids",
+        offsets.last(),
+        ids.len(),
+    );
+    assert_eq!(
+        op.centers.len(),
+        offsets.len() - 1,
+        "{ctx}: {} centres for {} segments",
+        op.centers.len(),
+        offsets.len() - 1,
+    );
+    for &idx in ids.iter().chain(&op.centers) {
+        assert!(
+            (idx as usize) < table.rows,
+            "{ctx}: row index {idx} out of bounds for parameter table `{name}` \
+             with {} rows",
+            table.rows,
+        );
+    }
+}
 
 impl Graph<'_> {
     /// Checks every structural invariant of the tape, panicking with a
@@ -22,9 +68,10 @@ impl Graph<'_> {
     ///    a node `< i` (the tape is append-only, so a forward-referencing or
     ///    out-of-range operand can only come from a `Var` forged on another
     ///    graph).
-    /// 2. **Parameter range** — every `Param`/`Gather` id is registered in
-    ///    the backing [`ParamStore`](crate::ParamStore), and gather indices
-    ///    lie inside the table.
+    /// 2. **Parameter range** — every `Param`/`Gather`/`GatherSegmentMean`
+    ///    id is registered in the backing [`ParamStore`](crate::ParamStore),
+    ///    and gather indices lie inside the table. Segment offsets start at
+    ///    0, never decrease and end at the number of ids.
     /// 3. **Finite values** — no node holds NaN/Inf.
     /// 4. **Shape consistency** — each node's value has the shape implied by
     ///    its operation and operands.
@@ -80,6 +127,16 @@ impl Graph<'_> {
                         );
                     }
                     expect(Shape::new(indices.len(), table.cols));
+                }
+                Op::GatherSegmentMean(op) => {
+                    let table = param(op.pid);
+                    check_segments(
+                        op,
+                        table,
+                        &format!("tape node #{i} (GatherSegmentMean)"),
+                        self.store.name(op.pid),
+                    );
+                    expect(Shape::new(op.centers.len(), table.cols));
                 }
                 Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
                     let (sa, sb) = (operand(*a, "left"), operand(*b, "right"));

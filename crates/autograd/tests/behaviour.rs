@@ -169,3 +169,46 @@ fn sum_rows_is_the_zero_seeded_column_sum() {
     assert_eq!(s[(0, 0)].to_bits(), direct.to_bits());
     assert_eq!(s[(0, 0)], 0.538_990_2);
 }
+
+#[test]
+fn adam_steps_every_gathered_row_even_with_a_zero_gradient() {
+    // The sparse step updates every row a backward touched, whatever its
+    // gradient: a row gathered and scaled by 0.0 (an isolated node's self
+    // row) still counts a step and decays its moments, and its value keeps
+    // moving on the momentum of earlier steps. A row never gathered does not.
+    let mut params = ParamStore::new();
+    let emb = params.register("emb", Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]));
+    let mut opt = Adam::new(0.1);
+    let step = |params: &mut ParamStore, opt: &mut Adam, s: f32| {
+        let mut g = Graph::new(params);
+        let row = g.gather(emb, &[0]);
+        let scaled = g.scale(row, s);
+        let loss = g.sum_all(scaled);
+        let grads = g.backward(loss);
+        opt.step(params, &grads);
+    };
+    let adam_state = |opt: &Adam| {
+        let mut dict = mhg_ckpt::StateDict::new();
+        opt.export_state("opt", &mut dict);
+        let rows = dict.u64s("opt/0/rows").unwrap().to_vec();
+        let m = dict.tensor("opt/0/m").unwrap().clone();
+        let v = dict.tensor("opt/0/v").unwrap().clone();
+        (rows, m, v)
+    };
+
+    step(&mut params, &mut opt, 1.0);
+    let (rows1, m1, v1) = adam_state(&opt);
+    assert_eq!(rows1, [1, 0]);
+    let value1 = params.value(emb).clone();
+
+    step(&mut params, &mut opt, 0.0);
+    let (rows2, m2, v2) = adam_state(&opt);
+    assert_eq!(rows2, [2, 0], "a zero-gradient gathered row still steps");
+    for c in 0..2 {
+        assert_eq!(m2[(0, c)].to_bits(), (0.9 * m1[(0, c)]).to_bits());
+        assert_eq!(v2[(0, c)].to_bits(), (0.999 * v1[(0, c)]).to_bits());
+        assert_ne!(params.value(emb)[(0, c)], value1[(0, c)]);
+    }
+    assert_eq!(params.value(emb).row(1), value1.row(1));
+    assert_eq!(m2.row(1), &[0.0, 0.0]);
+}

@@ -258,6 +258,45 @@ fn grad_attention_block() {
     );
 }
 
+#[test]
+fn grad_gather_segment_mean() {
+    // Segments: empty (centre 4), length 1, a repeated id, empty again
+    // (centre 0, also a member of other segments), and one spanning the
+    // whole table; row 2 appears in three segments.
+    let mut params = store_with(&[(5, 3)], 21);
+    let emb = pid(&params, 0);
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let ids = vec![2, 1, 1, 3, 0, 1, 2, 3, 4, 2];
+            let offsets = vec![0, 0, 1, 4, 4, 10];
+            let m = g.gather_segment_mean(emb, ids, offsets, vec![4, 2, 1, 0, 3]);
+            to_scalar(g, m)
+        },
+        TOL,
+    );
+}
+
+#[test]
+fn grad_gather_segment_mean_feeds_a_shared_table() {
+    // The table is also gathered directly, so segment rows accumulate onto
+    // rows the other gather touched.
+    let mut params = store_with(&[(4, 2), (2, 2)], 22);
+    let (emb, w) = (pid(&params, 0), pid(&params, 1));
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let m = g.gather_segment_mean(emb, vec![3, 3, 0, 1], vec![0, 2, 2, 4], vec![0, 2, 1]);
+            let wv = g.param(w);
+            let h = g.matmul(m, wv);
+            let direct = g.gather(emb, &[3, 2, 2]);
+            let sum = g.add(h, direct);
+            to_scalar(g, sum)
+        },
+        TOL,
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -59,6 +59,24 @@ fn gather_index_out_of_bounds_is_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "segment offsets decrease at segment 1 (3 > 2)")]
+fn non_monotone_segment_offsets_are_rejected() {
+    let mut params = ParamStore::new();
+    let emb = params.register("emb", Tensor::zeros(4, 3));
+    let mut g = Graph::new(&params);
+    let _ = g.gather_segment_mean(emb, vec![0, 1, 2, 3], vec![0, 3, 2, 4], vec![0, 1, 2]);
+}
+
+#[test]
+#[should_panic(expected = "row index 4 out of bounds for parameter table `emb`")]
+fn segment_id_out_of_bounds_is_rejected() {
+    let mut params = ParamStore::new();
+    let emb = params.register("emb", Tensor::zeros(4, 3));
+    let mut g = Graph::new(&params);
+    let _ = g.gather_segment_mean(emb, vec![0, 4], vec![0, 1, 2], vec![0, 1]);
+}
+
+#[test]
 #[should_panic(expected = "non-finite")]
 fn overflowing_forward_op_is_rejected() {
     let params = ParamStore::new();
@@ -76,6 +94,8 @@ fn well_formed_tape_passes_validation() {
     let emb = params.register("emb", Tensor::from_vec(3, 2, vec![0.1; 6]));
     let mut g = Graph::new(&params);
     let x = g.gather(emb, &[0, 2]);
+    let pooled = g.gather_segment_mean(emb, vec![1, 2, 2], vec![0, 0, 3], vec![1, 0]);
+    let x = g.add(x, pooled);
     let wv = g.param(w);
     let h = g.matmul(x, wv);
     let a = g.tanh(h);

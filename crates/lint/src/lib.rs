@@ -26,8 +26,6 @@
 //! * **shape-assert** — every tensor-op entry point combining two or more
 //!   tensors (in `crates/tensor/src/{ops,tensor}.rs`) contains a shape
 //!   assertion in its body.
-//! * **epoch-loop** — no `for epoch in` loops outside `crates/train`; the
-//!   epoch loop is owned by `mhg_train::train`.
 //! * **atomic-ordering** — `Ordering::Relaxed` counters are permitted only
 //!   in `crates/obs`; every other atomic-ordering use anywhere (including
 //!   `Acquire`/`Release`/`SeqCst`) needs a justified `lint.allow` entry

@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn blank_line_resets_justification() {
-        let entries = parse_allowlist("# a comment\n\nepoch-loop crates/x/src/a.rs for epoch\n");
+        let entries = parse_allowlist("# a comment\n\natomic-ordering crates/x/src/a.rs SeqCst\n");
         assert_eq!(entries.len(), 1);
         assert!(!entries[0].justified);
     }
@@ -207,15 +207,15 @@ mod tests {
     #[test]
     fn audit_flags_dead_and_unjustified_entries() {
         let entries = parse_allowlist(
-            "# live and justified\nepoch-loop crates/x/src/a.rs for epoch\nshape-assert crates/x/src/a.rs pub fn add(\n\nepoch-loop crates/x/src/b.rs for epoch\n",
+            "# live and justified\natomic-ordering crates/x/src/a.rs SeqCst\nshape-assert crates/x/src/a.rs pub fn add(\n\natomic-ordering crates/x/src/b.rs SeqCst\n",
         );
         let all = vec![Diagnostic {
             file: "crates/x/src/a.rs".to_string(),
             line: 1,
             col: 1,
-            rule: Rule::EpochLoop,
+            rule: Rule::AtomicOrdering,
             message: String::new(),
-            snippet: "for epoch in 0..n {".to_string(),
+            snippet: "X.load(Ordering::SeqCst)".to_string(),
         }];
         let audit = audit_allowlist(&entries, &all);
         let dead: Vec<_> = audit.iter().filter(|d| d.rule == Rule::DeadAllow).collect();

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::engine::{needle, FileTokens};
+use crate::engine::FileTokens;
 use crate::lexer::TokenKind;
 
 /// A lint rule identifier.
@@ -16,8 +16,6 @@ use crate::lexer::TokenKind;
 pub enum Rule {
     /// Multi-tensor op entry point without a shape assertion.
     ShapeAssert,
-    /// Hand-rolled training epoch loop outside `crates/train`.
-    EpochLoop,
     /// Atomic memory-ordering use outside the sanctioned pattern.
     AtomicOrdering,
     /// Unchecked length/size arithmetic on a persistence path.
@@ -35,7 +33,6 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::ShapeAssert => "shape-assert",
-            Rule::EpochLoop => "epoch-loop",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::UncheckedArith => "unchecked-arith",
             Rule::CrateLayering => "crate-layering",
@@ -81,8 +78,6 @@ impl fmt::Display for Diagnostic {
 pub struct FileClass {
     /// Shape-assertion rule applies.
     pub shape_assert: bool,
-    /// Epoch-loop rule applies.
-    pub epoch_loop: bool,
     /// `Ordering::Relaxed` is permitted without an allowlist entry.
     pub atomic_relaxed_ok: bool,
     /// Unchecked-arithmetic rule applies (persistence paths).
@@ -103,7 +98,6 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     Some(FileClass {
         shape_assert: rel_path == "crates/tensor/src/ops.rs"
             || rel_path == "crates/tensor/src/tensor.rs",
-        epoch_loop: krate != "train",
         atomic_relaxed_ok: krate == "obs",
         unchecked_arith: krate == "ckpt"
             || rel_path == "crates/graph/src/sharded.rs"
@@ -140,9 +134,6 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let ft = FileTokens::new(source);
     let mut diags = Vec::new();
 
-    if class.epoch_loop {
-        epoch_pass(&ft, rel_path, &mut diags);
-    }
     if class.shape_assert {
         shape_pass(&ft, rel_path, &mut diags);
     }
@@ -153,22 +144,6 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Diagnostic> {
 
     diags.sort_by(|a, b| (a.line, a.col, a.rule.name()).cmp(&(b.line, b.col, b.rule.name())));
     diags
-}
-
-/// Epoch-loop: a `for epoch in` loop (matched as a token needle, so line
-/// breaks and whitespace cannot hide it) outside `#[cfg(test)]` code.
-fn epoch_pass(ft: &FileTokens<'_>, rel_path: &str, out: &mut Vec<Diagnostic>) {
-    for i in needle("for epoch in").find_all(ft) {
-        if !ft.sig_in_test(i) {
-            out.push(diag_at(
-                ft,
-                rel_path,
-                i,
-                Rule::EpochLoop,
-                "hand-rolled epoch loop — drive training through `mhg_train::train`".to_string(),
-            ));
-        }
-    }
 }
 
 /// Index of the `>` matching the `<` at `open` (fn signatures only, where
@@ -509,12 +484,10 @@ mod tests {
     #[test]
     fn classify_selects_rules_by_crate() {
         let t = classify("crates/tensor/src/ops.rs").expect("tensor file is scanned");
-        assert!(t.shape_assert && t.epoch_loop);
+        assert!(t.shape_assert);
         assert!(!t.atomic_relaxed_ok && !t.unchecked_arith);
         let b = classify("crates/bench/src/bin/exp_table4.rs").expect("bin file is scanned");
-        assert!(b.epoch_loop && !b.shape_assert);
-        let p = classify("crates/train/src/pipeline.rs").expect("train file is scanned");
-        assert!(!p.epoch_loop, "the train crate owns the epoch loop");
+        assert!(!b.shape_assert && !b.atomic_relaxed_ok && !b.unchecked_arith);
         let o = classify("crates/obs/src/registry.rs").expect("obs file is scanned");
         assert!(o.atomic_relaxed_ok);
         let c = classify("crates/ckpt/src/frame.rs").expect("ckpt file is scanned");
@@ -532,7 +505,7 @@ mod tests {
 
     #[test]
     fn cfg_test_blocks_are_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { for epoch in 0..2 {} }\n}\nfn tail() { for epoch in 0..2 {} }\n";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { X.load(Ordering::SeqCst); }\n}\nfn tail() { X.load(Ordering::SeqCst); }\n";
         let diags = scan_file("crates/eval/src/fake.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 6);

@@ -38,32 +38,6 @@ fn shape_fixture_fires_shape_assert_on_tensor_entry_points() {
 }
 
 #[test]
-fn epoch_fixture_fires_everywhere_but_the_train_crate() {
-    let src = include_str!("fixtures/bad_epoch.rs");
-    // One loop in library code; the `#[cfg(test)]` loop is exempt.
-    let in_models = rules_fired("crates/models/src/bad_epoch.rs", src);
-    assert_eq!(
-        count(&in_models, Rule::EpochLoop),
-        1,
-        "diagnostics: {in_models:?}"
-    );
-    // Experiment binaries must not hand-roll epoch loops either.
-    let in_bin = rules_fired("crates/bench/src/bin/bad_epoch.rs", src);
-    assert_eq!(
-        count(&in_bin, Rule::EpochLoop),
-        1,
-        "diagnostics: {in_bin:?}"
-    );
-    // The pipeline crate owns the loop.
-    let in_train = rules_fired("crates/train/src/bad_epoch.rs", src);
-    assert_eq!(
-        count(&in_train, Rule::EpochLoop),
-        0,
-        "diagnostics: {in_train:?}"
-    );
-}
-
-#[test]
 fn clean_fixture_passes_every_rule() {
     // Scan under the strictest scoping: a tensor kernel file gets every rule.
     let fired = rules_fired(
@@ -73,23 +47,19 @@ fn clean_fixture_passes_every_rule() {
     assert!(fired.is_empty(), "diagnostics: {fired:?}");
 }
 
-/// These needles are split across line breaks, so a line-oriented scanner
-/// cannot see them — prove that, then prove the token-stream engine does.
+/// This needle is split across a line break, so a line-oriented scanner
+/// cannot see it — prove that, then prove the token-stream engine does.
 #[test]
 fn multiline_needles_invisible_to_line_scanner_are_caught() {
     let src = include_str!("fixtures/bad_multiline.rs");
     // A line scanner's view: no single line contains these needles.
-    for needle in ["Ordering::SeqCst", "for epoch in"] {
-        assert!(
-            !src.lines().any(|l| l.contains(needle)),
-            "fixture drifted: `{needle}` fits on one line again"
-        );
-    }
-    let fired = rules_fired("crates/models/src/bad_multiline.rs", src);
-    assert_eq!(
-        fired,
-        vec![(Rule::AtomicOrdering, 10), (Rule::EpochLoop, 15)]
+    let needle = "Ordering::SeqCst";
+    assert!(
+        !src.lines().any(|l| l.contains(needle)),
+        "fixture drifted: `{needle}` fits on one line again"
     );
+    let fired = rules_fired("crates/models/src/bad_multiline.rs", src);
+    assert_eq!(fired, vec![(Rule::AtomicOrdering, 10)]);
 }
 
 #[test]
@@ -187,13 +157,13 @@ fn heal_fixture_fires_on_repair_codec_path() {
 fn dead_and_unjustified_allowlist_entries_are_reported() {
     let allow = mhg_lint::parse_allowlist(
         "# justified but matches nothing\n\
-         epoch-loop crates/models/src/gone.rs for epoch\n\
+         atomic-ordering crates/models/src/gone.rs SeqCst\n\
          \n\
-         epoch-loop crates/models/src/bad_epoch.rs for epoch\n",
+         atomic-ordering crates/models/src/bad_atomics.rs SeqCst\n",
     );
     let diags = mhg_lint::scan_file(
-        "crates/models/src/bad_epoch.rs",
-        include_str!("fixtures/bad_epoch.rs"),
+        "crates/models/src/bad_atomics.rs",
+        include_str!("fixtures/bad_atomics.rs"),
     );
     let audit = mhg_lint::audit_allowlist(&allow, &diags);
     let rules: Vec<&str> = audit.iter().map(|d| d.rule.name()).collect();

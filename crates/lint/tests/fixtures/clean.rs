@@ -6,11 +6,11 @@ pub fn first_or_zero(xs: &[f32]) -> f32 {
     xs.first().copied().unwrap_or(0.0)
 }
 
-/// Sums a slice; mentions "for epoch in" and Ordering::SeqCst only in
-/// this doc comment and in the string below, which the lexer must ignore.
+/// Sums a slice; mentions Ordering::SeqCst only in this doc comment and
+/// in the string below, which the lexer must ignore.
 pub fn sum(xs: &[f32]) -> f32 {
-    let _note = "a `for epoch in 0..n` loop or Ordering::Relaxed in a string is fine";
-    // for epoch in a comment is fine too
+    let _note = "Ordering::Relaxed in a string is fine";
+    // Ordering::SeqCst in a comment is fine too
     xs.iter().sum()
 }
 
@@ -19,9 +19,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_loops_allowed_in_tests() {
-        for epoch in 0..2 {
-            assert!(first_or_zero(&[epoch as f32]) >= 0.0);
-        }
+    fn first_of_empty_is_zero() {
+        assert_eq!(first_or_zero(&[]), 0.0);
     }
 }

@@ -5,52 +5,53 @@ use mhg_autograd::{Graph, ParamId, Var};
 use mhg_graph::{MultiplexGraph, NodeId, RelationId};
 use rand::Rng;
 
-/// Samples up to `fan_out` neighbors of `v` merged across all relations.
+/// Samples up to `fan_out` neighbors of `v` merged across all relations,
+/// passing each to `emit` in draw order.
 pub(crate) fn sample_merged_neighbors<R: Rng + ?Sized>(
     graph: &MultiplexGraph,
     v: NodeId,
     fan_out: usize,
     rng: &mut R,
-) -> Vec<NodeId> {
+    mut emit: impl FnMut(NodeId),
+) {
     let total = graph.total_degree(v);
     if total == 0 {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::with_capacity(fan_out.min(total));
     for _ in 0..fan_out {
         let mut pick = rng.gen_range(0..total);
         for r in graph.schema().relations() {
             let d = graph.degree(v, r);
             if pick < d {
-                out.push(graph.neighbors(v, r)[pick]);
+                emit(graph.neighbors(v, r)[pick]);
                 break;
             }
             pick -= d;
         }
     }
-    out
 }
 
-/// Samples up to `fan_out` neighbors of `v` under a single relation.
-pub(crate) fn sample_relation_neighbors<R: Rng + ?Sized>(
+/// Appends up to `fan_out` sampled neighbors of `v` under a single relation
+/// to `out`.
+fn sample_relation_neighbors<R: Rng + ?Sized>(
     graph: &MultiplexGraph,
     v: NodeId,
     r: RelationId,
     fan_out: usize,
     rng: &mut R,
-) -> Vec<NodeId> {
+    out: &mut Vec<u32>,
+) {
     let ns = graph.neighbors(v, r);
     if ns.is_empty() {
-        return Vec::new();
+        return;
     }
-    (0..fan_out.min(ns.len()))
-        .map(|_| ns[rng.gen_range(0..ns.len())])
-        .collect()
+    out.extend((0..fan_out.min(ns.len())).map(|_| ns[rng.gen_range(0..ns.len())].0));
 }
 
 /// Builds an `n × d` variable whose row `i` is the mean embedding of
 /// `{nodes[i]} ∪ sampled-neighbors(nodes[i])` (GCN-style aggregation with
-/// self-inclusion). Neighbors are merged across relations.
+/// self-inclusion). Neighbors are merged across relations. Records one tape
+/// node.
 pub(crate) fn mean_self_neighbors<R: Rng + ?Sized>(
     g: &mut Graph<'_>,
     emb: ParamId,
@@ -59,25 +60,15 @@ pub(crate) fn mean_self_neighbors<R: Rng + ?Sized>(
     fan_out: usize,
     rng: &mut R,
 ) -> Var {
-    let rows: Vec<Var> = nodes
-        .iter()
-        .map(|&v| {
-            let mut ids: Vec<u32> = vec![v.0];
-            ids.extend(
-                sample_merged_neighbors(graph, v, fan_out, rng)
-                    .iter()
-                    .map(|n| n.0),
-            );
-            let gathered = g.gather(emb, &ids);
-            g.mean_rows(gathered)
-        })
-        .collect();
-    g.concat_rows(&rows)
+    segment_mean(g, emb, nodes, |v, ids| {
+        ids.push(v.0);
+        sample_merged_neighbors(graph, v, fan_out, rng, |n| ids.push(n.0));
+    })
 }
 
 /// Builds an `n × d` variable whose row `i` is the mean embedding of
 /// sampled neighbors of `nodes[i]` under relation `r` (zero row when the
-/// node is isolated under `r`).
+/// node is isolated under `r`). Records one tape node.
 pub(crate) fn mean_relation_neighbors<R: Rng + ?Sized>(
     g: &mut Graph<'_>,
     emb: ParamId,
@@ -87,25 +78,29 @@ pub(crate) fn mean_relation_neighbors<R: Rng + ?Sized>(
     fan_out: usize,
     rng: &mut R,
 ) -> Var {
-    let rows: Vec<Var> = nodes
-        .iter()
-        .map(|&v| {
-            let ids: Vec<u32> = sample_relation_neighbors(graph, v, r, fan_out, rng)
-                .iter()
-                .map(|n| n.0)
-                .collect();
-            if ids.is_empty() {
-                // Self row scaled to zero keeps shapes consistent without a
-                // dedicated zeros op.
-                let self_row = g.gather(emb, &[v.0]);
-                g.scale(self_row, 0.0)
-            } else {
-                let gathered = g.gather(emb, &ids);
-                g.mean_rows(gathered)
-            }
-        })
-        .collect();
-    g.concat_rows(&rows)
+    segment_mean(g, emb, nodes, |v, ids| {
+        sample_relation_neighbors(graph, v, r, fan_out, rng, ids);
+    })
+}
+
+/// One [`Graph::gather_segment_mean`] node over the segments `sample`
+/// appends for each of `nodes` in turn; an empty segment yields its node's
+/// row times zero.
+fn segment_mean(
+    g: &mut Graph<'_>,
+    emb: ParamId,
+    nodes: &[NodeId],
+    mut sample: impl FnMut(NodeId, &mut Vec<u32>),
+) -> Var {
+    let mut ids = Vec::new();
+    let mut offsets = Vec::with_capacity(nodes.len() + 1);
+    offsets.push(0);
+    for &v in nodes {
+        sample(v, &mut ids);
+        offsets.push(ids.len());
+    }
+    let centers = nodes.iter().map(|n| n.0).collect();
+    g.gather_segment_mean(emb, ids, offsets, centers)
 }
 
 /// Gathers the raw embedding rows of `nodes`.
@@ -201,9 +196,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..60 {
-            for n in sample_merged_neighbors(&graph, center, 2, &mut rng) {
+            sample_merged_neighbors(&graph, center, 2, &mut rng, |n| {
                 seen.insert(n.0);
-            }
+            });
         }
         assert!(seen.contains(&1) && seen.contains(&2));
     }

@@ -95,6 +95,30 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn tape_length_does_not_grow_with_the_batch() {
+        // One aggregation node per encode, whatever the batch size.
+        let dataset = DatasetKind::Amazon.generate(0.05, 3);
+        let graph = &dataset.graph;
+        let mut params = ParamStore::new();
+        let encoder = GcnEncoder {
+            graph,
+            emb: params.register("emb", mhg_tensor::Tensor::zeros(graph.num_nodes(), 8)),
+            w1: params.register("w1", mhg_tensor::Tensor::zeros(8, 8)),
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        let nodes: Vec<NodeId> = graph.nodes().take(256).collect();
+        assert_eq!(nodes.len(), 256);
+        let mut tape_len = |nodes: &[NodeId]| {
+            let mut g = Graph::new(&params);
+            encoder.encode(&mut g, nodes, &mut rng);
+            g.len()
+        };
+        let one = tape_len(&nodes[..1]);
+        assert_eq!(tape_len(&nodes), one);
+        assert_eq!(one, 4);
+    }
+
+    #[test]
     fn beats_random_on_planted_graph() {
         let dataset = DatasetKind::Amazon.generate(0.008, 10);
         let mut rng = StdRng::seed_from_u64(11);

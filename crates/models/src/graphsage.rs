@@ -74,7 +74,8 @@ impl Encoder for SageEncoder<'_> {
         let rows: Vec<Var> = nodes
             .iter()
             .map(|&v| {
-                let mut hood = sample_merged_neighbors(self.graph, v, FAN_OUT_2, rng);
+                let mut hood = Vec::with_capacity(FAN_OUT_2);
+                sample_merged_neighbors(self.graph, v, FAN_OUT_2, rng, |n| hood.push(n));
                 if hood.is_empty() {
                     hood.push(v); // isolated: fall back to self
                 }

@@ -150,6 +150,71 @@ mod tests {
         );
     }
 
+    /// An encoder over `graph` with zero weights (values do not matter to
+    /// the tape's length).
+    fn zero_encoder<'a>(graph: &'a MultiplexGraph, params: &mut ParamStore) -> RgcnEncoder<'a> {
+        let (dim, num_rel) = (8, graph.schema().num_relations());
+        RgcnEncoder {
+            graph,
+            emb: params.register("emb", Tensor::zeros(graph.num_nodes(), dim)),
+            w_self: params.register("w_self", Tensor::zeros(dim, dim)),
+            w_rel: (0..num_rel)
+                .map(|i| params.register(format!("w_r{i}"), Tensor::zeros(dim, dim)))
+                .collect(),
+            rel_diag: params.register("rel_diag", Tensor::zeros(num_rel, dim)),
+        }
+    }
+
+    #[test]
+    fn tape_length_does_not_grow_with_the_batch() {
+        // One aggregation node per relation, whatever the batch size: a
+        // return to per-node gather + mean nodes adds 2 per node and
+        // relation.
+        let dataset = DatasetKind::Amazon.generate(0.05, 3);
+        let graph = &dataset.graph;
+        let mut params = ParamStore::new();
+        let encoder = zero_encoder(graph, &mut params);
+        let mut rng = StdRng::seed_from_u64(4);
+        let nodes: Vec<NodeId> = graph.nodes().take(256).collect();
+        assert_eq!(nodes.len(), 256);
+        let mut tape_len = |nodes: &[NodeId]| {
+            let mut g = Graph::new(&params);
+            encoder.encode(&mut g, nodes, &mut rng);
+            g.len()
+        };
+        let one = tape_len(&nodes[..1]);
+        assert_eq!(tape_len(&nodes), one);
+        assert_eq!(one, 4 + 4 * graph.schema().num_relations());
+    }
+
+    #[test]
+    fn a_training_step_records_o_relations_tape_nodes() {
+        // The shape of a `rgcn-ram` step: 256 positives with 3 negatives
+        // each, so 1,024 rows per side.
+        let dataset = DatasetKind::Amazon.generate(0.05, 5);
+        let graph = &dataset.graph;
+        let mut params = ParamStore::new();
+        let encoder = zero_encoder(graph, &mut params);
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = graph.num_nodes() as u32;
+        let rows = 1024;
+        let batch = EdgeBatch {
+            lefts: (0..rows).map(|i| NodeId(i % n)).collect(),
+            rights: (0..rows).map(|i| NodeId((7 * i + 1) % n)).collect(),
+            relations: (0..rows).map(|i| RelationId((i % 2) as u16)).collect(),
+            labels: (0..rows)
+                .map(|i| if i % 4 == 0 { 1.0 } else { -1.0 })
+                .collect(),
+        };
+        let mut g = Graph::new(&params);
+        let hl = encoder.encode(&mut g, &batch.lefts, &mut rng);
+        let hr = encoder.encode(&mut g, &batch.rights, &mut rng);
+        let logits = encoder.logits(&mut g, hl, hr, &batch);
+        let _ = g.logistic_loss(logits, &batch.labels);
+        assert_eq!(graph.schema().num_relations(), 2);
+        assert_eq!(g.len(), 28, "an R-GCN step on a two-relation graph");
+    }
+
     #[test]
     fn distmult_is_relation_sensitive() {
         let reps = Tensor::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]);

@@ -38,8 +38,7 @@
 //! state) and transient checkpoint IO errors (bounded retry) — all
 //! deterministically, exercised by the `mhg-faults` injection harness.
 //!
-//! This crate is the single owner of training control flow: the `epoch-loop`
-//! rule of `mhg-lint` flags `for epoch in` loops anywhere outside it.
+//! This crate is the single owner of training control flow.
 // Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
