@@ -234,6 +234,10 @@ impl Xxh64 {
 
 /// Checked narrowing of a size to a `u32` wire field: a count that does not
 /// fit would silently wrap and corrupt the file, so fail loudly instead.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the assert above the cast proves that `n` fits"
+)]
 pub fn size_u32(n: usize, what: &str) -> u32 {
     assert!(
         u32::try_from(n).is_ok(),
@@ -243,6 +247,10 @@ pub fn size_u32(n: usize, what: &str) -> u32 {
 }
 
 /// Checked narrowing of a size to a `u16` wire field.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the assert above the cast proves that `n` fits"
+)]
 pub fn size_u16(n: usize, what: &str) -> u16 {
     assert!(
         u16::try_from(n).is_ok(),
@@ -697,11 +705,11 @@ mod tests {
         // low 32 bits of XXH64 (seed 0) of the content.
         let stripe = b"0123456789abcdef0123456789abcdef";
         assert_eq!(
-            checksum(&[&stripe[..], b"01234567"].concat()) as u32,
+            checksum(&[&stripe[..], b"01234567"].concat()) & 0xffff_ffff,
             0x5a79_0442
         );
         assert_eq!(
-            checksum(&[&stripe[..], b"0123456789abcdefXYZW"].concat()) as u32,
+            checksum(&[&stripe[..], b"0123456789abcdefXYZW"].concat()) & 0xffff_ffff,
             0x5a2e_3dd5
         );
     }
@@ -846,7 +854,7 @@ mod tests {
 
     #[test]
     fn a_streamed_frame_reads_like_a_slice() {
-        let n = 3 * STREAM_WINDOW as u32 / 4 + 5;
+        let n = u32::try_from(3 * STREAM_WINDOW / 4 + 5).unwrap();
         let bytes = long_frame(n);
         let (names, xs) = read_long(&bytes, usize::MAX).unwrap();
         assert_eq!(names, ["ab", "µ"]);

@@ -23,6 +23,8 @@
 // Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Every persisted length is narrowed through `frame::size_u32`/`size_u16`.
+#![deny(clippy::cast_possible_truncation)]
 
 mod atomic;
 mod checkpoint;

@@ -17,6 +17,8 @@
 //! snapshot is a cache, so regenerate it. Writes go through [`mhg_ckpt::atomic_write`], so a crash mid-save
 //! leaves the previous snapshot intact; reads through
 //! [`mhg_ckpt::read_file`], the `IoRead` fault-injection site.
+// Persisted lengths are narrowed through the frame's checked helpers.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::io;
 use std::path::Path;

@@ -21,6 +21,8 @@
 //! file ([`block_offset`]) and checks it against that sum
 //! (`decode_block`); a whole-frame read checks the trailer and then every
 //! block sum (`check_block_sums`).
+// Persisted lengths are narrowed through the frame's checked helpers.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::io::Read;
 
@@ -478,11 +480,12 @@ mod tests {
     #[test]
     fn blocks_are_checked_against_their_manifest_sums() {
         // 2.5 blocks: two full ones and a short tail.
-        let targets: Vec<NodeId> = (0..2 * BLOCK_TARGETS as u32 + 512).map(NodeId).collect();
+        let count = u32::try_from(2 * BLOCK_TARGETS + 512).unwrap();
+        let targets: Vec<NodeId> = (0..count).map(NodeId).collect();
         let meta = ShardMeta {
             start: 0,
             end: 1,
-            num_targets: targets.len() as u32,
+            num_targets: count,
         };
         let frame = encode_shard(0, 0, &meta, &targets);
         let sums: Vec<u64> = block_sums(&frame).collect();
@@ -492,7 +495,7 @@ mod tests {
         let n = targets.len();
         let mut out = Vec::new();
         for (b, &sum) in sums.iter().enumerate() {
-            let at = block_offset(b) as usize;
+            let at = usize::try_from(block_offset(b)).unwrap();
             let len = (n - b * BLOCK_TARGETS).min(BLOCK_TARGETS) * 4;
             decode_block(&frame[at..at + len], sum, n, &mut out).unwrap();
             assert_eq!(out, targets[b * BLOCK_TARGETS..][..len / 4]);
@@ -510,7 +513,7 @@ mod tests {
             check_block_sums(&frame, &sums[..2]),
             Err(ShardError::Inconsistent(_))
         ));
-        let at = block_offset(1) as usize;
+        let at = usize::try_from(block_offset(1)).unwrap();
         let mut block = frame[at..at + BLOCK_BYTES].to_vec();
         block[9] ^= 1;
         assert!(matches!(

@@ -38,6 +38,7 @@ use std::io;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+#[expect(clippy::disallowed_types, reason = "for `Counters`, justified there")]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -204,6 +205,10 @@ impl PagerState {
 /// they are atomics so that [`ShardedCsr::page_stats`] can sum the stripes
 /// without taking their locks.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the page counters are statistics written only under their stripe's lock and summed by `page_stats` without it; the lock publishes the frames they count, so `Relaxed` suffices"
+)]
 struct Counters {
     loads: AtomicU64,
     hits: AtomicU64,
@@ -214,6 +219,7 @@ struct Counters {
 }
 
 /// Adds one to a counter written only under its pager's lock.
+#[expect(clippy::disallowed_types, reason = "for `Counters`, justified there")]
 fn bump(counter: &AtomicU64) {
     counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }

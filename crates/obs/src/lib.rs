@@ -22,6 +22,10 @@
 //! `sampling/shard_occupancy`, …); the full scheme is documented in
 //! DESIGN.md §2.12 and in the README's "Reading metrics.jsonl" section.
 #![expect(clippy::disallowed_macros, reason = "this crate owns the stderr sink")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the registry's counters, gauges and histograms are `Relaxed` integer cells whose totals do not depend on merge order (tests/concurrency.rs)"
+)]
 // Library code must not panic; clippy.toml exempts `#[cfg(test)]` code.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]

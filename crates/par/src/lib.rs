@@ -23,6 +23,7 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+#[expect(clippy::disallowed_types, reason = "for `THREADS`, justified there")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread;
@@ -34,6 +35,10 @@ use std::thread;
 const MIN_WORK_PER_WORKER: usize = 16_384;
 
 /// Resolved worker count; 0 means "not resolved yet".
+#[expect(
+    clippy::disallowed_types,
+    reason = "`THREADS` is a configuration cell that publishes no other memory; a stale read only changes the partition count, which never changes a result, so `Relaxed` suffices"
+)]
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Serializes [`with_threads`] overrides so concurrent tests with different
