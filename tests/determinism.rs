@@ -524,6 +524,122 @@ fn hybridgnn_is_bit_identical_across_thread_counts() {
     );
 }
 
+/// The [`hybridgnn_hash`] recipe with `configure` applied, on `kind`: hashes
+/// the final embeddings and then the attention profile (per relation its
+/// entry count, per entry the label's bytes and the mass's bits), so a
+/// change to any flow, either attention level, the Eq. 10 projection or
+/// the Fig. 4 export fails here.
+fn hybridgnn_variant_hash(kind: DatasetKind, configure: fn(&mut HybridConfig)) -> u64 {
+    let dataset = kind.generate(0.004, 9);
+    let mut rng = StdRng::seed_from_u64(9);
+    let split = EdgeSplit::default_split(&dataset.graph, &mut rng);
+    let mut cfg = HybridConfig::fast();
+    cfg.common.epochs = 2;
+    cfg.common.dim = 16;
+    configure(&mut cfg);
+    let mut model = HybridGnn::new(cfg);
+    let data = FitData {
+        graph: &split.train_graph,
+        metapath_shapes: &dataset.metapath_shapes,
+        val: &split.val,
+    };
+    let report = model.fit(&data, &mut rng).expect("fit must succeed");
+    assert!(report.epochs_run > 0, "HybridGNN ran zero epochs");
+    let graph = &split.train_graph;
+    let mut words: Vec<u32> = Vec::new();
+    for v in graph.nodes() {
+        for r in graph.schema().relations() {
+            words.extend(model.embedding(v, r).iter().map(|x| x.to_bits()));
+        }
+    }
+    for rel in model.attention_profile() {
+        words.push(rel.len() as u32);
+        for (label, mass) in rel {
+            words.extend(label.bytes().map(u32::from));
+            let bits = mass.to_bits();
+            words.extend([(bits >> 32) as u32, bits as u32]);
+        }
+    }
+    fnv1a(words.into_iter())
+}
+
+/// One HybridGNN variant: a name, what it changes, and its golden hash.
+type Variant = (&'static str, fn(&mut HybridConfig), DatasetKind, u64);
+
+/// Each ablation switch of Table VIII off, the exploration depths either
+/// side of the default 2, the default config on a two-node-type graph
+/// (Taobao: user and item, so only some metapath shapes start at a node),
+/// and the default config itself, whose attention profile
+/// [`HYBRIDGNN_GOLDEN`] does not cover.
+/// Pinned before the HybridGNN step moved onto batched tape nodes.
+const HYBRIDGNN_VARIANTS: [Variant; 8] = [
+    (
+        "w/o metapath attention",
+        |c| c.use_metapath_attention = false,
+        DatasetKind::Amazon,
+        0x16b1_134c_3cf2_4ad3,
+    ),
+    (
+        "w/o relationship attention",
+        |c| c.use_relationship_attention = false,
+        DatasetKind::Amazon,
+        0xe90f_c51e_15b1_90d8,
+    ),
+    (
+        "w/o randomized exploration",
+        |c| c.use_randomized_exploration = false,
+        DatasetKind::Amazon,
+        0x3e21_9ef5_7eb1_1481,
+    ),
+    (
+        "w/o hybrid flows",
+        |c| c.use_hybrid_flows = false,
+        DatasetKind::Amazon,
+        0x8e5c_e6ae_aa1b_2630,
+    ),
+    (
+        "exploration depth 1",
+        |c| c.exploration_depth = 1,
+        DatasetKind::Amazon,
+        0xd1e7_6724_d4bb_7ee7,
+    ),
+    (
+        "exploration depth 3",
+        |c| c.exploration_depth = 3,
+        DatasetKind::Amazon,
+        0xc569_575d_edd0_6e5c,
+    ),
+    ("Taobao", |_| {}, DatasetKind::Taobao, 0xfaef_73b1_6270_4a2b),
+    (
+        "default",
+        |_| {},
+        DatasetKind::Amazon,
+        0x8e66_13be_63d1_7e49,
+    ),
+];
+
+#[test]
+fn hybridgnn_variants_are_bit_identical_across_thread_counts() {
+    let mut drifted = Vec::new();
+    for (name, configure, kind, golden) in HYBRIDGNN_VARIANTS {
+        let one = hybridgnn_repro::par::with_threads(1, || hybridgnn_variant_hash(kind, configure));
+        let four =
+            hybridgnn_repro::par::with_threads(4, || hybridgnn_variant_hash(kind, configure));
+        assert_eq!(
+            one, four,
+            "thread count changed HybridGNN ({name})'s result: 1 thread {one:#018x} vs 4 threads {four:#018x}"
+        );
+        if one != golden {
+            drifted.push(format!("{name}: got {one:#018x}, pinned {golden:#018x}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "HybridGNN variants drifted from their golden hashes:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Runs `recipe` at 1 and 4 worker threads; both must hash to `golden`.
 fn assert_golden_across_thread_counts(name: &str, recipe: fn() -> u64, golden: u64) {
     let one = hybridgnn_repro::par::with_threads(1, recipe);
