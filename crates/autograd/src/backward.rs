@@ -58,6 +58,15 @@ impl Graph<'_> {
                         store.accumulate_gather_rows(op.pid, indices, cols, &rows);
                     }
                 }
+                Op::MeanTowers(op) => op.backward(&g, self.store, &mut store),
+                Op::SegmentAttention(op) => {
+                    let gx = op.backward(self.value(op.x), &g, self.store, &mut store);
+                    accumulate(&mut grads, op.x, gx);
+                }
+                Op::ProjectResidual(op) => {
+                    let gx = op.backward(self.value(op.x), &g, self.store, &mut store);
+                    accumulate(&mut grads, op.x, gx);
+                }
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, g.clone());
                     accumulate(&mut grads, *b, g);

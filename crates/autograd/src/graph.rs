@@ -8,8 +8,9 @@
 
 use mhg_tensor::Tensor;
 
+use crate::batched::{MeanTowers, ProjectResidual, SegmentAttention, Towers};
 use crate::store::{ParamId, ParamStore};
-use crate::validate::check_segments;
+use crate::validate::{check_projection, check_segment_attention, check_segments, check_towers};
 
 /// Handle to a tape node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,6 +35,12 @@ pub(crate) enum Op {
     /// Per-segment mean of gathered table rows, boxed so that `Node` stays
     /// the size of the other variants.
     GatherSegmentMean(Box<SegmentMean>),
+    /// Leaves-to-root mean-aggregation towers over a parameter table.
+    MeanTowers(Box<MeanTowers>),
+    /// Per-segment self-attention and/or mean over a variable's rows.
+    SegmentAttention(Box<SegmentAttention>),
+    /// Per-row projection plus a gathered table row, of picked rows.
+    ProjectResidual(Box<ProjectResidual>),
     /// Elementwise sum.
     Add(Var, Var),
     /// Elementwise difference.
@@ -256,6 +263,148 @@ impl<'s> Graph<'s> {
             }
         }
         self.push(out, Op::GatherSegmentMean(Box::new(op)))
+    }
+
+    /// One row per tower of `towers`: a tower is a leaves-to-root mean
+    /// aggregation over table rows (HybridGNN's Eqs. 3–4). Starting at its
+    /// leaf step, each step pools the mean of its ids' rows and of the row
+    /// carried up from the step below, then carries up
+    /// `tanh(pooled · W)`; the root step's row is the tower's output.
+    ///
+    /// Bit-identical, forward and backward, to this composition per tower,
+    /// stacked by [`Graph::concat_rows`]: one [`Graph::param`] of `W`, then
+    /// per step, leaf first, a [`Graph::gather`] of its ids,
+    /// [`Graph::concat_rows`] with the carried row (none at the leaf),
+    /// [`Graph::mean_rows`], [`Graph::matmul`] by `W` and [`Graph::tanh`].
+    /// The backward replays that composition's gradient calls in its order
+    /// (towers last to first, each tower's steps root to leaf, then one
+    /// dense call of its weight's partial), so a weight shared by several
+    /// towers sums the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both offset lists start at 0 and never decrease, the
+    /// step offsets end at `ids.len()`, every tower has at least one step
+    /// and the tower offsets end at the step count, there is one weight per
+    /// tower, each a registered `d × d` parameter for the table's width
+    /// `d`, and every id is a row of the table.
+    pub fn mean_towers(&mut self, table: ParamId, ids: Vec<u32>, towers: Towers) -> Var {
+        check_towers(self.store, table, &ids, &towers, "mean_towers");
+        let (op, out) = MeanTowers::forward(self.store, table, ids, towers);
+        self.push(out, Op::MeanTowers(Box::new(op)))
+    }
+
+    /// Scaled dot-product self-attention within each segment of `x`'s rows
+    /// (HybridGNN's Eq. 9): segment `i`, rows `offsets[i]..offsets[i + 1]`,
+    /// becomes `softmax(X·Wq · (X·Wk)ᵀ / √d_k) · X·Wv` with
+    /// `[Wq, Wk, Wv] = qkv`, so the output has one row per row of `x`.
+    ///
+    /// Bit-identical, forward and backward, to this composition per
+    /// segment, each over its own variable `X`: a [`Graph::param`] and
+    /// [`Graph::matmul`] each for `Q`, `K` and `V`, [`Graph::transpose`] of
+    /// `K`, [`Graph::matmul`], [`Graph::scale`] by `1/√d_k`,
+    /// [`Graph::softmax_rows`] and [`Graph::matmul`] by `V`; stacked by
+    /// [`Graph::concat_rows`]. The backward makes each segment's `Wv`,
+    /// `Wk`, `Wq` gradient calls, last segment first. The softmax weights
+    /// stay readable through [`Graph::attention_weights`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` starts at 0, strictly increases (no empty
+    /// segment) and ends at `x`'s row count, and `Wq`, `Wk` are `d × d_k`
+    /// and `Wv` is `d × d_v` for `x`'s width `d`.
+    pub fn segment_attention(&mut self, x: Var, offsets: Vec<usize>, qkv: [ParamId; 3]) -> Var {
+        self.segment_op(x, offsets, Some(qkv), false, "segment_attention")
+    }
+
+    /// One row per segment of `x`'s rows: the mean of the segment's rows,
+    /// after [`Graph::segment_attention`]'s self-attention within it when
+    /// `attention` is `Some([Wq, Wk, Wv])` (HybridGNN's Eqs. 6–7; with
+    /// `None`, the plain mean of its ablation).
+    ///
+    /// Bit-identical, forward and backward, to the per-segment composition
+    /// of [`Graph::segment_attention`] (or none) followed by
+    /// [`Graph::mean_rows`], stacked by [`Graph::concat_rows`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Graph::segment_attention`].
+    pub fn segment_mean_rows(
+        &mut self,
+        x: Var,
+        offsets: Vec<usize>,
+        attention: Option<[ParamId; 3]>,
+    ) -> Var {
+        self.segment_op(x, offsets, attention, true, "segment_mean_rows")
+    }
+
+    fn segment_op(
+        &mut self,
+        x: Var,
+        offsets: Vec<usize>,
+        qkv: Option<[ParamId; 3]>,
+        pool: bool,
+        ctx: &str,
+    ) -> Var {
+        let xv = self.value(x);
+        check_segment_attention(self.store, xv.shape(), &offsets, qkv, ctx);
+        let (op, out) = SegmentAttention::forward(self.store, x, xv, offsets, qkv, pool);
+        self.push(out, Op::SegmentAttention(Box::new(op)))
+    }
+
+    /// The `n × n` softmax weights, row-major, of segment `segment` of a
+    /// [`Graph::segment_attention`] or attending
+    /// [`Graph::segment_mean_rows`] node; `None` for any other node or
+    /// segment.
+    pub fn attention_weights(&self, v: Var, segment: usize) -> Option<&[f32]> {
+        match &self.nodes.get(v.index())?.op {
+            Op::SegmentAttention(op) => op.weights(segment),
+            _ => None,
+        }
+    }
+
+    /// HybridGNN's Eq. 10 for a batch of centres, `e*_{c,r} = e_c +
+    /// x_{c,r} · W_r`, emitting the rows `picks` selects. Centre `c` owns
+    /// the `L = weights.len()` rows `c·L..(c + 1)·L` of `x` and table row
+    /// `centres[c]`; row `c·L + r` is projected by `weights[r]`. Output row
+    /// `j` is projected row `picks[j]`.
+    ///
+    /// Bit-identical, forward and backward, to this composition, with each
+    /// centre's block of `x` its own `L`-row variable: per centre, a
+    /// [`Graph::gather`] of its table row, then per row `r` a
+    /// [`Graph::slice_rows`], a [`Graph::param`] of `weights[r]`, a
+    /// [`Graph::matmul`] and a [`Graph::add`] of the table row; then a
+    /// [`Graph::concat_rows`] of the picked rows. So each picked row makes
+    /// one dense gradient call of its weight, each centre one gather call
+    /// of its table row, and a centre's block of `x`'s gradient carries the
+    /// `+ 0.0` that summing its zero-padded slice gradients adds.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `weights` is not empty, `x` has `L` rows per centre,
+    /// every weight is a registered `d_x × d` parameter for `x`'s width
+    /// `d_x` and the table's width `d`, every centre is a row of the table,
+    /// and every pick is a row of `x`, with each centre picked at least
+    /// once.
+    pub fn project_residual(
+        &mut self,
+        x: Var,
+        table: ParamId,
+        centres: Vec<u32>,
+        weights: Vec<ParamId>,
+        picks: Vec<u32>,
+    ) -> Var {
+        let xv = self.value(x);
+        let op = ProjectResidual {
+            x,
+            table,
+            centres,
+            weights,
+            picks,
+        };
+        check_projection(self.store, xv.shape(), &op, "project_residual");
+        let out = op.forward(self.store, xv);
+        self.push(out, Op::ProjectResidual(Box::new(op)))
     }
 
     // ------------------------------------------------------------------

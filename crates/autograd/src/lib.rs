@@ -37,12 +37,14 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod backward;
+mod batched;
 pub mod gradcheck;
 mod graph;
 mod optim;
 mod store;
 mod validate;
 
+pub use batched::Towers;
 pub use graph::{Graph, Var};
 pub use optim::{Adam, Optimizer};
 pub use store::{Grad, GradStore, ParamId, ParamStore, RowGrad};

@@ -6,6 +6,7 @@
 //! Gradients accumulate into a [`GradStore`], which keeps embedding-table
 //! gradients sparse (per-row) — the optimizer then only updates touched rows.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -308,16 +309,44 @@ impl GradStore {
     /// Panics if `id` already has a sparse gradient of mismatched width, or a
     /// dense gradient of a different shape.
     pub fn accumulate_dense(&mut self, id: ParamId, grad: Tensor) {
+        if let Entry::Vacant(slot) = self.grads.entry(id) {
+            slot.insert(Grad::Dense(grad));
+            return;
+        }
+        self.accumulate_dense_rows(id, grad.rows(), grad.cols(), grad.as_slice());
+    }
+
+    /// [`GradStore::accumulate_dense`] over a borrowed row-major block of
+    /// `rows × cols`, so a caller can reuse one buffer across calls. Adding
+    /// into an existing dense gradient is `Tensor::axpy` with `1.0`.
+    pub(crate) fn accumulate_dense_rows(
+        &mut self,
+        id: ParamId,
+        rows: usize,
+        cols: usize,
+        grad: &[f32],
+    ) {
+        assert_eq!(grad.len(), rows * cols, "gradient block size mismatch");
         match self.grads.get_mut(&id) {
             None => {
+                let grad = Tensor::from_vec(rows, cols, grad.to_vec());
                 self.grads.insert(id, Grad::Dense(grad));
             }
-            Some(Grad::Dense(existing)) => existing.axpy(1.0, &grad),
-            Some(Grad::Rows { rows }) => {
+            Some(Grad::Dense(existing)) => {
+                assert_eq!(
+                    existing.shape(),
+                    mhg_tensor::Shape::new(rows, cols),
+                    "axpy shape mismatch"
+                );
+                add_into(existing.as_mut_slice(), grad);
+                #[cfg(feature = "checked")]
+                existing.assert_finite("axpy");
+            }
+            Some(Grad::Rows { rows: sparse }) => {
                 // Fold the dense grad into rows: every row becomes touched.
-                assert_eq!(rows.cols, grad.cols(), "gradient width mismatch");
-                for r in 0..grad.rows() {
-                    add_into(rows.row_mut(r).0, grad.row(r));
+                assert_eq!(sparse.cols, cols, "gradient width mismatch");
+                for (r, row) in grad.chunks_exact(cols.max(1)).enumerate() {
+                    add_into(sparse.row_mut(r).0, row);
                 }
             }
         }

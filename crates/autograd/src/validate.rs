@@ -9,8 +9,60 @@
 
 use mhg_tensor::Shape;
 
+use crate::batched::{ProjectResidual, Towers};
 use crate::graph::{Graph, Op, SegmentMean, Var};
-use crate::store::{Grad, GradStore, ParamId};
+use crate::store::{Grad, GradStore, ParamId, ParamStore};
+
+/// Checks that `offsets` starts at 0, never decreases (strictly increases
+/// when `nonempty`) and ends at `end`: the boundaries of `what`s over
+/// `end` `of`.
+///
+/// # Panics
+///
+/// Panics on the first violation, with a diagnostic prefixed by `ctx`.
+fn check_offsets(offsets: &[usize], end: usize, what: &str, of: &str, nonempty: bool, ctx: &str) {
+    assert!(
+        offsets.first() == Some(&0),
+        "{ctx}: {what} offsets must start at 0, got {:?}",
+        offsets.first(),
+    );
+    for (i, w) in offsets.windows(2).enumerate() {
+        assert!(
+            w[0] <= w[1],
+            "{ctx}: {what} offsets decrease at {what} {i} ({} > {})",
+            w[0],
+            w[1],
+        );
+        assert!(!nonempty || w[0] < w[1], "{ctx}: {what} {i} is empty");
+    }
+    assert!(
+        offsets.last() == Some(&end),
+        "{ctx}: {what} offsets end at {:?}, not at the {end} {of}",
+        offsets.last(),
+    );
+}
+
+/// Checks that every id is a row of a table of `rows` rows named `name`.
+fn check_rows(ids: &[u32], rows: usize, name: &str, ctx: &str) {
+    for &idx in ids {
+        assert!(
+            (idx as usize) < rows,
+            "{ctx}: row index {idx} out of bounds for parameter table `{name}` \
+             with {rows} rows",
+        );
+    }
+}
+
+/// The shape of parameter `id`, which must be registered in `store`.
+fn param_shape(store: &ParamStore, id: ParamId, ctx: &str) -> Shape {
+    assert!(
+        id.index() < store.len(),
+        "{ctx}: parameter #{} is not registered in the store ({} parameters)",
+        id.index(),
+        store.len(),
+    );
+    store.value(id).shape()
+}
 
 /// Checks the layout of a segment-mean node over a `table`-shaped
 /// parameter named `name`: `offsets` starts at 0, never decreases and ends
@@ -21,41 +73,134 @@ use crate::store::{Grad, GradStore, ParamId};
 ///
 /// Panics on the first violation, with a diagnostic prefixed by `ctx`.
 pub(crate) fn check_segments(op: &SegmentMean, table: Shape, ctx: &str, name: &str) {
-    let (ids, offsets) = (&op.ids, &op.offsets);
-    assert!(
-        offsets.first() == Some(&0),
-        "{ctx}: segment offsets must start at 0, got {:?}",
-        offsets.first(),
-    );
-    for (s, w) in offsets.windows(2).enumerate() {
-        assert!(
-            w[0] <= w[1],
-            "{ctx}: segment offsets decrease at segment {s} ({} > {})",
-            w[0],
-            w[1],
-        );
-    }
-    assert!(
-        offsets.last() == Some(&ids.len()),
-        "{ctx}: segment offsets end at {:?}, not at the {} ids",
-        offsets.last(),
-        ids.len(),
-    );
+    check_offsets(&op.offsets, op.ids.len(), "segment", "ids", false, ctx);
     assert_eq!(
         op.centers.len(),
-        offsets.len() - 1,
+        op.offsets.len() - 1,
         "{ctx}: {} centres for {} segments",
         op.centers.len(),
-        offsets.len() - 1,
+        op.offsets.len() - 1,
     );
-    for &idx in ids.iter().chain(&op.centers) {
-        assert!(
-            (idx as usize) < table.rows,
-            "{ctx}: row index {idx} out of bounds for parameter table `{name}` \
-             with {} rows",
-            table.rows,
+    check_rows(&op.ids, table.rows, name, ctx);
+    check_rows(&op.centers, table.rows, name, ctx);
+}
+
+/// Checks a [`Graph::mean_towers`] layout over parameter `table`: both
+/// offset lists are well formed, every tower has a step, there is one
+/// `d × d` weight per tower for the table's width `d`, and every id is a
+/// row of the table.
+///
+/// # Panics
+///
+/// Panics on the first violation, with a diagnostic prefixed by `ctx`.
+pub(crate) fn check_towers(
+    store: &ParamStore,
+    table: ParamId,
+    ids: &[u32],
+    towers: &Towers,
+    ctx: &str,
+) {
+    let shape = param_shape(store, table, ctx);
+    check_offsets(&towers.step_offsets, ids.len(), "step", "ids", false, ctx);
+    check_offsets(
+        &towers.tower_offsets,
+        towers.num_steps(),
+        "tower",
+        "steps",
+        true,
+        ctx,
+    );
+    assert_eq!(
+        towers.weights.len(),
+        towers.tower_offsets.len() - 1,
+        "{ctx}: {} weights for {} towers",
+        towers.weights.len(),
+        towers.tower_offsets.len() - 1,
+    );
+    let square = Shape::new(shape.cols, shape.cols);
+    for (t, &w) in towers.weights.iter().enumerate() {
+        let ws = param_shape(store, w, ctx);
+        assert_eq!(
+            ws,
+            square,
+            "{ctx}: tower {t}'s weight `{}` is {ws}, not {square}",
+            store.name(w),
         );
     }
+    check_rows(ids, shape.rows, store.name(table), ctx);
+}
+
+/// Checks a segment-attention layout over an `x`-shaped input: `offsets`
+/// splits its rows into non-empty segments, and `Wq`, `Wk` are `d × d_k`
+/// and `Wv` is `d × d_v` for `x`'s width `d`.
+///
+/// # Panics
+///
+/// Panics on the first violation, with a diagnostic prefixed by `ctx`.
+pub(crate) fn check_segment_attention(
+    store: &ParamStore,
+    x: Shape,
+    offsets: &[usize],
+    qkv: Option<[ParamId; 3]>,
+    ctx: &str,
+) {
+    check_offsets(offsets, x.rows, "segment", "rows", true, ctx);
+    let Some([wq, wk, wv]) = qkv else { return };
+    let (sq, sk, sv) = (
+        param_shape(store, wq, ctx),
+        param_shape(store, wk, ctx),
+        param_shape(store, wv, ctx),
+    );
+    assert!(
+        sq.rows == x.cols && sk == sq && sv.rows == x.cols,
+        "{ctx}: attention weights {sq}, {sk}, {sv} do not fit {x} rows",
+    );
+}
+
+/// Checks an Eq. 10 projection over an `x`-shaped input: `x` has one row
+/// per (centre, weight), every weight is `d_x × d` for the table's width
+/// `d`, and every centre and pick is in range, each centre picked at
+/// least once.
+///
+/// # Panics
+///
+/// Panics on the first violation, with a diagnostic prefixed by `ctx`.
+pub(crate) fn check_projection(store: &ParamStore, x: Shape, op: &ProjectResidual, ctx: &str) {
+    let table = param_shape(store, op.table, ctx);
+    let per = op.weights.len();
+    assert!(per > 0, "{ctx}: no projection weights");
+    assert_eq!(
+        x.rows,
+        op.centres.len() * per,
+        "{ctx}: {x} rows for {} centres of {per} rows",
+        op.centres.len(),
+    );
+    let want = Shape::new(x.cols, table.cols);
+    for &w in &op.weights {
+        let ws = param_shape(store, w, ctx);
+        assert_eq!(
+            ws,
+            want,
+            "{ctx}: weight `{}` is {ws}, not {want}",
+            store.name(w)
+        );
+    }
+    check_rows(&op.centres, table.rows, store.name(op.table), ctx);
+    let mut picked = vec![false; op.centres.len()];
+    for &k in &op.picks {
+        assert!(
+            (k as usize) < x.rows,
+            "{ctx}: pick {k} is not one of the {} rows",
+            x.rows
+        );
+        picked[k as usize / per] = true;
+    }
+    let unpicked = picked.iter().position(|&p| !p);
+    assert!(
+        unpicked.is_none(),
+        "{ctx}: centre {} has no picked row",
+        unpicked.unwrap_or_default(),
+    );
 }
 
 impl Graph<'_> {
@@ -68,10 +213,11 @@ impl Graph<'_> {
     ///    a node `< i` (the tape is append-only, so a forward-referencing or
     ///    out-of-range operand can only come from a `Var` forged on another
     ///    graph).
-    /// 2. **Parameter range** — every `Param`/`Gather`/`GatherSegmentMean`
-    ///    id is registered in the backing [`ParamStore`](crate::ParamStore),
-    ///    and gather indices lie inside the table. Segment offsets start at
-    ///    0, never decrease and end at the number of ids.
+    /// 2. **Parameter range** — every parameter id of a node is registered
+    ///    in the backing [`ParamStore`](crate::ParamStore), and gather
+    ///    indices lie inside the table. Segment, step and tower offsets
+    ///    start at 0, never decrease and end at the count they split; the
+    ///    batched ops' weights have the shapes their inputs imply.
     /// 3. **Finite values** — no node holds NaN/Inf.
     /// 4. **Shape consistency** — each node's value has the shape implied by
     ///    its operation and operands.
@@ -137,6 +283,30 @@ impl Graph<'_> {
                         self.store.name(op.pid),
                     );
                     expect(Shape::new(op.centers.len(), table.cols));
+                }
+                Op::MeanTowers(op) => {
+                    let ctx = format!("tape node #{i} (MeanTowers)");
+                    let table = param(op.table);
+                    check_towers(self.store, op.table, &op.ids, &op.towers, &ctx);
+                    expect(Shape::new(op.towers.len(), table.cols));
+                }
+                Op::SegmentAttention(op) => {
+                    let ctx = format!("tape node #{i} (SegmentAttention)");
+                    let sx = operand(op.x, "input");
+                    check_segment_attention(self.store, sx, &op.offsets, op.qkv, &ctx);
+                    let cols = op.qkv.map_or(sx.cols, |[_, _, wv]| param(wv).cols);
+                    let rows = if op.pool {
+                        op.offsets.len() - 1
+                    } else {
+                        sx.rows
+                    };
+                    expect(Shape::new(rows, cols));
+                }
+                Op::ProjectResidual(op) => {
+                    let ctx = format!("tape node #{i} (ProjectResidual)");
+                    let sx = operand(op.x, "input");
+                    check_projection(self.store, sx, op, &ctx);
+                    expect(Shape::new(op.picks.len(), param(op.table).cols));
                 }
                 Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
                     let (sa, sb) = (operand(*a, "left"), operand(*b, "right"));

@@ -5,7 +5,7 @@
 //! property tests randomise shapes and seeds.
 
 use mhg_autograd::gradcheck::assert_gradients_close;
-use mhg_autograd::{Graph, ParamStore, Var};
+use mhg_autograd::{Graph, ParamStore, Towers, Var};
 use mhg_tensor::{InitKind, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -292,6 +292,102 @@ fn grad_gather_segment_mean_feeds_a_shared_table() {
             let direct = g.gather(emb, &[3, 2, 2]);
             let sum = g.add(h, direct);
             to_scalar(g, sum)
+        },
+        TOL,
+    );
+}
+
+#[test]
+fn grad_mean_towers() {
+    // Three towers over a 5-row table: two steps (the leaf repeats row 2),
+    // the centre alone, and three steps with an empty middle step. Towers
+    // 0 and 2 share a weight.
+    let mut params = store_with(&[(5, 3), (3, 3), (3, 3)], 24);
+    let (table, w0, w1) = (pid(&params, 0), pid(&params, 1), pid(&params, 2));
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let mut towers = Towers::new();
+            for end in [1, 4] {
+                towers.end_step(end);
+            }
+            towers.end_tower(w0);
+            towers.end_step(5);
+            towers.end_tower(w1);
+            for end in [6, 6, 8] {
+                towers.end_step(end);
+            }
+            towers.end_tower(w0);
+            let ids = vec![0, 2, 2, 4, 1, 3, 0, 4];
+            let out = g.mean_towers(table, ids, towers);
+            to_scalar(g, out)
+        },
+        TOL,
+    );
+}
+
+#[test]
+fn grad_segment_attention() {
+    // Eq. 9 per segment: a 3-row segment, a 1-row one and a 2-row one.
+    let mut params = store_with(&[(6, 4), (4, 3), (4, 3), (4, 2)], 25);
+    let (x, wq, wk, wv) = (
+        pid(&params, 0),
+        pid(&params, 1),
+        pid(&params, 2),
+        pid(&params, 3),
+    );
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let xv = g.param(x);
+            let out = g.segment_attention(xv, vec![0, 3, 4, 6], [wq, wk, wv]);
+            to_scalar(g, out)
+        },
+        5e-2,
+    );
+}
+
+#[test]
+fn grad_segment_mean_rows() {
+    // Eqs. 6–7 (attention, then the mean) and the plain mean of their
+    // ablation, over the same segments.
+    let mut params = store_with(&[(5, 3), (3, 3), (3, 3), (3, 3)], 26);
+    let (x, wq, wk, wv) = (
+        pid(&params, 0),
+        pid(&params, 1),
+        pid(&params, 2),
+        pid(&params, 3),
+    );
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let xv = g.param(x);
+            let attended = g.segment_mean_rows(xv, vec![0, 2, 3, 5], Some([wq, wk, wv]));
+            let plain = g.segment_mean_rows(xv, vec![0, 2, 3, 5], None);
+            let sum = g.add(attended, plain);
+            to_scalar(g, sum)
+        },
+        5e-2,
+    );
+}
+
+#[test]
+fn grad_project_residual() {
+    // Two centres of two rows each, sharing table row 1 once; centre 0's
+    // row 1 is picked twice, centre 1's row 0 once.
+    let mut params = store_with(&[(4, 3), (4, 2), (2, 3), (2, 3)], 27);
+    let (table, x, w0, w1) = (
+        pid(&params, 0),
+        pid(&params, 1),
+        pid(&params, 2),
+        pid(&params, 3),
+    );
+    assert_gradients_close(
+        &mut params,
+        |g| {
+            let xv = g.param(x);
+            let out = g.project_residual(xv, table, vec![1, 3], vec![w0, w1], vec![1, 2, 1]);
+            to_scalar(g, out)
         },
         TOL,
     );

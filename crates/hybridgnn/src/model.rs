@@ -2,17 +2,16 @@
 //! exploration + hybrid aggregation flows + hierarchical attention, trained
 //! with the heterogeneous skip-gram objective over metapath-based walks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use mhg_autograd::{Adam, Graph, Optimizer, ParamId, ParamStore, Var};
+use mhg_autograd::{Adam, Graph, Optimizer, ParamStore, Var};
 use mhg_ckpt::frame::{Reader, Writer};
 use mhg_ckpt::{CkptError, StateDict};
 use mhg_datasets::LabeledEdge;
-use mhg_graph::{GraphStore, MetapathScheme, NodeId, NodeTypeId, RelationId};
+use mhg_graph::{GraphStore, NodeId, RelationId};
 use mhg_models::{EmbeddingScores, FitData, LinkPredictor, TrainError, TrainReport};
 use mhg_sampling::{
-    derive_seed, pairs_from_walk, sharded_over_obs, InterRelationshipExplorer,
-    MetapathNeighborSampler, MetapathWalker, NegativeSampler, Pair, UniformNeighborSampler,
+    derive_seed, pairs_from_walk, sharded_over_obs, MetapathWalker, NegativeSampler, Pair,
 };
 use mhg_tensor::{InitKind, Tensor};
 use mhg_train::{pair_batches, Artefact, BatchLoss, PairExample, TrainStep};
@@ -21,14 +20,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::HybridConfig;
-use crate::flows::{flow_embedding, self_attention};
+use crate::flows::{Draws, FlowPlan, Params};
 
 const BATCH: usize = 48;
-/// Per-parent fan-out when sampling metapath-guided, uniform and
-/// exploration neighbors.
-const FAN_OUT: usize = 4;
-/// Per-layer cap on sampled neighbor sets.
-const MAX_LAYER: usize = 16;
 
 /// Averaged metapath-level attention mass per flow, per relation — the data
 /// behind the paper's Fig. 4.
@@ -39,32 +33,6 @@ pub struct HybridGnn {
     config: HybridConfig,
     scores: EmbeddingScores,
     attention: AttentionProfile,
-}
-
-struct Params {
-    base: ParamId,
-    ctx: ParamId,
-    flow: ParamId,
-    /// Per metapath shape (shared across relations; the attention layers
-    /// provide relation-specific mixing).
-    w_shape: Vec<ParamId>,
-    w_rand: ParamId,
-    w_self: ParamId,
-    mq: ParamId,
-    mk: ParamId,
-    mv: ParamId,
-    rq: ParamId,
-    rk: ParamId,
-    rv: ParamId,
-    w_out: Vec<ParamId>,
-}
-
-/// Static per-fit context shared by forward passes.
-struct ForwardCtx<'a, G: GraphStore> {
-    graph: &'a G,
-    config: &'a HybridConfig,
-    /// Table II shapes with human-readable labels.
-    shapes: &'a [(Vec<NodeTypeId>, String)],
 }
 
 impl HybridGnn {
@@ -149,142 +117,45 @@ impl HybridGnn {
         (params, p)
     }
 
-    /// Forward pass for one node: returns `e*_{v,r}` for every relation
-    /// (each a `1 × d_m` variable), plus per-relation `(label, mass)`
-    /// attention observations when metapath attention is active.
-    #[allow(clippy::type_complexity)]
-    fn forward_node<G: GraphStore>(
-        g: &mut Graph<'_>,
-        p: &Params,
-        ctx: &ForwardCtx<'_, G>,
-        v: NodeId,
-        rng: &mut StdRng,
-        collect_attention: bool,
-    ) -> (Vec<Var>, Vec<Vec<(String, f64)>>) {
-        let cfg = ctx.config;
-        let graph = ctx.graph;
-        let metapath_sampler = MetapathNeighborSampler::new(graph, FAN_OUT, MAX_LAYER);
-        let uniform_sampler = UniformNeighborSampler::new(graph, FAN_OUT, MAX_LAYER);
-        let explorer = InterRelationshipExplorer::new(graph);
-
-        let mut rel_rows: Vec<Var> = Vec::with_capacity(graph.schema().num_relations());
-        let mut attn_obs: Vec<Vec<(String, f64)>> = Vec::new();
-
-        for r in graph.schema().relations() {
-            let mut rows: Vec<Var> = Vec::new();
-            let mut labels: Vec<String> = Vec::new();
-
-            for (si, (shape, label)) in ctx.shapes.iter().enumerate() {
-                if shape[0] != graph.node_type(v) {
-                    continue;
-                }
-                let layers = if cfg.use_hybrid_flows {
-                    // Intra-relationship metapath-guided flow (Eq. 3).
-                    let scheme = MetapathScheme::intra(shape.clone(), r);
-                    metapath_sampler.sample(v, &scheme, rng)
-                } else {
-                    // Ablation: random-neighbor aggregation of the same
-                    // depth replaces the metapath guidance.
-                    uniform_sampler.sample(v, shape.len() - 1, rng)
-                };
-                if layers.len() <= 1 {
-                    continue;
-                }
-                rows.push(flow_embedding(g, p.flow, p.w_shape[si], &layers));
-                labels.push(label.clone());
-            }
-
-            if cfg.use_randomized_exploration {
-                let layers =
-                    explorer.layered_neighbors(v, cfg.exploration_depth, FAN_OUT, MAX_LAYER, rng);
-                if layers.len() > 1 {
-                    rows.push(flow_embedding(g, p.flow, p.w_rand, &layers));
-                    labels.push("random".to_string());
-                }
-            }
-
-            if rows.is_empty() {
-                // Isolated node or no applicable scheme: self flow.
-                let layers = vec![vec![v]];
-                rows.push(flow_embedding(g, p.flow, p.w_self, &layers));
-                labels.push("self".to_string());
-            }
-
-            let h = g.concat_rows(&rows); // F×d_h  (Eq. 5)
-            let pooled = if cfg.use_metapath_attention {
-                let (h_hat, attn) = self_attention(g, h, p.mq, p.mk, p.mv); // Eq. 6
-                if collect_attention {
-                    // Mean attention mass received per flow (column means).
-                    let a = g.value(attn);
-                    let mut obs = Vec::with_capacity(labels.len());
-                    for (c, label) in labels.iter().enumerate() {
-                        let mass: f32 =
-                            (0..a.rows()).map(|rr| a[(rr, c)]).sum::<f32>() / a.rows() as f32;
-                        obs.push((label.clone(), mass as f64));
-                    }
-                    attn_obs.push(obs);
-                }
-                g.mean_rows(h_hat) // Eq. 7
-            } else {
-                if collect_attention {
-                    attn_obs.push(Vec::new());
-                }
-                g.mean_rows(h)
-            };
-            rel_rows.push(pooled);
-        }
-
-        let u = g.concat_rows(&rel_rows); // L×d_k  (Eq. 8)
-        let u_hat = if cfg.use_relationship_attention {
-            self_attention(g, u, p.rq, p.rk, p.rv).0 // Eq. 9
-        } else {
-            u
-        };
-
-        let base = g.gather(p.base, &[v.0]);
-        let e_stars = graph
-            .schema()
-            .relations()
-            .map(|r| {
-                // Eq. 10: e*_{v,r} = e_v + e_{v,r} · W_r
-                let row = g.slice_rows(u_hat, r.index(), r.index() + 1);
-                let w = g.param(p.w_out[r.index()]);
-                let proj = g.matmul(row, w);
-                g.add(base, proj)
-            })
-            .collect();
-        (e_stars, attn_obs)
-    }
-
-    /// Full-graph inference: per-relation embedding tables, plus the
-    /// averaged attention profile.
+    /// Full-graph inference, one [`BATCH`]-node chunk per tape: the
+    /// per-relation embedding tables, plus the averaged attention profile.
     fn full_inference<G: GraphStore>(
         params: &ParamStore,
         p: &Params,
-        ctx: &ForwardCtx<'_, G>,
+        graph: &G,
+        config: &HybridConfig,
+        plan: &FlowPlan,
         rng: &mut StdRng,
     ) -> (Vec<Tensor>, AttentionProfile) {
-        let graph = ctx.graph;
-        let d_m = ctx.config.common.dim;
         let num_rel = graph.schema().num_relations();
-        let mut tables = vec![Tensor::zeros(graph.num_nodes(), d_m); num_rel];
+        let mut tables = vec![Tensor::zeros(graph.num_nodes(), config.common.dim); num_rel];
         // label → (mass sum, count), per relation.
-        let mut acc: Vec<BTreeMap<String, (f64, usize)>> = vec![BTreeMap::new(); num_rel];
+        let mut acc: Vec<BTreeMap<&str, (f64, usize)>> = vec![BTreeMap::new(); num_rel];
 
-        let nodes: Vec<NodeId> = graph.node_id_range().map(NodeId).collect();
+        let nodes: Vec<u32> = graph.node_id_range().collect();
         for chunk in nodes.chunks(BATCH) {
+            let draws = Draws::draw(graph, config, plan, p, chunk.to_vec(), rng);
+            let picks = (0..chunk.len() * num_rel).map(|k| k as u32).collect();
             let mut g = Graph::new(params);
-            for &v in chunk {
-                let (e_stars, attn) = Self::forward_node(&mut g, p, ctx, v, rng, true);
-                for (ri, e) in e_stars.iter().enumerate() {
-                    tables[ri].set_row(v.index(), g.value(*e).row(0));
+            let rec = draws.record(&mut g, config, p, picks);
+            let e = g.value(rec.e);
+            for (c, &v) in chunk.iter().enumerate() {
+                for (r, table) in tables.iter_mut().enumerate() {
+                    table.set_row(v as usize, e.row(c * num_rel + r));
                 }
-                for (ri, obs) in attn.iter().enumerate() {
-                    for (label, mass) in obs {
-                        let entry = acc[ri].entry(label.clone()).or_insert((0.0, 0));
-                        entry.0 += mass;
-                        entry.1 += 1;
-                    }
+            }
+            // Mean attention mass received per flow (column means), per
+            // (centre, relation) segment; none when the attention is ablated.
+            for (s, seg) in rec.segments.windows(2).enumerate() {
+                let Some(a) = g.attention_weights(rec.h, s) else {
+                    break;
+                };
+                let n = seg[1] - seg[0];
+                for (c, &flow) in rec.flows[seg[0]..seg[1]].iter().enumerate() {
+                    let mass: f32 = (0..n).map(|rr| a[rr * n + c]).sum::<f32>() / n as f32;
+                    let entry = acc[s % num_rel].entry(plan.label(flow)).or_insert((0.0, 0));
+                    entry.0 += mass as f64;
+                    entry.1 += 1;
                 }
             }
         }
@@ -294,11 +165,9 @@ impl HybridGnn {
             .map(|m| {
                 // BTreeMap iterates label-sorted, so the profile rows come
                 // out in the same order the old explicit sort produced.
-                let rows: Vec<(String, f64)> = m
-                    .into_iter()
-                    .map(|(label, (sum, count))| (label, sum / count.max(1) as f64))
-                    .collect();
-                rows
+                m.into_iter()
+                    .map(|(label, (sum, count))| (label.to_string(), sum / count.max(1) as f64))
+                    .collect()
             })
             .collect();
         (tables, attention)
@@ -328,17 +197,56 @@ impl Artefact for HybridArtefact {
     }
 }
 
-/// The `TrainStep` for HybridGNN: hybrid-flow forward per pair batch with a
-/// per-center tape cache, a (scores, attention) artefact per validation
-/// pass.
+/// The `TrainStep` for HybridGNN: one batched forward per pair batch (its
+/// neighbour sets drawn first, then four tape nodes), a (scores,
+/// attention) artefact per validation pass.
 struct HybridStep<'a, G: GraphStore> {
     params: ParamStore,
     p: Params,
     graph: &'a G,
     config: HybridConfig,
-    shapes: Vec<(Vec<NodeTypeId>, String)>,
+    plan: &'a FlowPlan,
     opt: Adam,
     val: &'a [LabeledEdge],
+}
+
+impl<G: GraphStore> HybridStep<'_, G> {
+    /// Records a pair batch's skip-gram loss (Eq. 13) on `g`: the
+    /// neighbour sets of its distinct centres are drawn first, in
+    /// first-appearance order, then the forward pass takes four tape nodes
+    /// and the loss three.
+    fn record_loss(&self, g: &mut Graph<'_>, batch: &[PairExample], rng: &mut StdRng) -> Var {
+        let num_rel = self.p.w_out.len();
+        // Distinct centres in first-appearance order; each example scores
+        // its centre's row for its relation.
+        let mut centres: Vec<u32> = Vec::new();
+        let mut picks: Vec<u32> = Vec::new();
+        let mut targets: Vec<u32> = Vec::new();
+        let mut labels: Vec<f32> = Vec::new();
+        for ex in batch {
+            let c = match centres.iter().position(|&c| c == ex.center.0) {
+                Some(c) => c,
+                None => {
+                    centres.push(ex.center.0);
+                    centres.len() - 1
+                }
+            };
+            let row = (c * num_rel + ex.relation.index()) as u32;
+            picks.push(row);
+            targets.push(ex.context.0);
+            labels.push(1.0);
+            for &neg in &ex.negatives {
+                picks.push(row);
+                targets.push(neg.0);
+                labels.push(-1.0);
+            }
+        }
+        let draws = Draws::draw(self.graph, &self.config, self.plan, &self.p, centres, rng);
+        let left = draws.record(g, &self.config, &self.p, picks).e;
+        let right = g.gather(self.p.ctx, &targets);
+        let scores = g.row_dot(left, right);
+        g.logistic_loss(scores, &labels)
+    }
 }
 
 impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
@@ -346,35 +254,8 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
     type Artefact = HybridArtefact;
 
     fn step(&mut self, batch: Vec<PairExample>, rng: &mut StdRng) -> BatchLoss {
-        let ctx = ForwardCtx {
-            graph: self.graph,
-            config: &self.config,
-            shapes: &self.shapes,
-        };
         let mut g = Graph::new(&self.params);
-        // One forward per distinct center in the batch.
-        let mut center_cache: HashMap<NodeId, Vec<Var>> = HashMap::new();
-        let mut lefts: Vec<Var> = Vec::new();
-        let mut targets: Vec<u32> = Vec::new();
-        let mut labels: Vec<f32> = Vec::new();
-        for ex in &batch {
-            let e_stars = center_cache.entry(ex.center).or_insert_with(|| {
-                HybridGnn::forward_node(&mut g, &self.p, &ctx, ex.center, rng, false).0
-            });
-            let e = e_stars[ex.relation.index()];
-            lefts.push(e);
-            targets.push(ex.context.0);
-            labels.push(1.0);
-            for &neg in &ex.negatives {
-                lefts.push(e);
-                targets.push(neg.0);
-                labels.push(-1.0);
-            }
-        }
-        let left = g.concat_rows(&lefts);
-        let right = g.gather(self.p.ctx, &targets);
-        let scores = g.row_dot(left, right);
-        let loss = g.logistic_loss(scores, &labels);
+        let loss = self.record_loss(&mut g, &batch, rng);
         let loss_sum = g.scalar(loss) as f64;
         let grads = g.backward(loss);
         self.opt.step(&mut self.params, &grads);
@@ -382,12 +263,14 @@ impl<G: GraphStore> TrainStep for HybridStep<'_, G> {
     }
 
     fn eval(&mut self, rng: &mut StdRng) -> (f64, HybridArtefact) {
-        let ctx = ForwardCtx {
-            graph: self.graph,
-            config: &self.config,
-            shapes: &self.shapes,
-        };
-        let (tables, attention) = HybridGnn::full_inference(&self.params, &self.p, &ctx, rng);
+        let (tables, attention) = HybridGnn::full_inference(
+            &self.params,
+            &self.p,
+            self.graph,
+            &self.config,
+            self.plan,
+            rng,
+        );
         let scores = EmbeddingScores::per_relation(tables)
             .with_context(self.params.value(self.p.ctx).clone());
         let auc = mhg_models::val_auc(&scores, self.val);
@@ -461,21 +344,8 @@ impl HybridGnn {
         let cfg = self.config.clone();
         let common = &cfg.common;
 
-        // Label shapes like "user-item-user" from schema names.
-        let shapes: Vec<(Vec<NodeTypeId>, String)> = data
-            .metapath_shapes
-            .iter()
-            .map(|shape| {
-                let label = shape
-                    .iter()
-                    .map(|&t| graph.schema().node_type_name(t))
-                    .collect::<Vec<_>>()
-                    .join("-");
-                (shape.clone(), label)
-            })
-            .collect();
-
-        let (params, p) = Self::init_params(graph, &cfg, shapes.len(), rng);
+        let plan = FlowPlan::new(graph, data.metapath_shapes);
+        let (params, p) = Self::init_params(graph, &cfg, plan.num_shapes(), rng);
         let negatives = NegativeSampler::new(graph);
         let pair_budget = mhg_models::pair_budget(graph.num_edges());
 
@@ -487,12 +357,11 @@ impl HybridGnn {
         let sample = |_epoch: usize, rng: &mut StdRng| {
             let base: u64 = rng.gen();
             let mut tagged: Vec<(Pair, RelationId)> = Vec::new();
-            for r in graph.schema().relations() {
-                for (shape_idx, (shape, _)) in shapes.iter().enumerate() {
-                    let scheme = MetapathScheme::intra(shape.clone(), r);
-                    let walker = MetapathWalker::new(graph, scheme)?;
+            for (r, schemes) in graph.schema().relations().zip(plan.schemes()) {
+                for (shape_idx, scheme) in schemes.iter().enumerate() {
+                    let walker = MetapathWalker::new(graph, scheme.clone())?;
                     let starts: Vec<NodeId> = graph
-                        .nodes_of_type(shape[0])
+                        .nodes_of_type(scheme.source_type())
                         .iter()
                         .copied()
                         .filter(|&start| graph.degree(start, r) > 0)
@@ -536,7 +405,7 @@ impl HybridGnn {
             p,
             graph,
             config: cfg.clone(),
-            shapes: shapes.clone(),
+            plan: &plan,
             opt: Adam::new(common.lr.min(0.01)),
             val: data.val,
         };
@@ -558,5 +427,57 @@ impl LinkPredictor for HybridGnn {
 
     fn score(&self, u: NodeId, v: NodeId, r: RelationId) -> f32 {
         self.scores.score(u, v, r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mhg_datasets::DatasetKind;
+    use rand::SeedableRng;
+
+    /// The step's tape does not grow with the batch: four forward nodes and
+    /// three for the loss, whatever the number of centres (the per-node
+    /// composition recorded ≈100 nodes per centre).
+    #[test]
+    fn tape_length_does_not_grow_with_the_batch() {
+        let dataset = DatasetKind::Amazon.generate(0.01, 3);
+        let graph = &dataset.graph;
+        let mut rng = StdRng::seed_from_u64(4);
+        let plan = FlowPlan::new(graph, &dataset.metapath_shapes);
+        let mut config = HybridConfig::fast();
+        config.common.dim = 16;
+        let (params, p) = HybridGnn::init_params(graph, &config, plan.num_shapes(), &mut rng);
+        let step = HybridStep {
+            params,
+            p,
+            graph,
+            config,
+            plan: &plan,
+            opt: Adam::new(0.01),
+            val: &[],
+        };
+        let num_rel = graph.schema().num_relations();
+        let examples: Vec<PairExample> = graph
+            .nodes()
+            .take(BATCH)
+            .enumerate()
+            .map(|(i, v)| PairExample {
+                center: v,
+                context: NodeId((v.0 + 1) % graph.num_nodes() as u32),
+                relation: RelationId((i % num_rel) as u16),
+                negatives: vec![NodeId(0), NodeId(1)],
+            })
+            .collect();
+        assert_eq!(examples.len(), BATCH);
+        let mut tape_len = |batch: &[PairExample]| {
+            let mut g = Graph::new(&step.params);
+            step.record_loss(&mut g, batch, &mut rng);
+            g.len()
+        };
+        let one = tape_len(&examples[..1]);
+        assert_eq!(tape_len(&examples), one);
+        assert_eq!(one, 7);
+        assert!(one <= 200);
     }
 }

@@ -4,6 +4,9 @@
 //! forward value, every gradient row and the parameters after an Adam step
 //! must agree to the bit.
 
+mod common;
+
+use common::{bits, grad_bits};
 use mhg_autograd::{Adam, Grad, GradStore, Graph, Optimizer, ParamId, ParamStore, Var};
 use mhg_tensor::{InitKind, Tensor};
 use proptest::prelude::*;
@@ -98,31 +101,6 @@ fn composed(g: &mut Graph<'_>, emb: ParamId, s: &Segments) -> Var {
         })
         .collect();
     g.concat_rows(&rows)
-}
-
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Every gradient as `(param, row, bits)`, touched rows only for a sparse
-/// gradient, so a row touched with a zero gradient still counts.
-fn grad_bits(grads: &GradStore) -> Vec<(usize, Option<usize>, Vec<u32>)> {
-    let mut out = Vec::new();
-    for (id, grad) in grads.iter() {
-        match grad {
-            Grad::Dense(t) => out.push((id.index(), None, bits(t))),
-            Grad::Rows { rows } => {
-                for (r, row) in rows.iter() {
-                    out.push((
-                        id.index(),
-                        Some(r),
-                        row.iter().map(|v| v.to_bits()).collect(),
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 proptest! {
