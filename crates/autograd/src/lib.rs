@@ -7,6 +7,10 @@
 //!   ever *gathered* onto the tape, never copied whole.
 //! * [`Graph`] — a per-step tape recording the forward computation, with
 //!   [`Graph::backward`] producing a [`GradStore`].
+//! * Batched ops ([`Graph::mean_towers`], [`Graph::segment_attention`],
+//!   [`Graph::segment_mean_rows`], [`Graph::project_residual`]) — one
+//!   node for a batch of per-node subgraphs, bit-identical to their
+//!   per-node compositions.
 //! * [`Adam`] — the optimizer; it performs lazy (per-row) updates for
 //!   sparse embedding gradients.
 //! * [`gradcheck`] — finite-difference verification used by the test suite.
